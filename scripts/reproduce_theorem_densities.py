@@ -9,39 +9,31 @@ for the partial Artin constant A, so their quotient should sit near 3.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costaskit.density import CensusRow, census_g4, census_t4, predicted_constants
-
-
-def write_csv(path: Path, rows: list[CensusRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# format=1\n")
-        fh.write("x,count,pi_x,ratio,predicted\n")
-        for r in rows:
-            fh.write(f"{r.x},{r.count},{r.pi_x},{r.ratio:.6f},{r.predicted:.6f}\n")
+from costaskit.cli import worker_default, write_census_csv
+from costaskit.density import census_g4, census_t4, predicted_constants
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--limit", type=int, default=10**6)
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("COSTAS_THREADS", 0))
-                        or (os.cpu_count() or 1))
+    parser.add_argument("--workers", type=int)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     c = predicted_constants()
+    workers = args.workers or worker_default()
 
-    t4 = census_t4(args.limit, workers=args.workers)
-    write_csv(args.out_dir / "census_t4.csv", t4)
-    g4 = census_g4(args.limit, workers=args.workers)
-    write_csv(args.out_dir / "census_g4.csv", g4)
+    t4 = census_t4(args.limit, workers=workers)
+    g4 = census_g4(args.limit, workers=workers)
+    for name, rows in (("census_t4.csv", t4), ("census_g4.csv", g4)):
+        with open(args.out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            write_census_csv(fh, rows)
 
     print(f"partial Artin constant: {c.artin:.10f}")
     print(f"{'x':>10} {'t4':>8} {'t4 ratio':>9} {'g4':>8} {'g4 ratio':>9} {'t4/g4':>7}")

@@ -13,18 +13,13 @@ frozen exception list. Then runs censuses for three named trinomial shapes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costaskit.density import (
-    ExpExpr,
-    TrinomialCensus,
-    trinomial_census,
-    verify_zero_density_claims,
-)
+from costaskit.cli import worker_default, write_census_csv
+from costaskit.density import ExpExpr, trinomial_census, verify_zero_density_claims
 
 SHAPES = {
     "fibonacci": (ExpExpr(2), ExpExpr(1, 1)),
@@ -33,25 +28,16 @@ SHAPES = {
 }
 
 
-def write_csv(path: Path, census: TrinomialCensus) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# format=1\n")
-        fh.write("x,count,pi_x,ratio,predicted\n")
-        for r in census.rows:
-            fh.write(f"{r.x},{r.count},{r.pi_x},{r.ratio:.6f},{r.predicted:.6f}\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--limit", type=int, default=10**4)
     parser.add_argument("--i-max", type=int, default=5)
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("COSTAS_THREADS", 0))
-                        or (os.cpu_count() or 1))
+    parser.add_argument("--workers", type=int)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    workers = args.workers or worker_default()
 
     report = verify_zero_density_claims(args.limit, i_max=args.i_max)
     print(f"zero-density families up to {report.limit}, i <= {report.i_max}")
@@ -71,9 +57,10 @@ def main() -> int:
 
     print()
     for shape, (e1, e2) in SHAPES.items():
-        census = trinomial_census(args.limit, e1, e2, workers=args.workers)
+        census = trinomial_census(args.limit, e1, e2, workers=workers)
         path = args.out_dir / f"trinomial_{shape}.csv"
-        write_csv(path, census)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_census_csv(fh, census.rows)
         last = census.rows[-1]
         print(f"{shape:>10}: count {last.count} of pi({last.x}) = {last.pi_x}, "
               f"ratio {last.ratio:.6f}, predicted {last.predicted:.6f}, "

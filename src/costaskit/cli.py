@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 from .constructions import (
     ConstructionFailed,
@@ -23,9 +23,8 @@ from .constructions import (
 )
 from .costas import NotAPermutation, first_collision, is_costas
 from .density import (
+    CensusRow,
     ExponentOutOfRange,
-    LimitTooLarge,
-    _primes_in_range,
     census_g4,
     census_t4,
     trinomial_census,
@@ -33,12 +32,14 @@ from .density import (
 from .ff import (
     DegreeOutOfRange,
     FieldTooLarge,
+    LimitTooLarge,
     NotPrimitive,
     ZeroElement,
     make_field,
     prime_power,
+    primes_in_range,
 )
-from .fpr import EvenPrime, fpr_report, g4_applicable
+from .fpr import fpr_report, g4_applicable
 
 _INAPPLICABLE_REASONS = {
     "w1": "no primitive root for this q (need prime p >= 3)",
@@ -64,11 +65,22 @@ _CONDITION_ERRORS = (
 _SWEEP_CAP = 4096
 
 
-def _worker_default() -> int:
+def worker_default() -> int:
+    """Census worker count: COSTAS_THREADS if set (at least 1), else the CPU count."""
     env = os.environ.get("COSTAS_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"COSTAS_THREADS must be an integer, got {env!r}") from None
+
+
+def write_census_csv(fh: TextIO, rows: Iterable[CensusRow]) -> None:
+    """Write census rows in the format=1 CSV layout."""
+    fh.write("# format=1\nx,count,pi_x,ratio,predicted\n")
+    for r in rows:
+        fh.write(f"{r.x},{r.count},{r.pi_x},{r.ratio:.6f},{r.predicted:.6f}\n")
 
 
 def _err(msg: str) -> None:
@@ -90,13 +102,13 @@ def _document(spec: ConstructionSpec, perm: list[int]) -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    pk = prime_power(args.q)
-    if pk is None:
-        _err(f"build: {args.q} is not a prime power")
-        return 1
     try:
+        pk = prime_power(args.q)
+        if pk is None:
+            _err(f"build: {args.q} is not a prime power")
+            return 1
         field = make_field(*pk)
-    except (DegreeOutOfRange, FieldTooLarge) as e:
+    except (DegreeOutOfRange, FieldTooLarge, LimitTooLarge) as e:
         _err(f"build: {e}")
         return 1
 
@@ -106,16 +118,16 @@ def cmd_build(args: argparse.Namespace) -> int:
             _err(f"build: method {args.method} requires --beta")
             return 1
         spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
-    else:
-        if args.beta is not None:
-            _err("build: --beta without --alpha")
-            return 1
-        spec = find_spec(args.method, field)
-        if spec is None:
-            _err(f"{args.method}: {_INAPPLICABLE_REASONS[args.method]}")
-            return 2
+    elif args.beta is not None:
+        _err("build: --beta without --alpha")
+        return 1
 
     try:
+        if args.alpha is None:
+            spec = find_spec(args.method, field)
+            if spec is None:
+                _err(f"{args.method}: {_INAPPLICABLE_REASONS[args.method]}")
+                return 2
         perm = build(spec)
     except _CONDITION_ERRORS as e:
         _err(f"{args.method}: {e}")
@@ -181,15 +193,15 @@ def cmd_fpr(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.range is None):
         _err("fpr: pass exactly one of P or --range A B")
         return 1
-    if args.p is not None:
-        try:
+    try:
+        if args.p is not None:
             rows = [_fpr_row(args.p)]
-        except (EvenPrime, ValueError) as e:
-            _err(f"fpr: {e}")
-            return 1
-    else:
-        lo, hi = args.range
-        rows = [_fpr_row(p) for p in _primes_in_range(lo, hi + 1) if p != 2]
+        else:
+            lo, hi = args.range
+            rows = [_fpr_row(p) for p in primes_in_range(lo, hi + 1).tolist() if p != 2]
+    except ValueError as e:
+        _err(f"fpr: {e}")
+        return 1
 
     if args.format == "json":
         for row in rows:
@@ -218,12 +230,11 @@ def _parse_expr(text: str) -> tuple[int, int]:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    checkpoints = None
-    if args.checkpoints:
-        checkpoints = [int(t) for t in args.checkpoints.split(",")]
-    workers = args.workers if args.workers else _worker_default()
-
     try:
+        checkpoints = None
+        if args.checkpoints:
+            checkpoints = [int(t) for t in args.checkpoints.split(",")]
+        workers = args.workers or worker_default()
         skipped = 0
         if args.kind == "t4":
             rows = census_t4(args.limit, checkpoints, workers)
@@ -243,10 +254,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         _err(f"census: {e}")
         return 1
 
-    print("# format=1")
-    print("x,count,pi_x,ratio,predicted")
-    for r in rows:
-        print(f"{r.x},{r.count},{r.pi_x},{r.ratio:.6f},{r.predicted:.6f}")
+    write_census_csv(sys.stdout, rows)
     if skipped:
         _err(f"census: skipped {skipped} primes with out-of-range exponents")
     return 0

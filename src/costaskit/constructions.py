@@ -21,8 +21,9 @@ Method names used throughout (and by the CLI):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
+
+import numpy as np
 
 from .costas import is_costas, remove_leading
 from .ff import (
@@ -30,12 +31,16 @@ from .ff import (
     FieldElement,
     FieldMismatch,
     NotPrimitive,
+    affine_map,
+    discrete_logs,
     is_primitive,
     is_primitive_root,
-    log_table,
-    smallest_primitive_root,
-    sqrt_mod_p,
+    least_primitive,
+    make_field,
+    power_table,
+    quadratic_roots,
 )
+from .fpr import g4_witness
 
 
 class DegenerateSize(ValueError):
@@ -90,41 +95,33 @@ def _elem(field: FieldDescriptor, x: Union[FieldElement, int]) -> FieldElement:
     return field.element(x)
 
 
-@lru_cache(maxsize=128)
-def _log_table_cached(field: FieldDescriptor, alpha_rep: int):
-    return log_table(FieldElement(field, alpha_rep))
+def _golomb_map(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
+    # f(i) = log_beta(1 - alpha^i) for i = 1..q-2
+    logs = discrete_logs(field, beta)
+    return logs[affine_map(field, power_table(field, alpha)[1:], -1, 1)].tolist()
+
+
+def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
+    if isinstance(g, FieldElement):
+        g = g.rep
+    field = make_field(p)
+    if not is_primitive_root(g, p, field.q1_factors):
+        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
+    return power_table(field, g % p)
 
 
 def welch_w1(p: int, g: Union[int, FieldElement]) -> list[int]:
     """Exponential Welch array: f(i) = g^i mod p for i = 1..p-1."""
-    if isinstance(g, FieldElement):
-        g = g.rep
     if p < 3:
         raise DegenerateSize(f"exponential Welch needs p >= 3, got {p}")
-    if not is_primitive_root(g, p):
-        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-    out = []
-    x = 1
-    for _ in range(p - 1):
-        x = x * g % p
-        out.append(x)
-    return out
+    return np.roll(_welch_powers(p, g), -1).tolist()
 
 
 def welch_w2(p: int, g: Union[int, FieldElement]) -> list[int]:
     """Corner-removed Welch array: f(i) = g^i - 1 for i = 1..p-2."""
-    if isinstance(g, FieldElement):
-        g = g.rep
     if p < 5:
         raise DegenerateSize(f"shifted Welch needs p >= 5, got {p}")
-    if not is_primitive_root(g, p):
-        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-    out = []
-    x = 1
-    for _ in range(p - 2):
-        x = x * g % p
-        out.append(x - 1)
-    return out
+    return (_welch_powers(p, g)[1:] - 1).tolist()
 
 
 def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[int]:
@@ -137,13 +134,7 @@ def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
     a = _elem(field, alpha)
     if not is_primitive(a):
         raise NotPrimitive(f"{a!r} does not generate the unit group")
-    table = _log_table_cached(field, a.rep)
-    out = []
-    acc = field.one
-    for _ in range(field.q - 2):
-        acc = acc * a
-        out.append(table[(1 - acc).rep])
-    return out
+    return _golomb_map(field, a.rep, a.rep)
 
 
 def golomb_g2(
@@ -158,13 +149,7 @@ def golomb_g2(
         raise NotPrimitive(f"{a!r} does not generate the unit group")
     if not is_primitive(b):
         raise NotPrimitive(f"{b!r} does not generate the unit group")
-    table = _log_table_cached(field, b.rep)
-    out = []
-    acc = field.one
-    for _ in range(field.q - 2):
-        acc = acc * a
-        out.append(table[(1 - acc).rep])
-    return out
+    return _golomb_map(field, a.rep, b.rep)
 
 
 def golomb_g3(
@@ -279,27 +264,6 @@ def build(spec: ConstructionSpec) -> list[int]:
     return golomb_g4(field, spec.alpha, spec.beta)
 
 
-def _first_primitive(field: FieldDescriptor) -> FieldElement:
-    for rep in range(1, field.q):
-        e = FieldElement(field, rep)
-        if is_primitive(e):
-            return e
-    raise AssertionError("unit group of a finite field is cyclic")
-
-
-def _quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[FieldElement]:
-    # Roots of x^2 + b x + c in GF(q), ascending by code.
-    if field.k == 1 and field.p > 2:
-        p = field.p
-        disc = (b * b - 4 * c) % p
-        rts = sqrt_mod_p(disc, p)
-        if rts is None:
-            return []
-        inv2 = pow(2, p - 2, p)
-        return [field.element(r) for r in sorted({(-b + r) * inv2 % p for r in rts})]
-    return [e for e in field.elements() if e * e + b * e + c == field.zero]
-
-
 def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:
     """Smallest admissible parameters for the method in this field, or None.
 
@@ -312,20 +276,20 @@ def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]
     if method == "w1":
         if k != 1 or p < 3:
             return None
-        return ConstructionSpec("w1", field, smallest_primitive_root(p))
+        return ConstructionSpec("w1", field, least_primitive(field))
     if method == "w2":
         if k != 1 or p < 5:
             return None
-        return ConstructionSpec("w2", field, smallest_primitive_root(p))
+        return ConstructionSpec("w2", field, least_primitive(field))
     if method == "l2":
         if q < 4:
             return None
-        return ConstructionSpec("l2", field, _first_primitive(field).rep)
+        return ConstructionSpec("l2", field, least_primitive(field))
     if method == "g2":
         if q < 3:
             return None
-        a = _first_primitive(field)
-        return ConstructionSpec("g2", field, a.rep, a.rep)
+        a = least_primitive(field)
+        return ConstructionSpec("g2", field, a, a)
     if method in ("g3", "g4c2"):
         if method == "g3" and q < 3:
             return None
@@ -338,13 +302,12 @@ def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]
                 return ConstructionSpec(method, field, a.rep, bb.rep)
         return None
     if method == "t4":
-        for a in _quadratic_roots(field, 1, -1):
-            if is_primitive(a):
-                return ConstructionSpec("t4", field, a.rep)
+        for a in quadratic_roots(field, 1, -1):
+            if is_primitive(field.element(a)):
+                return ConstructionSpec("t4", field, a)
         return None
     # g4: alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
-    for a in _quadratic_roots(field, -1, -1):
-        bb = 1 - a
-        if bb.rep != 0 and is_primitive(a) and is_primitive(bb):
-            return ConstructionSpec("g4", field, a.rep, bb.rep)
-    return None
+    a = g4_witness(q)
+    if a is None:
+        return None
+    return ConstructionSpec("g4", field, a, (1 - field.element(a)).rep)

@@ -15,12 +15,20 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .ff import is_prime, is_primitive_root, smallest_primitive_root, sqrt_mod_p
+from .ff import (
+    SIEVE_CAP,
+    LimitTooLarge,
+    is_primitive_root,
+    least_primitive,
+    make_field,
+    power_table,
+    primes_in_range,
+    primitive_exponents,
+    sqrt_mod_p,
+)
 from .fpr import fpr_set, g4_applicable
 
-_SIEVE_CAP = 10**8
 _CENSUS_CAP = 10**7
 _TRINOMIAL_CAP = 10**6
 _VERIFY_CAP = 10**5
@@ -28,10 +36,6 @@ _I_MAX_CAP = 10
 _ARTIN_BOUND = 10**6
 _SIEVE_BLOCK = 1 << 18
 _CHUNK = 1 << 14
-
-
-class LimitTooLarge(ValueError):
-    """Raised when a bound exceeds the documented cap for its routine."""
 
 
 class ExponentOutOfRange(ValueError):
@@ -96,45 +100,17 @@ class ZeroDensityReport:
     skipped: dict
 
 
-@lru_cache(maxsize=1)
-def _base_primes() -> tuple[int, ...]:
-    # enough to sieve any segment below _SIEVE_CAP
-    limit = 10001
-    flags = bytearray(b"\x01") * limit
-    flags[0] = flags[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return tuple(i for i, f in enumerate(flags) if f)
-
-
-def _primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in the half-open interval [lo, hi)."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
-    flags = bytearray(b"\x01") * (hi - lo)
-    for q in _base_primes():
-        if q * q >= hi:
-            break
-        start = max(q * q, (lo + q - 1) // q * q)
-        flags[start - lo :: q] = bytes(len(range(start, hi, q)))
-    return [lo + i for i, f in enumerate(flags) if f]
+def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    # The cap is checked here, before the first block, not at the last one.
+    if limit > SIEVE_CAP:
+        raise LimitTooLarge(f"sieve limit {limit} above cap {SIEVE_CAP}")
+    los = range(2, limit + 1, _SIEVE_BLOCK)
+    return (primes_in_range(lo, min(lo + _SIEVE_BLOCK, limit + 1)) for lo in los)
 
 
 def prime_sieve(limit: int) -> Iterator[int]:
     """All primes p <= limit, in order, as a lazy iterator."""
-    if limit > _SIEVE_CAP:
-        raise LimitTooLarge(f"sieve limit {limit} above cap {_SIEVE_CAP}")
-
-    def gen() -> Iterator[int]:
-        lo = 2
-        while lo <= limit:
-            hi = min(lo + _SIEVE_BLOCK, limit + 1)
-            yield from _primes_in_range(lo, hi)
-            lo = hi
-
-    return gen()
+    return (p for block in _prime_blocks(limit) for p in block.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -142,15 +118,16 @@ def artin_constant(prime_bound: int) -> float:
     """Partial Artin product over primes q <= prime_bound.
 
     Each factor is 1 - 1/(q(q - 1)); the sequence decreases toward the
-    full constant 0.3739558136... as the bound grows.
+    full constant 0.3739558136... as the bound grows. The product is taken
+    as exp of a float64 sum of log1p terms.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be at least 2")
-    with mp.workdps(30):
-        prod = mpf(1)
-        for q in prime_sieve(prime_bound):
-            prod *= 1 - mpf(1) / (q * (q - 1))
-        return float(prod)
+    total = 0.0
+    for block in _prime_blocks(prime_bound):
+        q = block.astype(np.float64)
+        total += np.log1p(-1.0 / (q * (q - 1.0))).sum()
+    return float(np.exp(total))
 
 
 @lru_cache(maxsize=1)
@@ -202,7 +179,7 @@ def _census_chunk(predicate, lo: int, hi: int, cps: tuple[int, ...]):
     hits = [0] * len(cps)
     pis = [0] * len(cps)
     skipped = 0
-    for p in _primes_in_range(lo, hi):
+    for p in primes_in_range(lo, hi).tolist():
         b = bisect_left(cps, p)
         pis[b] += 1
         r = predicate(p)
@@ -266,46 +243,18 @@ def census_g4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
     return rows
 
 
-@lru_cache(maxsize=8)
-def _power_table(p: int) -> np.ndarray:
-    """[g^0 .. g^(p-2)] mod p for the least primitive root g."""
-    g = smallest_primitive_root(p)
-    n = p - 1
-    out = np.empty(n, dtype=np.int64)
-    seed = min(n, 1024)
-    acc = 1
-    for k in range(seed):
-        out[k] = acc
-        acc = acc * g % p
-    gb = pow(g, seed, p)
-    filled = seed
-    while filled < n:
-        step = min(seed, n - filled)
-        out[filled : filled + step] = out[filled - seed : filled - seed + step] * gb % p
-        filled += step
-    return out
-
-
-@lru_cache(maxsize=8)
-def _primitive_exponents(p: int) -> np.ndarray:
-    n = p - 1
-    js = np.arange(1, n, dtype=np.int64)
-    return js[np.gcd(js, n) == 1]
-
-
 def trinomial_witnesses(p: int, e1: ExprLike, e2: ExprLike) -> list[int]:
     """Primitive a mod p with a^e1 + a^e2 = 1, sorted, by exhaustive scan."""
     x1, x2 = _as_expr(e1), _as_expr(e2)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p > _TRINOMIAL_CAP:
         raise LimitTooLarge(f"prime {p} above cap {_TRINOMIAL_CAP}")
+    field = make_field(p)
     if not (x1.in_range(p) and x2.in_range(p)):
         raise ExponentOutOfRange(f"exponents {x1}, {x2} leave [1, {p - 2}] at p={p}")
     n = p - 1
     a, b = x1.evaluate(p), x2.evaluate(p)
-    table = _power_table(p)
-    js = _primitive_exponents(p)
+    table = power_table(field, least_primitive(field))
+    js = primitive_exponents(n)
     vals = (table[js * a % n] + table[js * b % n]) % p
     return sorted(int(w) for w in table[js[vals == 1]])
 

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
+
+class LimitTooLarge(ValueError):
+    """Raised when a bound exceeds the documented cap for its routine."""
+
 
 class CompositeCharacteristic(ValueError):
     """The requested field characteristic is not prime."""
@@ -54,6 +60,7 @@ class EvenModulus(ValueError):
 _MAX_DEGREE = 6
 _MAX_ORDER = 2**31
 _PRIMITIVE_SCAN_CAP = 10**6
+SIEVE_CAP = 10**8
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -84,23 +91,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _small_primes() -> list[int]:
-    # Covers trial division for n < 2^32.
-    limit = 1 << 16
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, 256):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if sieve[i]]
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
+    """Primes in the half-open interval [lo, hi), ascending, as int64.
+
+    Sieves the segment with the primes up to sqrt(hi), found the same way;
+    hi - 1 is capped at SIEVE_CAP.
+    """
+    if hi - 1 > SIEVE_CAP:
+        raise LimitTooLarge(f"sieve limit {hi - 1} above cap {SIEVE_CAP}")
+    lo = max(lo, 2)
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(hi - lo, dtype=bool)
+    for q in primes_in_range(2, math.isqrt(hi - 1) + 1).tolist():
+        start = max(q * q, -(-lo // q) * q)
+        flags[start - lo :: q] = False
+    return np.flatnonzero(flags) + lo
 
 
-_TRIAL_PRIMES = _small_primes()
+# Trial division by these proves any cofactor below 2^32 prime.
+_TRIAL_PRIMES = primes_in_range(2, 1 << 16).tolist()
 
 
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((prime, multiplicity), ...) ascending."""
+    """Prime factorization of n >= 1 as ((prime, multiplicity), ...) ascending.
+
+    Raises LimitTooLarge when what is left after trial division below 2^16
+    is composite, since it cannot be split.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
@@ -114,7 +133,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m += 1
             out.append((p, m))
     if n > 1:
-        # Remaining cofactor below 2^32 after trial division is prime.
+        if n >> 32 and not is_prime(n):
+            raise LimitTooLarge(f"cofactor {n} has no prime factor below 2^16")
         out.append((n, 1))
     return tuple(out)
 
@@ -411,25 +431,115 @@ def is_primitive(a: FieldElement) -> bool:
     return all(a ** (q1 // f) != a.field.one for f, _ in a.field.q1_factors)
 
 
+@lru_cache(maxsize=4096)
+def least_primitive(field: FieldDescriptor) -> int:
+    """Code of the least primitive element of the field."""
+    if field.k == 1:
+        return smallest_primitive_root(field.p)
+    return next(r for r in range(1, field.q) if is_primitive(FieldElement(field, r)))
+
+
+def _digit_matrix(field: FieldDescriptor, a: int) -> np.ndarray:
+    # Row j holds the digits of a * x^j, so digits @ matrix multiplies by a.
+    p, k = field.p, field.k
+    return np.array([_decode(p, k, _mul_rep(field, a, p**j)) for j in range(k)], dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
+    """Codes of alpha^0 .. alpha^(q-2) as a read-only int64 array.
+
+    Built by block doubling: once the first m powers are known, the next m
+    are those times alpha^m. In GF(p) that product is codes * c % p; in
+    GF(p^k) it is a k x k GF(p)-linear map on the base-p digits.
+    """
+    p, n = field.p, field.q - 1
+    out = np.empty(n, dtype=np.int64)
+    out[0] = 1
+    filled = 1
+    if field.k == 1:
+        c = alpha
+        while filled < n:
+            m = min(filled, n - filled)
+            out[filled : filled + m] = out[:m] * c % p
+            filled += m
+            c = c * c % p
+    else:
+        place = p ** np.arange(field.k, dtype=np.int64)
+        mat = _digit_matrix(field, alpha)
+        while filled < n:
+            m = min(filled, n - filled)
+            digits = out[:m, None] // place % p
+            out[filled : filled + m] = digits @ mat % p @ place
+            filled += m
+            mat = mat @ mat % p
+    out.flags.writeable = False
+    return out
+
+
+def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
+    """logs[code] = i where code = base^i, 0 <= i <= q-2, for a primitive base.
+
+    Slot 0 holds -1. Capped at order 10^6.
+    """
+    if field.q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
+    logs = np.full(field.q, -1, dtype=np.int64)
+    logs[power_table(field, base)] = np.arange(field.q - 1)
+    return logs
+
+
+@lru_cache(maxsize=8)
+def primitive_exponents(n: int) -> np.ndarray:
+    """Exponents i in [0, n) with gcd(i, n) = 1, as a read-only int64 array.
+
+    For a generator alpha of a cyclic group of order n, alpha^i generates
+    it exactly for these i.
+    """
+    js = np.arange(n, dtype=np.int64)
+    out = js[np.gcd(js, n) == 1]
+    out.flags.writeable = False
+    return out
+
+
+def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.ndarray:
+    """Codes of s * x + c for each code x, with integers s, c taken mod p."""
+    p = field.p
+    if field.k == 1:
+        return (codes * s + c) % p
+    place = p ** np.arange(field.k, dtype=np.int64)
+    digits = codes[:, None] // place % p * s
+    digits[:, 0] += c
+    return digits % p @ place
+
+
+def quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[int]:
+    """Codes of the roots of x^2 + b x + c, ascending, for c nonzero mod p.
+
+    Odd prime fields solve with a square root mod p; other fields compare
+    squares and affine images over a power table, capped at order 10^6.
+    """
+    p = field.p
+    if field.k == 1 and p > 2:
+        rts = sqrt_mod_p((b * b - 4 * c) % p, p)
+        if rts is None:
+            return []
+        return sorted({(r - b) * ((p + 1) // 2) % p for r in rts})
+    if field.q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"scan over GF({field.q}) exceeds cap {_PRIMITIVE_SCAN_CAP}")
+    exp = power_table(field, least_primitive(field))
+    n = field.q - 1
+    squares = exp[2 * np.arange(n) % n]
+    return sorted(exp[squares == affine_map(field, exp, -b, -c)].tolist())
+
+
 def primitive_elements(field: FieldDescriptor) -> list[FieldElement]:
     """All primitive elements of the field, ascending by code."""
     if field.q > _PRIMITIVE_SCAN_CAP:
         raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
-    gen = None
-    for rep in range(1, field.q):
-        cand = FieldElement(field, rep)
-        if is_primitive(cand):
-            gen = cand
-            break
-    assert gen is not None, "unit group of a finite field is cyclic"
-    q1 = field.q - 1
-    reps = []
-    acc = field.one
-    for i in range(1, q1 + 1):
-        acc = acc * gen
-        if math.gcd(i, q1) == 1:
-            reps.append(acc.rep)
-    return [FieldElement(field, r) for r in sorted(reps)]
+    exp = power_table(field, least_primitive(field))
+    reps = np.sort(exp[primitive_exponents(field.q - 1)])
+    return [FieldElement(field, r) for r in reps.tolist()]
 
 
 def log_table(alpha: FieldElement) -> list[Optional[int]]:
@@ -437,16 +547,11 @@ def log_table(alpha: FieldElement) -> list[Optional[int]]:
 
     The identity maps to q-1 and the zero slot holds None.
     """
-    if alpha.field.q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
     if not is_primitive(alpha):
         raise NotPrimitive(f"{alpha!r} does not generate the unit group")
-    field = alpha.field
-    table: list[Optional[int]] = [None] * field.q
-    acc = field.one
-    for i in range(1, field.q):
-        acc = acc * alpha
-        table[acc.rep] = i
+    table: list[Optional[int]] = discrete_logs(alpha.field, alpha.rep).tolist()
+    table[0] = None
+    table[1] = alpha.field.q - 1
     return table
 
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .ff import (
+    FieldDescriptor,
     FieldTooLarge,
     factorize,
     is_prime,
@@ -20,6 +21,7 @@ from .ff import (
     is_primitive_root,
     make_field,
     prime_power,
+    quadratic_roots,
     sqrt_mod_p,
 )
 
@@ -40,10 +42,6 @@ class NotAPrimePower(ValueError):
 
 class PreconditionNotMet(ValueError):
     """Raised when a conditional claim is queried outside its hypothesis."""
-
-
-class InternalInconsistency(RuntimeError):
-    """Two supposedly equivalent routes to the same answer disagreed."""
 
 
 @dataclass(frozen=True)
@@ -125,18 +123,17 @@ def t4_admissible(q: int) -> bool:
     return k == 1 and q % 10 in (1, 9)
 
 
+def _scan_field(p: int, k: int) -> FieldDescriptor:
+    # Checked before make_field, whose modulus search is slow for large q.
+    if p**k > _SCAN_CAP:
+        raise FieldTooLarge(f"scan over GF({p**k}) exceeds cap {_SCAN_CAP}")
+    return make_field(p, k)
+
+
 def _t4_witness_ext(p: int, k: int) -> Optional[int]:
-    """Least rep of a primitive a with a^2 + a = 1 in GF(p^k), scanning."""
-    q = p**k
-    if q > _SCAN_CAP:
-        raise FieldTooLarge(f"scan over GF({q}) exceeds cap {_SCAN_CAP}")
-    f = make_field(p, k)
-    for a in f.elements():
-        if a.rep == 0:
-            continue
-        if a * a + a == f.one and is_primitive(a):
-            return a.rep
-    return None
+    """Least rep of a primitive a with a^2 + a = 1 in GF(p^k)."""
+    f = _scan_field(p, k)
+    return next((a for a in quadratic_roots(f, 1, -1) if is_primitive(f.element(a))), None)
 
 
 def t4_applicable(q: int) -> bool:
@@ -153,15 +150,12 @@ def g4_witness(q: int) -> Optional[int]:
     """Least a with a^2 = a + 1 and both a and 1 - a primitive, or None."""
     p, k = _as_prime_power(q)
     if k > 1:
-        if q > _SCAN_CAP:
-            raise FieldTooLarge(f"scan over GF({q}) exceeds cap {_SCAN_CAP}")
-        f = make_field(p, k)
-        for a in f.elements():
-            b = f.one - a
-            if a.rep == 0 or b.rep == 0:
-                continue
-            if a * a == a + 1 and is_primitive(a) and is_primitive(b):
-                return a.rep
+        f = _scan_field(p, k)
+        # 1 is never a root, so 1 - a is a unit.
+        for a in quadratic_roots(f, -1, -1):
+            e = f.element(a)
+            if is_primitive(e) and is_primitive(1 - e):
+                return a
         return None
     if p == 2:
         return None
@@ -175,20 +169,11 @@ def g4_witness(q: int) -> Optional[int]:
 def g4_applicable(q: int) -> bool:
     """True when GF(q) admits the doubly-periodic corner construction.
 
-    Computed two ways, by witness scan and by the residue-class
-    characterization, and cross-checked; a mismatch means one of the two
-    code paths is wrong and is raised rather than returned.
+    The witness search agrees with the residue-class characterization
+    (q in {4, 5, 9}, or q prime, 1 or 9 mod 20, with an FPR); the tests
+    hold the two against each other.
     """
-    p, k = _as_prime_power(q)
-    by_witness = g4_witness(q) is not None
-    by_class = q in (4, 5, 9) or (
-        k == 1 and q % 20 in (1, 9) and t4_applicable(q)
-    )
-    if by_witness != by_class:
-        raise InternalInconsistency(
-            f"witness scan and residue characterization disagree at q={q}"
-        )
-    return by_witness
+    return g4_witness(q) is not None
 
 
 def phong_check(p: int) -> bool:

@@ -7,6 +7,7 @@ against these on small inputs and freeze the values they certify.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 
@@ -40,6 +41,14 @@ def simple_sieve(limit: int) -> list[int]:
             for j in range(i * i, limit, i):
                 flags[j] = False
     return [i for i in range(limit) if flags[i]]
+
+
+def artin_product(bound: int) -> Fraction:
+    """Exact partial Artin product of 1 - 1/(q(q - 1)) over primes q <= bound."""
+    prod = Fraction(1)
+    for q in simple_sieve(bound + 1):
+        prod *= 1 - Fraction(1, q * (q - 1))
+    return prod
 
 
 def brute_order(a: int, p: int) -> int:

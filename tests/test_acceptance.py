@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from costaskit.cli import _worker_default, run_sweep
+from costaskit.cli import run_sweep, worker_default
 from costaskit.constructions import METHODS, build, find_spec
 from costaskit.costas import enumerate_costas, is_costas
 from costaskit.density import (
@@ -42,7 +42,7 @@ def _line(n: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def workers() -> int:
-    return _worker_default()
+    return worker_default()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from costaskit.cli import _worker_default, main, run_sweep
+from costaskit.cli import main, run_sweep, worker_default
 
 
 def run(capsys, *argv):
@@ -176,6 +176,13 @@ def test_fpr_usage(capsys):
     assert run(capsys, "fpr", "15")[0] == 1
 
 
+def test_fpr_range_sieve_cap(capsys):
+    # the range holds 100160063 = 10007 * 10009, beyond the sieve cap
+    code, out, err = run(capsys, "fpr", "--range", "100160000", "100160100")
+    assert code == 1 and out == ""
+    assert err.startswith("fpr:") and err.count("\n") == 1
+
+
 def test_census_t4_csv(capsys):
     code, out, err = run(capsys, "census", "t4", "100", "--workers", "1")
     assert code == 0
@@ -241,6 +248,13 @@ def test_sweep_usage(capsys):
     assert run(capsys, "sweep", "5000")[0] == 1
 
 
+def test_build_q_beyond_trial_division(capsys):
+    # 65537 * 65539 has no prime factor below 2^16, so it cannot be factored
+    code, out, err = run(capsys, "build", "w1", "4295229443")
+    assert code == 1 and out == ""
+    assert err.startswith("build:") and err.count("\n") == 1
+
+
 def test_run_sweep_structure():
     per_method, failures, skipped = run_sweep(32)
     assert failures == []
@@ -249,11 +263,17 @@ def test_run_sweep_structure():
     assert per_method["g4c2"] == [8, 16, 32]
 
 
-def test_worker_default(monkeypatch):
+def test_worker_default(monkeypatch, capsys):
     monkeypatch.setenv("COSTAS_THREADS", "3")
-    assert _worker_default() == 3
+    assert worker_default() == 3
+    monkeypatch.setenv("COSTAS_THREADS", "abc")
+    with pytest.raises(ValueError):
+        worker_default()
+    code, out, err = run(capsys, "census", "t4", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("census:") and err.count("\n") == 1
     monkeypatch.delenv("COSTAS_THREADS")
-    assert _worker_default() == (os.cpu_count() or 1)
+    assert worker_default() == (os.cpu_count() or 1)
 
 
 def test_help_and_missing_command(capsys):

@@ -27,7 +27,13 @@ from costaskit.constructions import (
     welch_w2,
 )
 from costaskit.costas import is_costas
-from costaskit.ff import NotPrimitive, make_field, prime_power, primitive_elements
+from costaskit.ff import (
+    FieldTooLarge,
+    NotPrimitive,
+    make_field,
+    prime_power,
+    primitive_elements,
+)
 
 
 def test_welch_pinned():
@@ -58,6 +64,19 @@ def test_welch_all_small_primes():
                 w2 = welch_w2(p, g.rep)
                 assert len(w2) == p - 2
                 assert oracles.naive_is_costas(w2)
+
+
+def test_log_table_cap_applies_to_logs_only():
+    # 2 is a primitive root mod 1000003; Welch needs no log table
+    f = make_field(1000003)
+    with pytest.raises(FieldTooLarge):
+        lempel_l2(f, 2)
+    with pytest.raises(FieldTooLarge):
+        golomb_g2(f, 2, 2)
+    w1 = welch_w1(1000003, 2)
+    assert len(w1) == 1000002 and w1[:3] == [2, 4, 8] and w1[-1] == 1
+    assert type(w1[0]) is int
+    assert welch_w2(1000003, 2)[:3] == [1, 3, 7]
 
 
 def test_lempel_pinned():

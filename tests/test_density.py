@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import costaskit
 import oracles
 from costaskit.density import (
     CensusRow,
@@ -51,6 +55,20 @@ def test_artin_constant_values():
     assert abs(artin_constant(10**6) - 0.3739558136) < 1e-6
     with pytest.raises(ValueError):
         artin_constant(1)
+
+
+def test_artin_constant_matches_exact_product():
+    for bound in (2, 3, 4, 5, 10, 97, 100, 541, 1000):
+        assert abs(artin_constant(bound) - float(oracles.artin_product(bound))) < 1e-15, bound
+
+
+def test_import_leaves_mpmath_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(costaskit.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, costaskit; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert r.returncode == 0 and r.stdout.strip() == "False", r.stderr
 
 
 def test_artin_constant_monotone():

@@ -13,6 +13,7 @@ from costaskit.ff import (
     EvenModulus,
     FieldMismatch,
     FieldTooLarge,
+    LimitTooLarge,
     NotPrimitive,
     ZeroElement,
     factorize,
@@ -50,8 +51,14 @@ def test_factorize_known_values():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     assert factorize(2**20) == ((2, 20),)
     assert factorize(999983) == ((999983, 1),)
+    assert factorize(2 * (2**61 - 1)) == ((2, 1), (2**61 - 1, 1))
     with pytest.raises(ValueError):
         factorize(0)
+    # no prime factor below 2^16, so trial division cannot split these
+    with pytest.raises(LimitTooLarge):
+        factorize(65537**2)
+    with pytest.raises(LimitTooLarge):
+        prime_power(65537 * 65539)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -175,9 +175,8 @@ def test_g4_pinned():
 
 
 def test_g4_characterization_small_fields():
-    # The witness scan and the residue-class characterization are
-    # cross-checked inside g4_applicable, so surviving the sweep without
-    # InternalInconsistency is the real assertion here.
+    # g4_applicable runs only the witness search; this sweep holds it
+    # against the residue-class characterization.
     for q in range(2, 2001):
         pk = prime_power(q)
         if pk is None or pk[1] > 6:
