@@ -8,7 +8,7 @@ families of trinomials that provably stop having primitive solutions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from multiprocessing import Pool
@@ -19,15 +19,15 @@ import numpy as np
 from .ff import (
     SIEVE_CAP,
     LimitTooLarge,
-    is_primitive_root,
     least_primitive,
     make_field,
+    pow_mod_array,
     power_table,
     primes_in_range,
     primitive_exponents,
-    sqrt_mod_p,
+    primitive_root_mask,
+    sqrt_mod_array,
 )
-from .fpr import fpr_set, g4_applicable
 
 _CENSUS_CAP = 10**7
 _TRINOMIAL_CAP = 10**6
@@ -35,7 +35,9 @@ _VERIFY_CAP = 10**5
 _I_MAX_CAP = 10
 _ARTIN_BOUND = 10**6
 _SIEVE_BLOCK = 1 << 18
-_CHUNK = 1 << 14
+_CHUNK = 1 << 17
+# x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
+_FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
 
 
 class ExponentOutOfRange(ValueError):
@@ -49,11 +51,13 @@ class ExpExpr:
     c: int
     h: int = 0
 
-    def evaluate(self, p: int) -> int:
+    def evaluate(self, p):
         return self.c + self.h * ((p - 1) // 2)
 
-    def in_range(self, p: int) -> bool:
-        return 1 <= self.evaluate(p) <= p - 2
+    def in_range(self, p):
+        """Whether the exponent lies in [1, p - 2]; element-wise for an array p."""
+        v = self.evaluate(p)
+        return (1 <= v) & (v <= p - 2)
 
 
 ExprLike = Union[ExpExpr, tuple, int]
@@ -146,12 +150,21 @@ def predicted_constants() -> PredictedConstants:
     )
 
 
-def _t4_census_predicate(p: int) -> bool:
-    return p % 10 in (1, 9) and bool(fpr_set(p))
+def _fib_census_predicate(primes: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Primes that are 1 or 9 mod the modulus and have a Fibonacci primitive root.
 
-
-def _g4_census_predicate(p: int) -> bool:
-    return p % 20 in (1, 9) and g4_applicable(p)
+    Modulus 10 is the t4 census. Modulus 20 is the g4 census, which is the
+    same question: if g is an FPR then g(1 - g) = g - g^2 = -1, so
+    1 - g = -g^-1 = g^((p-1)/2 - 1) = g^((p-3)/2). With p - 1 = 2m that
+    exponent is m - 1, and gcd(m - 1, 2m) = gcd(m - 1, 2), so 1 - g is
+    primitive exactly when m is even, i.e. p = 1 (mod 4). Both classes
+    1 and 9 mod 20 are 1 mod 4, so there every FPR is a g4 witness.
+    """
+    r = primes % modulus
+    gate = (r == 1) | (r == 9)
+    hit = np.zeros(primes.shape, dtype=bool)
+    hit[gate] = _fast_exists(primes[gate], _FIB_COEFFS)
+    return hit, np.zeros_like(hit)
 
 
 def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> list[int]:
@@ -175,19 +188,23 @@ def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> 
     return cps
 
 
-def _census_chunk(predicate, lo: int, hi: int, cps: tuple[int, ...]):
-    hits = [0] * len(cps)
-    pis = [0] * len(cps)
-    skipped = 0
-    for p in primes_in_range(lo, hi).tolist():
-        b = bisect_left(cps, p)
-        pis[b] += 1
-        r = predicate(p)
-        if r is None:
-            skipped += 1
-        elif r:
-            hits[b] += 1
-    return hits, pis, skipped
+def _census_chunk(predicate, lo: int, hi: int, cps: np.ndarray):
+    """Per-checkpoint hit and prime counts, and the skipped count, for [lo, hi).
+
+    The predicate takes the segment's primes as one array and returns a hit
+    mask and a skipped mask; a prime counts in the first checkpoint >= p.
+    """
+    primes = primes_in_range(lo, hi)
+    hit, skip = predicate(primes)
+    slot = np.searchsorted(cps, primes)
+    hits = np.bincount(slot[hit], minlength=cps.size)
+    pis = np.bincount(slot, minlength=cps.size)
+    return hits, pis, int(skip.sum())
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: no more than requested, CPUs, or tasks."""
+    return min(workers, os.cpu_count() or 1, tasks)
 
 
 def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
@@ -195,40 +212,32 @@ def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
         raise ValueError("census limit must be at least 2")
     if limit > cap:
         raise LimitTooLarge(f"census limit {limit} above cap {cap}")
-    cps = tuple(_normalize_checkpoints(checkpoints, limit))
+    cps = np.array(_normalize_checkpoints(checkpoints, limit), dtype=np.int64)
     tasks = [
         (predicate, lo, min(lo + _CHUNK, limit + 1), cps)
         for lo in range(2, limit + 1, _CHUNK)
     ]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
+    processes = _pool_size(workers, len(tasks))
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             parts = pool.starmap(_census_chunk, tasks)
     else:
         parts = [_census_chunk(*t) for t in tasks]
 
-    hits = [0] * len(cps)
-    pis = [0] * len(cps)
-    skipped = 0
-    for h, q, s in parts:
-        skipped += s
-        for b in range(len(cps)):
-            hits[b] += h[b]
-            pis[b] += q[b]
-
-    rows = []
-    ch = cpi = 0
-    for b, x in enumerate(cps):
-        ch += hits[b]
-        cpi += pis[b]
-        ratio = ch / cpi if cpi else 0.0
-        rows.append(CensusRow(x=x, count=ch, pi_x=cpi, ratio=ratio, predicted=predicted))
+    hits = np.cumsum(sum(h for h, _, _ in parts)).tolist()
+    pis = np.cumsum(sum(q for _, q, _ in parts)).tolist()
+    skipped = sum(s for _, _, s in parts)
+    rows = [
+        CensusRow(x=x, count=ch, pi_x=cpi, ratio=ch / cpi if cpi else 0.0, predicted=predicted)
+        for x, ch, cpi in zip(cps.tolist(), hits, pis)
+    ]
     return rows, skipped
 
 
 def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:
     """Count primes p <= x in the right residue classes with an FPR."""
     rows, _ = _run_census(
-        _t4_census_predicate, limit, checkpoints, workers,
+        partial(_fib_census_predicate, modulus=10), limit, checkpoints, workers,
         predicted_constants().t4_density, _CENSUS_CAP,
     )
     return rows
@@ -237,7 +246,7 @@ def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
 def census_g4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:
     """Count primes p <= x where the doubly-periodic corner variant applies."""
     rows, _ = _run_census(
-        _g4_census_predicate, limit, checkpoints, workers,
+        partial(_fib_census_predicate, modulus=20), limit, checkpoints, workers,
         predicted_constants().g4_density, _CENSUS_CAP,
     )
     return rows
@@ -285,39 +294,46 @@ def _folded_coeffs(e1: ExpExpr, e2: ExpExpr) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k + shift, v) for k, v in coeffs.items()))
 
 
-def _fast_exists(p: int, coeffs: tuple[tuple[int, int], ...]) -> Optional[bool]:
-    """Existence via the folded polynomial when its degree is at most 2."""
+def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> Optional[np.ndarray]:
+    """Mask of odd primes where the folded polynomial has a primitive root.
+
+    None when the degree is above 2. A polynomial that vanishes mod p is
+    satisfied by every primitive root. Otherwise the candidate roots are
+    -c0/c1 when c2 = 0 mod p and (-c1 +- sqrt(disc))/(2 c2) otherwise;
+    a root 0 is never primitive.
+    """
     if coeffs and max(k for k, _ in coeffs) > 2:
         return None
-    c = [0, 0, 0]
-    for k, v in coeffs:
-        c[k] = v % p
-    c0, c1, c2 = c
-    if c2 == 0 and c1 == 0:
-        return c0 == 0
-    if c2 == 0:
-        root = -c0 * pow(c1, p - 2, p) % p
-        return root != 0 and is_primitive_root(root, p)
-    disc = (c1 * c1 - 4 * c0 * c2) % p
-    rts = sqrt_mod_p(disc, p)
-    if rts is None:
-        return False
-    inv2a = pow(2 * c2 % p, p - 2, p)
-    for r in rts:
-        root = (-c1 + r) * inv2a % p
-        if root != 0 and is_primitive_root(root, p):
-            return True
-    return False
+    c0, c1, c2 = (dict(coeffs).get(k, 0) for k in range(3))
+    p = np.asarray(primes, dtype=np.int64).reshape(-1)
+    quad = c2 % p != 0
+    lin = ~quad & (c1 % p != 0)
+    hit = ~quad & ~lin & (c0 % p == 0)
+
+    r = np.zeros_like(p)
+    r[quad] = sqrt_mod_array((c1 * c1 - 4 * c0 * c2) % p[quad], p[quad])
+    solve = np.flatnonzero((quad | lin) & (r >= 0))
+    ps, r, sq = p[solve], r[solve], quad[solve]
+    num = np.where(sq, -c1, -c0) % ps
+    inv = pow_mod_array(np.where(sq, 2 * c2, c1) % ps, ps - 2, ps)
+    roots = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
+    hit[solve] = primitive_root_mask(roots, ps).any(axis=0)
+    return hit.reshape(np.shape(primes))
 
 
-def _trinomial_predicate(p: int, e1: ExpExpr, e2: ExpExpr) -> Optional[bool]:
-    # None marks an out-of-range prime, which the census reports as skipped.
-    if not (e1.in_range(p) and e2.in_range(p)):
-        return None
-    fast = _fast_exists(p, _folded_coeffs(e1, e2))
-    if fast is not None:
-        return fast
-    return bool(trinomial_witnesses(p, e1, e2))
+def _trinomial_predicate(primes: np.ndarray, e1: ExpExpr, e2: ExpExpr) -> tuple[np.ndarray, np.ndarray]:
+    """Hit and skipped masks; a prime where an exponent leaves [1, p - 2] is skipped."""
+    # Object dtype keeps the exponent arithmetic exact for any size of c and h.
+    big = primes.astype(object)
+    skip = ~(e1.in_range(big) & e2.in_range(big)).astype(bool)
+    live = np.flatnonzero(~skip)
+    hit = np.zeros(primes.shape, dtype=bool)
+    fast = _fast_exists(primes[live], _folded_coeffs(e1, e2))
+    if fast is None:
+        # Degree above 2: the exhaustive scan, O(p) per prime anyway.
+        fast = [bool(trinomial_witnesses(p, e1, e2)) for p in primes[live].tolist()]
+    hit[live] = fast
+    return hit, skip
 
 
 def trinomial_predicted(e1: ExprLike, e2: ExprLike) -> float:
@@ -329,7 +345,7 @@ def trinomial_predicted(e1: ExprLike, e2: ExprLike) -> float:
     x1, x2 = _as_expr(e1), _as_expr(e2)
     if x1 == x2:
         return predicted_constants().artin
-    if _folded_coeffs(x1, x2) == ((0, -1), (1, -1), (2, 1)):
+    if _folded_coeffs(x1, x2) == _FIB_COEFFS:
         return predicted_constants().t4_density
     return 0.0
 

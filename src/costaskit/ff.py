@@ -9,6 +9,7 @@ canonical representation and all results are reproducible without seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -601,11 +602,16 @@ def is_primitive_root(a: int, p: int, p1_factors: Optional[tuple[tuple[int, int]
     """True iff a generates the units mod prime p. Factors of p-1 may be supplied."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    if p1_factors is None:
+        p1_factors = factorize(p - 1)
+    return _is_primitive_root_unchecked(a, p, p1_factors)
+
+
+def _is_primitive_root_unchecked(a: int, p: int, p1_factors: tuple[tuple[int, int], ...]) -> bool:
+    # For loops over candidates whose caller has already proved p prime.
     a %= p
     if a == 0:
         return False
-    if p1_factors is None:
-        p1_factors = factorize(p - 1)
     p1 = p - 1
     return all(pow(a, p1 // f, p) != 1 for f, _ in p1_factors)
 
@@ -618,6 +624,159 @@ def smallest_primitive_root(p: int) -> int:
         return 1
     fs = factorize(p - 1)
     g = 2
-    while not is_primitive_root(g, p, fs):
+    while not _is_primitive_root_unchecked(g, p, fs):
         g += 1
     return g
+
+
+# Batched kernels over arrays of primes. Every modulus is below 2^31, so a
+# product of two residues stays below 2^62 and int64 arithmetic is exact.
+# Callers pass primes they have already proved (the census passes sieve
+# output); nothing here tests primality.
+
+
+def _modulus_array(p) -> np.ndarray:
+    p = np.asarray(p, dtype=np.int64)
+    if p.size and int(p.max()) >= _MAX_ORDER:
+        raise LimitTooLarge(f"modulus {int(p.max())} not below 2^31")
+    return p
+
+
+def pow_mod_array(a, e, p) -> np.ndarray:
+    """Element-wise a^e mod p for e >= 0 and 0 < p < 2^31, by binary exponentiation."""
+    p = _modulus_array(p)
+    e = np.array(e, dtype=np.int64)
+    if (e < 0).any():
+        raise ValueError("exponents must be nonnegative")
+    base = np.asarray(a, dtype=np.int64) % p
+    out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64) % p
+    while e.any():
+        # Multiply by base where the bit is set and by 1 elsewhere; this
+        # arithmetic select is faster than np.where and works in place.
+        out *= (base - 1) * (e & 1) + 1
+        out %= p
+        e >>= 1
+        base *= base
+        base %= p
+    return out
+
+
+def _square_repeatedly(t: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # t^(2^k) mod p element-wise, each element squared only its own k times.
+    t = t.copy()
+    todo = np.flatnonzero(k > 0)
+    for done in itertools.count(1):
+        if not todo.size:
+            return t
+        t[todo] = t[todo] * t[todo] % p[todo]
+        todo = todo[k[todo] > done]
+
+
+def sqrt_mod_array(a, p) -> np.ndarray:
+    """Element-wise square root of a mod odd prime p, or -1 for a non-residue.
+
+    Of the two roots r and p - r the smaller is returned (0 for a = 0).
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.5.1), with every loop run over the shrinking set of elements
+    it has not finished yet.
+    """
+    p = _modulus_array(p)
+    a, p = np.broadcast_arrays(np.asarray(a, dtype=np.int64) % p, p)
+    if (p % 2 == 0).any():
+        raise EvenModulus("square roots mod 2 are not supported")
+    out = np.where(a == 0, 0, -1)
+    idx = np.flatnonzero(a)
+    a, p = a.ravel()[idx], p.ravel()[idx]
+
+    # p - 1 = s * 2^e with s odd; x = a^((s+1)/2) and b = a^s from one power.
+    low = (p - 1) & (1 - p)
+    e = np.frexp(low)[1].astype(np.int64) - 1  # exact: low is a power of two
+    s = (p - 1) // low
+    x = pow_mod_array(a, s // 2, p)
+    b = x * x % p * a % p
+    x = x * a % p
+    # Euler's criterion: a is a residue iff b^(2^(e-1)) = 1.
+    residue = _square_repeatedly(b, e - 1, p) == 1
+
+    # Where b != 1 the root is corrected by powers of g = z^s for a
+    # non-residue z. A residue has b != 1 only if e >= 2, so these p are
+    # 1 mod 4 and, by quadratic reciprocity, an odd prime z is a square mod
+    # p iff p is a square mod z; 2 is a non-residue iff p = 5 mod 8. The
+    # least non-residue is a prime below sqrt(p) + 1.
+    act = np.flatnonzero(residue & (b != 1))
+    z = np.zeros_like(p)
+    pending = act
+    for c in primes_in_range(2, math.isqrt(int(p.max(initial=0))) + 2).tolist():
+        if not pending.size:
+            break
+        if c == 2:
+            found = p[pending] % 8 == 5
+        else:
+            found = ~np.isin(p[pending] % c, np.arange(1, c) ** 2 % c)
+        z[pending[found]] = c
+        pending = pending[~found]
+    g = np.zeros_like(p)
+    g[act] = pow_mod_array(z[act], s[act], p[act])
+    r = e
+    while act.size:
+        pa, ba = p[act], b[act]
+        # m = least m with ba^(2^m) = 1; 0 < m < r because ba is a residue.
+        m = np.zeros_like(ba)
+        t = ba
+        live = t != 1
+        while live.any():
+            t = np.where(live, t * t % pa, t)
+            m += live
+            live = t != 1
+        gs = _square_repeatedly(g[act], r[act] - m - 1, pa)
+        x[act] = x[act] * gs % pa
+        g[act] = gs * gs % pa
+        b[act] = ba * g[act] % pa
+        r[act] = m
+        act = act[b[act] != 1]
+    out.ravel()[idx[residue]] = np.minimum(x, p - x)[residue]
+    return out
+
+
+def primitive_root_mask(a, p) -> np.ndarray:
+    """Whether a[..., i] generates the units mod p[i], for a 1-D array of primes p.
+
+    p - 1 is factored by trial division with the primes up to sqrt(max p):
+    every (index, prime factor) pair is collected first, what is left of
+    p - 1 afterwards is 1 or a single prime, and one batched exponentiation
+    tests a^((p-1)/q) != 1 for all pairs at once. a = 0 mod p is not
+    primitive; leading axes of a are tested against the same p.
+    """
+    p = _modulus_array(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    if not p.size:
+        return np.zeros(a.shape, dtype=bool)
+    n = p - 1
+    rem = n.copy()
+    idx_parts, q_parts = [], []
+    live = np.arange(p.size)
+    for q in primes_in_range(2, math.isqrt(int(p.max())) + 1).tolist():
+        # A cofactor below q^2 with no prime factor below q is 1 or prime.
+        live = live[rem[live] >= q * q]
+        if not live.size:
+            break
+        hit = live[rem[live] % q == 0]
+        if not hit.size:
+            continue
+        idx_parts.append(hit)
+        q_parts.append(np.full(hit.size, q, dtype=np.int64))
+        sub = rem[hit] // q
+        again = sub % q == 0
+        while again.any():
+            sub[again] //= q
+            again = sub % q == 0
+        rem[hit] = sub
+    big = np.flatnonzero(rem > 1)
+    idx = np.concatenate([*idx_parts, big])
+    q = np.concatenate([*q_parts, rem[big]])
+
+    ok = a != 0
+    exps, mods = n[idx] // q, p[idx]
+    for row_a, row_ok in zip(a.reshape(-1, p.size), ok.reshape(-1, p.size)):
+        row_ok[idx[pow_mod_array(row_a[idx], exps, mods) == 1]] = False
+    return ok

@@ -15,10 +15,10 @@ from typing import Optional
 from .ff import (
     FieldDescriptor,
     FieldTooLarge,
+    _is_primitive_root_unchecked,
     factorize,
     is_prime,
     is_primitive,
-    is_primitive_root,
     make_field,
     prime_power,
     quadratic_roots,
@@ -72,7 +72,7 @@ def _fpr_data(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     inv2 = pow(2, p - 2, p)
     candidates = tuple(sorted({(1 + r) * inv2 % p for r in roots}))
     fs = factorize(p - 1)
-    fprs = tuple(g for g in candidates if is_primitive_root(g, p, fs))
+    fprs = tuple(g for g in candidates if _is_primitive_root_unchecked(g, p, fs))
     return candidates, fprs
 
 
@@ -161,7 +161,7 @@ def g4_witness(q: int) -> Optional[int]:
         return None
     fs = factorize(p - 1)
     for g in _fpr_data(p)[1]:
-        if is_primitive_root((1 - g) % p, p, fs):
+        if _is_primitive_root_unchecked(1 - g, p, fs):
             return g
     return None
 

@@ -16,8 +16,6 @@ from costaskit.cli import run_sweep, worker_default
 from costaskit.constructions import METHODS, build, find_spec
 from costaskit.costas import enumerate_costas, is_costas
 from costaskit.density import (
-    _g4_census_predicate,
-    _t4_census_predicate,
     artin_constant,
     census_g4,
     census_t4,
@@ -28,7 +26,7 @@ from costaskit.density import (
     verify_zero_density_claims,
 )
 from costaskit.ff import is_primitive_root, make_field, prime_power
-from costaskit.fpr import fpr_set, t4_admissible, t4_applicable
+from costaskit.fpr import fpr_set, g4_applicable, t4_admissible, t4_applicable
 
 import oracles
 
@@ -57,11 +55,12 @@ def g4_rows(workers):
 
 @pytest.fixture(scope="session")
 def applicability_sets():
+    # The scalar searches, independent of the batched census kernel.
     t4s, g4s = set(), set()
     for p in prime_sieve(MILLION):
-        if _t4_census_predicate(p):
+        if p % 10 in (1, 9) and fpr_set(p):
             t4s.add(p)
-        if _g4_census_predicate(p):
+        if p % 20 in (1, 9) and g4_applicable(p):
             g4s.add(p)
     return t4s, g4s
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from costaskit.cli import main, run_sweep, worker_default
 
@@ -222,6 +225,38 @@ def test_census_usage(capsys):
     assert run(capsys, "census", "trinomial", "100")[0] == 1
     assert run(capsys, "census", "t4", str(10**7 + 1))[0] == 1
     assert run(capsys, "census", "t4", "100", "--checkpoints", "300")[0] == 1
+
+
+_EXPR_TEXT = st.one_of(
+    st.integers(-4, 6).map(str),
+    st.builds("{},{}".format, st.integers(-4, 6), st.integers(-3, 3)),
+    st.builds("{},{}".format, st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80)),
+    st.sampled_from(["", ",", "1,", "1,2,3", "a", "-", " 2 ", "\u0663", "9" * 30]),
+    st.text(max_size=6),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["t4", "g4", "trinomial", "t5"]),
+    limit=st.integers(-3, 10**4),
+    e1=st.none() | _EXPR_TEXT,
+    e2=st.none() | _EXPR_TEXT,
+    checkpoints=st.none() | st.lists(st.integers(-2, 2 * 10**4), max_size=4).map(
+        lambda cs: ",".join(map(str, cs))) | st.text(max_size=6),
+    workers=st.none() | st.integers(-2, 10**6),
+)
+@example("trinomial", 100, "-1" + "0" * 25 + ",1", "1", None, 1)
+@example("trinomial", 100, str(3 - 5 * 2**62) + "," + str(2**62), "1", None, 1)
+def test_census_argv_never_raises(kind, limit, e1, e2, checkpoints, workers):
+    # Limits up to 1e4 fit one census chunk, so no worker pool starts.
+    argv = ["census", kind, str(limit)]
+    for flag, value in (("--e1", e1), ("--e2", e2), ("--checkpoints", checkpoints), ("--workers", workers)):
+        if value is not None:
+            argv += [flag, str(value)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5), argv
 
 
 def test_sweep_small(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import costaskit
+import costaskit.density as density
 import oracles
 from costaskit.density import (
     CensusRow,
@@ -19,6 +21,7 @@ from costaskit.density import (
     LimitTooLarge,
     _fast_exists,
     _folded_coeffs,
+    _pool_size,
     artin_constant,
     census_g4,
     census_t4,
@@ -30,7 +33,7 @@ from costaskit.density import (
     trinomial_witnesses,
     verify_zero_density_claims,
 )
-from costaskit.fpr import fpr_set
+from costaskit.fpr import fpr_set, g4_applicable
 
 
 def test_prime_sieve_inclusive():
@@ -142,6 +145,81 @@ def test_census_sharding_deterministic():
     tri_seq = trinomial_census(3 * 10**4, (2, 0), (1, 1), workers=1)
     tri_par = trinomial_census(3 * 10**4, (2, 0), (1, 1), workers=2)
     assert tri_seq == tri_par
+
+
+def _scalar_census(limit, cps, predicate):
+    # (count, pi_x) at each checkpoint and the skipped total, one prime at a time
+    rows, skipped, count, pi_x = [], 0, 0, 0
+    primes = iter(prime_sieve(limit))
+    p = next(primes)
+    for x in cps:
+        while p is not None and p <= x:
+            pi_x += 1
+            hit = predicate(p)
+            skipped += hit is None
+            count += bool(hit)
+            p = next(primes, None)
+        rows.append((x, count, pi_x))
+    return rows, skipped
+
+
+def _trinomial_scalar(e1, e2):
+    e1, e2 = ExpExpr(*e1), ExpExpr(*e2)
+
+    def predicate(p):
+        if not (e1.in_range(p) and e2.in_range(p)):
+            return None
+        return exists_primitive_trinomial(p, e1, e2)
+    return predicate
+
+
+_CENSUS_LIMIT = 2 * 10**4
+_CENSUS_CPS = [2, 3, 5, 7, 10, 11, 100, 1000, 4999, 12345, _CENSUS_LIMIT]
+_SCALAR_PREDICATES = {
+    "t4": lambda p: p % 10 in (1, 9) and bool(fpr_set(p)),
+    "g4": lambda p: p % 20 in (1, 9) and g4_applicable(p),
+}
+_FAMILIES = {
+    "1/1": ((1, 0), (1, 0)),
+    "2/1,1": ((2, 0), (1, 1)),
+    "1/-1,2": ((1, 0), (-1, 2)),
+    "1/2,1": ((1, 0), (2, 1)),
+    # in range only at p = 11, and far outside int64 everywhere
+    "huge": ((3 - 5 * 2**62, 2**62), (1, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _scalar_expected(kind):
+    predicate = _SCALAR_PREDICATES.get(kind) or _trinomial_scalar(*_FAMILIES[kind])
+    return _scalar_census(_CENSUS_LIMIT, tuple(_CENSUS_CPS), predicate)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["t4", "g4", *_FAMILIES])
+def test_census_matches_scalar_loop(monkeypatch, kind, workers):
+    # Small chunks, so the segment merge and the pool both run.
+    monkeypatch.setattr(density, "_CHUNK", 997)
+    if kind in _SCALAR_PREDICATES:
+        census = census_t4 if kind == "t4" else census_g4
+        got = census(_CENSUS_LIMIT, _CENSUS_CPS, workers=workers)
+        got_skipped = 0
+    else:
+        result = trinomial_census(_CENSUS_LIMIT, *_FAMILIES[kind], _CENSUS_CPS, workers=workers)
+        got, got_skipped = result.rows, result.skipped
+    assert ([(r.x, r.count, r.pi_x) for r in got], got_skipped) == _scalar_expected(kind)
+
+
+def test_pool_size_clamp(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 10**6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(10**6, 10**6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _pool_size(10**6, 7) == 7
+    assert _pool_size(3, 7) == 3
 
 
 def test_expexpr():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -23,9 +24,12 @@ from costaskit.ff import (
     log_table,
     make_field,
     multiplicative_order,
+    pow_mod_array,
     prime_power,
     primitive_elements,
+    primitive_root_mask,
     smallest_primitive_root,
+    sqrt_mod_array,
     sqrt_mod_p,
 )
 
@@ -309,3 +313,88 @@ def test_smallest_primitive_root_pinned():
     assert smallest_primitive_root(2) == 1
     assert smallest_primitive_root(7) == 3
     assert smallest_primitive_root(41) == 6
+
+
+def _prime_at_least(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# 7340033 = 7 * 2^20 + 1 makes Tonelli-Shanks run its longest loops; the
+# least quadratic non-residues of 9257329, 22000801 and 48473881 are 53,
+# 59 and 67.
+_TWO_ADIC_AND_LATE_NONRESIDUE = (7340033, 9257329, 22000801, 48473881)
+_ODD_PRIMES = st.one_of(
+    st.sampled_from([3, 5, 7, 13, 17, 2**31 - 1, *_TWO_ADIC_AND_LATE_NONRESIDUE]),
+    st.integers(3, 2**31 - 2).map(_prime_at_least),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(
+    st.tuples(st.integers(-(2**62), 2**62), st.integers(0, 2**62), st.integers(1, 2**31 - 1)),
+    min_size=1, max_size=30,
+))
+def test_pow_mod_array_matches_pow(cases):
+    a, e, p = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    assert pow_mod_array(a, e, p).tolist() == [pow(x, y, m) for x, y, m in cases]
+
+
+def _sqrt_as_tuple(r: int, p: int):
+    return None if r < 0 else tuple(sorted({r, (p - r) % p}))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(_ODD_PRIMES, st.integers(0, 2**40)), min_size=1, max_size=30))
+def test_sqrt_mod_array_matches_sqrt_mod_p(cases):
+    p = np.array([q for q, _ in cases], dtype=np.int64)
+    a = np.array([x % q for q, x in cases], dtype=np.int64)
+    got = sqrt_mod_array(a, p).tolist()
+    for r, (q, x) in zip(got, cases):
+        assert _sqrt_as_tuple(r, q) == sqrt_mod_p(x % q, q), (x, q)
+
+
+def test_sqrt_mod_array_every_small_residue():
+    for p in (3, 5, *_TWO_ADIC_AND_LATE_NONRESIDUE):
+        a = np.arange(min(p, 1000), dtype=np.int64)
+        got = sqrt_mod_array(a, p).tolist()
+        assert got[0] == 0
+        assert [_sqrt_as_tuple(r, p) for r in got] == [sqrt_mod_p(x, p) for x in a.tolist()]
+    # non-residues on both sides of the p = 3 (mod 4) split
+    assert sqrt_mod_array([3, 2, 5], [7, 5, 7340033]).tolist()[:2] == [-1, -1]
+    with pytest.raises(EvenModulus):
+        sqrt_mod_array(1, [2, 3])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(
+    st.tuples(st.integers(2, 10**7).map(_prime_at_least), st.integers(0, 2**40)),
+    min_size=1, max_size=30,
+))
+def test_primitive_root_mask_matches_is_primitive_root(cases):
+    p = np.array([q for q, _ in cases], dtype=np.int64)
+    a = np.array([x for _, x in cases], dtype=np.int64)
+    got = primitive_root_mask(np.stack((a, a + 1)), p)
+    assert got[0].tolist() == [is_primitive_root(x, q) for q, x in cases]
+    assert got[1].tolist() == [is_primitive_root(x + 1, q) for q, x in cases]
+
+
+def test_primitive_root_mask_small_primes():
+    # 19 - 1 = 2 * 3^2 and 101 - 1 = 2^2 * 5^2 leave a square for the trial loop
+    for p in (2, 3, 5, 7, 11, 13, 19, 29, 41, 101):
+        a = np.arange(2 * p)
+        want = [is_primitive_root(int(x), p) for x in a]
+        assert primitive_root_mask(a, np.full(a.size, p)).tolist() == want
+    assert primitive_root_mask(np.empty((2, 0), dtype=np.int64), []).shape == (2, 0)
+
+
+def test_batched_kernels_reject_modulus_from_two_to_the_31():
+    assert pow_mod_array(3, 2**31 - 2, 2**31 - 1).tolist() == 1
+    for big in (2**31, 2**31 + 11):
+        with pytest.raises(LimitTooLarge):
+            pow_mod_array(2, 3, [5, big])
+        with pytest.raises(LimitTooLarge):
+            sqrt_mod_array(1, [5, big])
+        with pytest.raises(LimitTooLarge):
+            primitive_root_mask(2, [5, big])
