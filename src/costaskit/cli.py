@@ -164,15 +164,14 @@ def _load_perm(args: argparse.Namespace) -> list[int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        perm = _load_perm(args)
-        ok = is_costas(perm)
-    except (OSError, ValueError, json.JSONDecodeError, NotAPermutation) as e:
+        hit = first_collision(_load_perm(args))
+    except (OSError, RecursionError, ValueError, json.JSONDecodeError, NotAPermutation) as e:
         _err(f"verify: {e}")
         return 1
-    if ok:
+    if hit is None:
         print("costas")
         return 0
-    k, x, y = first_collision(perm)
+    k, x, y = hit
     print(f"not-costas k={k} x={x} y={y}")
     return 3
 

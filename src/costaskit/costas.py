@@ -11,6 +11,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+from .ff import LimitTooLarge
 
 
 class NotAPermutation(ValueError):
@@ -27,6 +30,15 @@ class BlockNotClosed(ValueError):
 
 _ENUM_CAP = 8
 
+# Largest n that is_costas and first_collision accept; the check is Theta(n^2).
+COSTAS_CAP = 100_000
+
+# Up to n = 1024 the kernel checks rows in blocks of _BLOCK_BINS // (2n) >= 16
+# rows per np.bincount; beyond that one bincount per row is faster. A block's
+# bincount spans at most about 2 * _BLOCK_BINS bins, which bounds its memory.
+_BLOCK_BINS = 1 << 15
+_MIN_BLOCK_ROWS = 16
+
 
 def _validated(perm: Sequence[int]) -> list[int]:
     seq = list(perm)
@@ -38,18 +50,61 @@ def _validated(perm: Sequence[int]) -> list[int]:
     return seq
 
 
+def _checked_array(perm: Sequence[int]) -> np.ndarray:
+    seq = list(perm)
+    if len(seq) > COSTAS_CAP:
+        raise LimitTooLarge(f"Costas check capped at n = {COSTAS_CAP}, got n = {len(seq)}")
+    return np.asarray(_validated(seq), dtype=np.int64)
+
+
+def _first_colliding_row(a: np.ndarray) -> int:
+    """Smallest k whose difference row f(x+k) - f(x) repeats an entry, or 0 if none.
+
+    a is an int64 array already known to be a permutation of 1..n.
+    """
+    # Only rows k <= (n-1)//2 need checking. If row k collides at columns
+    # x < y, then f(y) - f(x) = f(y+k) - f(x+k), so row y - x collides at
+    # columns x and x + k. As x >= 1 and y + k <= n, k + (y - x) <= n - 1,
+    # so min(k, y - x) <= (n-1)/2: the smallest colliding row lies in the half.
+    n = len(a)
+    if n < 3:
+        return 0
+    half = (n - 1) // 2
+    width = 2 * n  # hi[x+k] - a[x] = d + n lies in 1..2n-1
+    hi = a + n
+    if _BLOCK_BINS // width < _MIN_BLOCK_ROWS:
+        for k in range(1, half + 1):
+            if np.bincount(hi[k:] - a[:-k]).max() > 1:
+                return k
+        return 0
+    # Rows k0..k0+rows-1 share one bincount, row r keyed into bins
+    # [r * width, (r+1) * width). The rectangle (rows, n - k0) overhangs the
+    # shorter rows; the pad value sends those cells past rows * width, each
+    # to a bin of its own, as a[x] differs for the cells of one row.
+    step = min(_BLOCK_BINS // width, half)
+    hi = np.concatenate((hi, np.full(step, (step - 1) * width + n, dtype=np.int64)))
+    offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
+    s = hi.strides[0]
+    k0 = 1
+    while k0 <= half:
+        rows = min(step, half + 1 - k0)
+        m = n - k0
+        keys = as_strided(hi[k0:], (rows, m), (s, s), writeable=False) - a[:m]
+        keys += offsets[:rows]
+        counts = np.bincount(keys.ravel())
+        if counts.max() > 1:
+            return k0 + int(np.argmax(counts > 1)) // width
+        k0 += rows
+    return 0
+
+
 def is_costas(perm: Sequence[int]) -> bool:
-    """True iff perm is a Costas permutation. Permutations of size <= 2 always are."""
-    seq = _validated(perm)
-    n = len(seq)
-    if n <= 2:
-        return True
-    a = np.asarray(seq, dtype=np.int64)
-    for k in range(1, n):
-        d = a[k:] - a[:-k]
-        if int(np.bincount(d + n).max()) > 1:
-            return False
-    return True
+    """True iff perm is a Costas permutation. Permutations of size <= 2 always are.
+
+    Raises LimitTooLarge above n = COSTAS_CAP and NotAPermutation for anything
+    that is not a permutation of 1..n.
+    """
+    return _first_colliding_row(_checked_array(perm)) == 0
 
 
 def difference_table(perm: Sequence[int]) -> list[list[int]]:
@@ -62,23 +117,21 @@ def difference_table(perm: Sequence[int]) -> list[list[int]]:
 def first_collision(perm: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """Lexicographically first (k, x, y) with f(x+k) - f(x) = f(y+k) - f(y), or None.
 
-    x and y are 1-based column indices with x < y.
+    x and y are 1-based column indices with x < y. Same limits as is_costas.
     """
-    seq = _validated(perm)
-    n = len(seq)
-    for k in range(1, n):
-        first_x: dict[int, int] = {}
-        pairs = []
-        for x in range(1, n - k + 1):
-            d = seq[x + k - 1] - seq[x - 1]
-            if d in first_x:
-                pairs.append((first_x[d], x))
-            else:
-                first_x[d] = x
-        if pairs:
-            x, y = min(pairs)
-            return (k, x, y)
-    return None
+    a = _checked_array(perm)
+    k = _first_colliding_row(a)
+    if k == 0:
+        return None
+    # In a stable sort, equal entries keep column order, so each adjacent
+    # equal pair is an occurrence and the next one. The smallest x with a
+    # later repeat is the first of such a pair, and y is its partner.
+    d = a[k:] - a[:-k]
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    pairs = np.flatnonzero(d[1:] == d[:-1])
+    i = pairs[np.argmin(order[pairs])]
+    return (k, int(order[i]) + 1, int(order[i + 1]) + 1)
 
 
 def enumerate_costas(n: int) -> list[list[int]]:

@@ -497,8 +497,10 @@ def primitive_exponents(n: int) -> np.ndarray:
     For a generator alpha of a cyclic group of order n, alpha^i generates
     it exactly for these i.
     """
-    js = np.arange(n, dtype=np.int64)
-    out = js[np.gcd(js, n) == 1]
+    coprime = np.ones(n, dtype=bool)
+    for q, _ in factorize(n):
+        coprime[::q] = False
+    out = np.flatnonzero(coprime).astype(np.int64, copy=False)
     out.flags.writeable = False
     return out
 

@@ -26,6 +26,25 @@ def naive_is_costas(perm: list[int]) -> bool:
     return True
 
 
+def naive_first_collision(perm: list[int]) -> tuple[int, int, int] | None:
+    """Lexicographically first (k, x, y), 1-based x < y, with equal entries in
+    row k of the difference table, scanning every row in full."""
+    n = len(perm)
+    for k in range(1, n):
+        first_x: dict[int, int] = {}
+        pairs = []
+        for x in range(1, n - k + 1):
+            d = perm[x + k - 1] - perm[x - 1]
+            if d in first_x:
+                pairs.append((first_x[d], x))
+            else:
+                first_x[d] = x
+        if pairs:
+            x, y = min(pairs)
+            return (k, x, y)
+    return None
+
+
 def naive_costas_count(n: int) -> int:
     return sum(1 for p in permutations(range(1, n + 1)) if naive_is_costas(list(p)))
 

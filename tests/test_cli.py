@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from costaskit.cli import main, run_sweep, worker_default
+from costaskit.costas import COSTAS_CAP
 
 
 def run(capsys, *argv):
@@ -131,6 +132,18 @@ def test_verify_errors(capsys, tmp_path):
 
     code, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 1
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "verify", str(deep))
+    assert code == 1 and err.startswith("verify:") and len(err.splitlines()) == 1
+
+
+def test_verify_over_cap(capsys):
+    # The size cap is checked before the permutation check.
+    code, out, err = run(capsys, "verify", "--perm", ",".join(["1"] * (COSTAS_CAP + 1)))
+    assert code == 1 and out == ""
+    assert err == f"verify: Costas check capped at n = {COSTAS_CAP}, got n = {COSTAS_CAP + 1}\n"
 
 
 def test_fpr_csv_pinned(capsys):
@@ -257,6 +270,80 @@ def test_census_argv_never_raises(kind, limit, e1, e2, checkpoints, workers):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in range(5), argv
+
+
+def _main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_INT_TEXT = st.one_of(
+    st.integers(-3, 2000).map(str),
+    st.sampled_from(["", "0", "-0", "1e3", "0x10", "\u0663", "9" * 30, "-" + "9" * 30, "nan"]),
+    st.text(max_size=4),
+)
+_PERM_TOKEN = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", " ", "a", "1.5", "0x3", "9" * 5000]),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_PERM_TOKEN, max_size=12).map(",".join) | st.text(max_size=12))
+@example("1,2,2")
+@example("0,1")
+@example("")
+@example(",".join(["1"] * (COSTAS_CAP + 1)))
+def test_verify_argv_never_raises(perm):
+    assert _main_quietly(["verify", "--perm", perm]) in range(5)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    method=st.sampled_from(["w1", "w2", "l2", "g2", "g3", "g4c2", "t4", "g4", "g5"]),
+    q=_INT_TEXT,
+    alpha=st.none() | _INT_TEXT,
+    beta=st.none() | _INT_TEXT,
+)
+@example("w1", str(4295229443), None, None)
+@example("l2", str(2**61 - 1), None, None)
+@example("g4", "9" * 30, "1", "1")
+@example("t4", "1030301", None, None)
+def test_build_argv_never_raises(method, q, alpha, beta):
+    argv = ["build", method, q]
+    for flag, value in (("--alpha", alpha), ("--beta", beta)):
+        if value is not None:
+            argv += [flag, value]
+    assert _main_quietly(argv) in range(5), argv
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    p=st.none() | _INT_TEXT,
+    lo_hi=st.none() | st.tuples(_INT_TEXT, _INT_TEXT),
+    fmt=st.none() | st.sampled_from(["csv", "json", "xml"]),
+)
+@example("9" * 30, None, None)
+@example(None, ("100160000", "100160100"), None)
+@example(None, (str(10**12), str(10**12 + 10)), "json")
+def test_fpr_argv_never_raises(p, lo_hi, fmt):
+    argv = ["fpr"]
+    if p is not None:
+        argv.append(p)
+    if lo_hi is not None:
+        argv += ["--range", *lo_hi]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    assert _main_quietly(argv) in range(5), argv
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(-3, 64).map(str) | st.text(max_size=4))
+@example("9" * 30)
+@example("4097")
+def test_sweep_argv_never_raises(qmax):
+    assert _main_quietly(["sweep", qmax]) in range(5)
 
 
 def test_sweep_small(capsys):

@@ -27,8 +27,10 @@ from costaskit.constructions import (
     welch_w2,
 )
 from costaskit.costas import is_costas
+from costaskit import costas
 from costaskit.ff import (
     FieldTooLarge,
+    LimitTooLarge,
     NotPrimitive,
     make_field,
     prime_power,
@@ -209,6 +211,16 @@ def test_golomb_g4_pinned():
     assert "alpha + beta" in str(exc.value)
     with pytest.raises(NotPrimitive):
         golomb_g4(f41, 0, 1)
+
+
+def test_golomb_g4_self_check_ignores_public_cap(monkeypatch):
+    # g4 checks its own output with the kernel, so the size cap of
+    # is_costas cannot refuse a build that succeeds.
+    monkeypatch.setattr(costas, "COSTAS_CAP", 10)
+    arr = golomb_g4(make_field(41), 7, 35)
+    assert len(arr) == 37 and oracles.naive_is_costas(arr)
+    with pytest.raises(LimitTooLarge):
+        is_costas(arr)
 
 
 def test_golomb_g4_small_cases():

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from costaskit import costas
+from costaskit.constructions import welch_w1, welch_w2
 from costaskit.costas import (
+    COSTAS_CAP,
     BlockNotClosed,
     NotAPermutation,
     SizeTooLarge,
@@ -16,6 +22,7 @@ from costaskit.costas import (
     is_costas,
     remove_leading,
 )
+from costaskit.ff import LimitTooLarge, smallest_primitive_root
 
 KNOWN_COSTAS = [
     [],
@@ -61,13 +68,6 @@ permutations_st = st.integers(min_value=1, max_value=7).flatmap(
 
 @settings(deadline=None, max_examples=300)
 @given(permutations_st)
-def test_matches_naive_oracle(perm):
-    perm = list(perm)
-    assert is_costas(perm) == oracles.naive_is_costas(perm)
-
-
-@settings(deadline=None, max_examples=300)
-@given(permutations_st)
 def test_first_collision_consistent(perm):
     perm = list(perm)
     hit = first_collision(perm)
@@ -79,6 +79,121 @@ def test_first_collision_consistent(perm):
         assert 1 <= x < y <= len(perm) - k
         assert perm[x + k - 1] - perm[x - 1] == perm[y + k - 1] - perm[y - 1]
         assert not is_costas(perm)
+
+
+@lru_cache(maxsize=None)
+def _small_costas(n):
+    return enumerate_costas(n)
+
+
+@lru_cache(maxsize=None)
+def _welch(method, p):
+    build = welch_w1 if method == "w1" else welch_w2
+    return build(p, smallest_primitive_root(p))
+
+
+def _with_swaps(perm, swaps):
+    perm = list(perm)
+    for i, j in swaps:
+        if perm:
+            i, j = i % len(perm), j % len(perm)
+            perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+_WELCH = [(m, p) for m in ("w1", "w2") for p in (5, 7, 11, 13, 23, 31, 37, 47, 53, 61)]
+
+costas_st = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.sampled_from(_small_costas(n))),
+    st.sampled_from(_WELCH).map(lambda mp: _welch(*mp)),
+)
+near_costas_st = st.builds(
+    _with_swaps, costas_st, st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=2)
+)
+up_to_64_st = st.integers(0, 64).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(permutations_st, up_to_64_st, near_costas_st))
+def test_matches_naive_oracle(perm):
+    perm = list(perm)
+    assert is_costas(perm) == oracles.naive_is_costas(perm)
+    assert first_collision(perm) == oracles.naive_first_collision(perm)
+
+
+# (bins, min rows): blocks of 2 rows for n <= 8 with partial last blocks;
+# blocks for n <= 32 and one bincount per row above; one bincount per row.
+_TINY_BLOCKS = [(32, 2), (256, 4), (1, 1)]
+
+
+@pytest.mark.parametrize("bins,min_rows", _TINY_BLOCKS)
+def test_kernel_exhaustive_with_tiny_blocks(bins, min_rows, monkeypatch):
+    monkeypatch.setattr(costas, "_BLOCK_BINS", bins)
+    monkeypatch.setattr(costas, "_MIN_BLOCK_ROWS", min_rows)
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert first_collision(perm) == oracles.naive_first_collision(list(perm))
+
+
+@pytest.mark.parametrize("bins,min_rows", _TINY_BLOCKS)
+@settings(deadline=None, max_examples=150)
+@given(perm=st.one_of(up_to_64_st, costas_st, near_costas_st))
+def test_kernel_with_tiny_blocks_matches_naive(bins, min_rows, perm):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(costas, "_BLOCK_BINS", bins)
+        mp.setattr(costas, "_MIN_BLOCK_ROWS", min_rows)
+        assert first_collision(perm) == oracles.naive_first_collision(perm)
+
+
+def test_kernel_across_the_block_switch():
+    # n <= 1024 runs row blocks of 16 or more rows, and the last block is
+    # partial (n = 1018: 508 rows, 1024: 511); n > 1024 runs one bincount
+    # per row.
+    assert costas._BLOCK_BINS // (2 * 1024) == costas._MIN_BLOCK_ROWS
+    assert costas._BLOCK_BINS // (2 * 1025) < costas._MIN_BLOCK_ROWS
+    for method, p in (("w1", 1019), ("w1", 1031), ("w2", 1031)):
+        perm = _welch(method, p)
+        assert is_costas(perm) and first_collision(perm) is None
+        for swaps in ([(0, 1)], [(5, 700)], [(3, 900), (17, 400)]):
+            bad = _with_swaps(perm, swaps)
+            assert first_collision(bad) == oracles.naive_first_collision(bad)
+    for n in (1023, 1024, 1025, 1026):
+        perm = list(range(n, 0, -1))
+        assert first_collision(perm) == (1, 1, 2)
+        perm = [*range(2, n + 1, 2), *range(1, n + 1, 2)]
+        assert first_collision(perm) == oracles.naive_first_collision(perm)
+
+
+def _half_triangle_lemma_holds(perm):
+    hit = oracles.naive_first_collision(perm)
+    if hit is None:
+        return True
+    k, x, y = hit
+    # the partner collision: row y - x at columns x and x + k
+    f = [0, *perm]
+    assert f[y] - f[x] == f[y + k] - f[x + k]
+    return k <= (len(perm) - 1) // 2
+
+
+def test_half_triangle_lemma_exhaustive():
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert _half_triangle_lemma_holds(list(perm))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(up_to_64_st, near_costas_st))
+def test_half_triangle_lemma_random(perm):
+    assert _half_triangle_lemma_holds(perm)
+
+
+def test_costas_check_cap():
+    # The size check comes before validation: this list is not a permutation.
+    too_long = [0] * (COSTAS_CAP + 1)
+    with pytest.raises(LimitTooLarge):
+        is_costas(too_long)
+    with pytest.raises(LimitTooLarge):
+        first_collision(too_long)
 
 
 def test_difference_table_shape_and_values():

@@ -27,6 +27,7 @@ from costaskit.ff import (
     pow_mod_array,
     prime_power,
     primitive_elements,
+    primitive_exponents,
     primitive_root_mask,
     smallest_primitive_root,
     sqrt_mod_array,
@@ -398,3 +399,12 @@ def test_batched_kernels_reject_modulus_from_two_to_the_31():
             sqrt_mod_array(1, [5, big])
         with pytest.raises(LimitTooLarge):
             primitive_root_mask(2, [5, big])
+
+
+def test_primitive_exponents_match_gcd_definition():
+    orders = [q - 1 for q in (2**6, 3**7, 5**6, 7**5, 11**4, 65521)]
+    for n in [*range(1, 4097), *orders]:
+        js = np.arange(n, dtype=np.int64)
+        got = primitive_exponents(n)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, js[np.gcd(js, n) == 1]), n
