@@ -19,7 +19,8 @@ import numpy as np
 from .ff import (
     SIEVE_CAP,
     LimitTooLarge,
-    least_primitive,
+    _least_root,
+    _make_field_cached,
     make_field,
     pow_mod_array,
     power_table,
@@ -29,7 +30,6 @@ from .ff import (
     sqrt_mod_array,
 )
 
-_CENSUS_CAP = 10**7
 _TRINOMIAL_CAP = 10**6
 _VERIFY_CAP = 10**5
 _I_MAX_CAP = 10
@@ -238,7 +238,7 @@ def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
     """Count primes p <= x in the right residue classes with an FPR."""
     rows, _ = _run_census(
         partial(_fib_census_predicate, modulus=10), limit, checkpoints, workers,
-        predicted_constants().t4_density, _CENSUS_CAP,
+        predicted_constants().t4_density, SIEVE_CAP,
     )
     return rows
 
@@ -247,25 +247,61 @@ def census_g4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
     """Count primes p <= x where the doubly-periodic corner variant applies."""
     rows, _ = _run_census(
         partial(_fib_census_predicate, modulus=20), limit, checkpoints, workers,
-        predicted_constants().g4_density, _CENSUS_CAP,
+        predicted_constants().g4_density, SIEVE_CAP,
     )
     return rows
 
 
+def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Primitive a mod p with a^e1 + a^e2 = 1, ascending, for each pair (e1, e2).
+
+    An exhaustive scan over the primitive elements alpha^j (gcd(j, p - 1) = 1)
+    of one power table. The caller has proved p prime and every exponent in
+    [1, p - 2]; nothing is checked again. With m = (p - 1)/2, every unit j
+    is odd, so j(e + m) = je + m mod p - 1 and the row of powers for e + m is
+    p minus the row for e: each exponent is gathered once, as e mod m, and
+    pairs share rows. Powers lie in [1, p - 1], so x + y = 1 mod p exactly
+    when x + y = p + 1; with one row flipped that reads y - x = 1, with both
+    flipped x + y = p - 1.
+    """
+    if not exps:
+        return []
+    field = _make_field_cached(p, 1)
+    table = power_table(field, _least_root(p, field.q1_factors))
+    n, m = p - 1, (p - 1) // 2
+    js = primitive_exponents(n)
+    rows: dict[int, np.ndarray] = {}
+
+    def powers(e: int) -> tuple[np.ndarray, bool]:
+        k = e % m
+        if k not in rows:
+            rows[k] = table[js * k % n]
+        return rows[k], e >= m
+
+    out = []
+    for a, b in exps:
+        (x, fx), (y, fy) = powers(a), powers(b)
+        if fx == fy:
+            hit = x + y == (p - 1 if fx else p + 1)
+        else:
+            hit = (y - x if fx else x - y) == 1
+        out.append(np.sort(table[js[hit]]))
+    return out
+
+
 def trinomial_witnesses(p: int, e1: ExprLike, e2: ExprLike) -> list[int]:
-    """Primitive a mod p with a^e1 + a^e2 = 1, sorted, by exhaustive scan."""
+    """Primitive a mod p with a^e1 + a^e2 = 1, sorted, by exhaustive scan.
+
+    Checks the 1e6 cap, that p is prime and that both exponents lie in
+    [1, p - 2], then scans every primitive element with `_witness_rows`.
+    """
     x1, x2 = _as_expr(e1), _as_expr(e2)
     if p > _TRINOMIAL_CAP:
         raise LimitTooLarge(f"prime {p} above cap {_TRINOMIAL_CAP}")
-    field = make_field(p)
+    make_field(p)
     if not (x1.in_range(p) and x2.in_range(p)):
         raise ExponentOutOfRange(f"exponents {x1}, {x2} leave [1, {p - 2}] at p={p}")
-    n = p - 1
-    a, b = x1.evaluate(p), x2.evaluate(p)
-    table = power_table(field, least_primitive(field))
-    js = primitive_exponents(n)
-    vals = (table[js * a % n] + table[js * b % n]) % p
-    return sorted(int(w) for w in table[js[vals == 1]])
+    return _witness_rows(p, [(x1.evaluate(p), x2.evaluate(p))])[0].tolist()
 
 
 def exists_primitive_trinomial(p: int, e1: ExprLike, e2: ExprLike) -> bool:
@@ -331,7 +367,10 @@ def _trinomial_predicate(primes: np.ndarray, e1: ExpExpr, e2: ExpExpr) -> tuple[
     fast = _fast_exists(primes[live], _folded_coeffs(e1, e2))
     if fast is None:
         # Degree above 2: the exhaustive scan, O(p) per prime anyway.
-        fast = [bool(trinomial_witnesses(p, e1, e2)) for p in primes[live].tolist()]
+        fast = [
+            _witness_rows(p, [(e1.evaluate(p), e2.evaluate(p))])[0].size > 0
+            for p in primes[live].tolist()
+        ]
     hit[live] = fast
     return hit, skip
 
@@ -390,7 +429,9 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     b and c fold to an order-6 condition, which forces p <= 6i + 1, and
     the bound is attained whenever 6i + 1 is prime. Witnesses at or below
     the threshold are recorded as exceptions; any beyond it would be a
-    violation of the claim.
+    violation of the claim. Each sieved prime is scanned once, exhaustively
+    over its primitive elements, for all of its in-range (i, family) pairs;
+    an entry records the least witness.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -402,20 +443,19 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     violations = []
     exceptions = []
     skipped = {"a": 0, "b": 0, "c": 0}
+    families = [(i, *f) for i in range(1, i_max + 1) for f in _claim_families(i)]
     for p in prime_sieve(limit):
-        for i in range(1, i_max + 1):
-            for name, e1, e2, threshold in _claim_families(i):
-                if not (e1.in_range(p) and e2.in_range(p)):
-                    skipped[name] += 1
-                    continue
-                found = trinomial_witnesses(p, e1, e2)
-                if not found:
-                    continue
-                entry = (name, p, i, found[0])
-                if p > threshold:
-                    violations.append(entry)
-                else:
-                    exceptions.append(entry)
+        live, exps = [], []
+        for i, name, e1, e2, threshold in families:
+            if e1.in_range(p) and e2.in_range(p):
+                live.append((name, i, threshold))
+                exps.append((e1.evaluate(p), e2.evaluate(p)))
+            else:
+                skipped[name] += 1
+        for (name, i, threshold), found in zip(live, _witness_rows(p, exps)):
+            if found.size:
+                entry = (name, p, i, int(found[0]))
+                (violations if p > threshold else exceptions).append(entry)
 
     thresholds = {
         name: tuple(_claim_families(i)[idx][3] for i in range(1, i_max + 1))

@@ -624,9 +624,13 @@ def smallest_primitive_root(p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     if p == 2:
         return 1
-    fs = factorize(p - 1)
+    return _least_root(p, factorize(p - 1))
+
+
+def _least_root(p: int, p1_factors: tuple[tuple[int, int], ...]) -> int:
+    # Least primitive root of an odd prime p its caller has already proved.
     g = 2
-    while not _is_primitive_root_unchecked(g, p, fs):
+    while not _is_primitive_root_unchecked(g, p, p1_factors):
         g += 1
     return g
 

@@ -86,9 +86,15 @@ def brute_primitive_roots(p: int) -> list[int]:
 
 
 def brute_fprs(p: int) -> list[int]:
-    """Primitive roots g mod p with g*g = g + 1, by exhaustive scan."""
-    roots = brute_primitive_roots(p)
-    return [g for g in roots if (g * g - g - 1) % p == 0]
+    """Primitive roots g mod p with g*g = g + 1: the (at most two) roots of
+    g^2 - g - 1 by exhaustive scan, then their order by repeated multiplication."""
+    roots = [g for g in range(1, p) if (g * g - g - 1) % p == 0]
+    return [g for g in roots if brute_order(g, p) == p - 1]
+
+
+def brute_trinomial_witnesses(p: int, a: int, b: int) -> list[int]:
+    """Primitive roots g mod p with g^a + g^b = 1, checked one residue at a time."""
+    return [g for g in brute_primitive_roots(p) if (pow(g, a, p) + pow(g, b, p)) % p == 1]
 
 
 def brute_sqrts(a: int, p: int) -> list[int]:

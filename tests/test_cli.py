@@ -236,7 +236,7 @@ def test_census_negative_exponent_flag(capsys):
 def test_census_usage(capsys):
     assert run(capsys, "census", "t4", "1")[0] == 1
     assert run(capsys, "census", "trinomial", "100")[0] == 1
-    assert run(capsys, "census", "t4", str(10**7 + 1))[0] == 1
+    assert run(capsys, "census", "t4", str(10**8 + 1))[0] == 1
     assert run(capsys, "census", "t4", "100", "--checkpoints", "300")[0] == 1
 
 

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import costaskit
 import costaskit.density as density
@@ -131,7 +131,7 @@ def test_census_checkpoint_validation():
 
 def test_census_caps():
     with pytest.raises(LimitTooLarge):
-        census_t4(10**7 + 1)
+        census_t4(10**8 + 1)
     with pytest.raises(LimitTooLarge):
         trinomial_census(10**6 + 1, (1, 0), (1, 0))
     with pytest.raises(ValueError):
@@ -186,6 +186,9 @@ _FAMILIES = {
     "1/2,1": ((1, 0), (2, 1)),
     # in range only at p = 11, and far outside int64 everywhere
     "huge": ((3 - 5 * 2**62, 2**62), (1, 0)),
+    # degree 3 after folding: the exhaustive scan
+    "3/1": ((3, 0), (1, 0)),
+    "3,1/1,1": ((3, 1), (1, 1)),
 }
 
 
@@ -250,6 +253,49 @@ def test_trinomial_witnesses_bruteforce_oracle():
         e1, e2 = 2, 1 + (p - 1) // 2
         expected = [a for a in roots if (pow(a, e1, p) + pow(a, e2, p)) % p == 1]
         assert trinomial_witnesses(p, (2, 0), (1, 1)) == expected, p
+
+
+@st.composite
+def _prime_and_pairs(draw):
+    # exponent pairs drawn from a small pool, so pairs share exponents, and the
+    # pool holds e + (p - 1)/2 beside e, so pairs share folded rows as well
+    p = draw(st.sampled_from([q for q in oracles.simple_sieve(128) if q > 2]))
+    m = (p - 1) // 2
+    pool = draw(st.lists(st.integers(1, p - 2), min_size=1, max_size=3))
+    pool += [e + m if e < m else e - m for e in pool if e != m]
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    return p, draw(st.lists(pairs, min_size=1, max_size=6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_prime_and_pairs())
+@example((3, [(1, 1)]))
+@example((7, [(1, 4), (4, 1), (4, 4), (1, 1), (2, 5), (3, 3)]))
+def test_witness_rows_match_bruteforce(case):
+    p, pairs = case
+    expected = [oracles.brute_trinomial_witnesses(p, a, b) for a, b in pairs]
+    assert [r.tolist() for r in density._witness_rows(p, pairs)] == expected, case
+    assert [trinomial_witnesses(p, a, b) for a, b in pairs] == expected, case
+
+
+def test_zero_density_matches_scalar_loop():
+    # i_max at its cap: one batched scan per prime against one public call
+    # per (prime, i, family)
+    limit, i_max = 3000, 10
+    violations, exceptions, skipped = [], [], {"a": 0, "b": 0, "c": 0}
+    for p in prime_sieve(limit):
+        for i in range(1, i_max + 1):
+            for name, e1, e2, threshold in density._claim_families(i):
+                if not (e1.in_range(p) and e2.in_range(p)):
+                    skipped[name] += 1
+                    continue
+                found = trinomial_witnesses(p, e1, e2)
+                if found:
+                    (violations if p > threshold else exceptions).append((name, p, i, found[0]))
+    report = verify_zero_density_claims(limit, i_max)
+    assert report.violations == tuple(violations)
+    assert report.exceptions == tuple(exceptions)
+    assert report.skipped == skipped
 
 
 def test_fpr_pattern_matches_fpr_set():
