@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costaskit.cli import worker_default, write_census_csv
+from costaskit.cli import worker_count, write_census_csv
 from costaskit.density import census_g4, census_t4, predicted_constants
 
 
@@ -24,10 +24,13 @@ def main() -> int:
     parser.add_argument("--workers", type=int)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
+    try:
+        workers = worker_count(args.workers)
+    except ValueError as e:
+        sys.exit(f"{parser.prog}: {e}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     c = predicted_constants()
-    workers = args.workers or worker_default()
 
     t4 = census_t4(args.limit, workers=workers)
     g4 = census_g4(args.limit, workers=workers)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costaskit.cli import worker_default, write_census_csv
+from costaskit.cli import worker_count, write_census_csv
 from costaskit.density import ExpExpr, trinomial_census, verify_zero_density_claims
 
 SHAPES = {
@@ -35,9 +35,12 @@ def main() -> int:
     parser.add_argument("--workers", type=int)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
+    try:
+        workers = worker_count(args.workers)
+    except ValueError as e:
+        sys.exit(f"{parser.prog}: {e}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers or worker_default()
 
     report = verify_zero_density_claims(args.limit, i_max=args.i_max)
     print(f"zero-density families up to {report.limit}, i <= {report.i_max}")

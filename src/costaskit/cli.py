@@ -76,6 +76,13 @@ def worker_default() -> int:
         raise ValueError(f"COSTAS_THREADS must be an integer, got {env!r}") from None
 
 
+def worker_count(flag: Optional[int]) -> int:
+    """Census worker count for a --workers value; None or 0 means worker_default()."""
+    if flag is not None and flag < 0:
+        raise ValueError(f"--workers must not be negative, got {flag}")
+    return flag or worker_default()
+
+
 def write_census_csv(fh: TextIO, rows: Iterable[CensusRow]) -> None:
     """Write census rows in the format=1 CSV layout."""
     fh.write("# format=1\nx,count,pi_x,ratio,predicted\n")
@@ -233,7 +240,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         checkpoints = None
         if args.checkpoints:
             checkpoints = [int(t) for t in args.checkpoints.split(",")]
-        workers = args.workers or worker_default()
+        workers = worker_count(args.workers)
         skipped = 0
         if args.kind == "t4":
             rows = census_t4(args.limit, checkpoints, workers)

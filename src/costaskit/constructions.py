@@ -3,6 +3,8 @@
 All constructions address columns x = 1..N and rows f(x) = 1..N. The
 exponential Welch family works directly with integers mod p; the Lempel
 and Golomb families work in an arbitrary GF(q) through discrete logs.
+Elements are integer codes, and every condition on them is read from the
+power and log tables of the field's least primitive element.
 Corner-removal variants shrink a construction whose forced corner dots
 close a leading block.
 
@@ -20,27 +22,28 @@ Method names used throughout (and by the CLI):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .costas import _first_colliding_row, remove_leading
+from .costas import BlockNotClosed
 from .ff import (
     FieldDescriptor,
     FieldElement,
     FieldMismatch,
     NotPrimitive,
+    ZeroElement,
     affine_map,
     discrete_logs,
-    is_primitive,
     is_primitive_root,
     least_primitive,
     make_field,
     power_table,
-    quadratic_roots,
+    primitive_exponents,
 )
-from .fpr import g4_witness
+from .fpr import g4_witness, t4_witness
 
 
 class DegenerateSize(ValueError):
@@ -71,6 +74,10 @@ METHODS = ("w1", "w2", "l2", "g2", "g3", "g4c2", "t4", "g4")
 
 _SIZE_OFFSETS = {"w1": 1, "w2": 2, "l2": 2, "g2": 2, "g3": 3, "g4c2": 4, "t4": 4, "g4": 4}
 
+# Least field order find_spec offers each method at; w1 and w2 also need a
+# prime field, and g4c2 characteristic 2.
+_MIN_ORDER = {"w1": 3, "w2": 5, "l2": 4, "g2": 3, "g3": 3, "g4c2": 8}
+
 
 def expected_size(method: str, q: int) -> int:
     """Array size the method produces from a field of order q."""
@@ -87,18 +94,73 @@ class ConstructionSpec:
     beta: Optional[int] = None
 
 
-def _elem(field: FieldDescriptor, x: Union[FieldElement, int]) -> FieldElement:
+def _tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, logs) of the least primitive element g: exp[i] = g^i for
+    0 <= i < q - 1, logs[g^i] = i and logs[0] = -1.
+
+    discrete_logs checks the 10^6 log-table cap before it builds anything,
+    so a log-based builder refuses a large field before any parameter.
+    """
+    g = least_primitive(field)
+    logs = discrete_logs(field, g)
+    return power_table(field, g), logs
+
+
+def _code(field: FieldDescriptor, x: Union[FieldElement, int]) -> int:
     if isinstance(x, FieldElement):
         if x.field != field:
             raise FieldMismatch(f"{x!r} does not belong to {field!r}")
-        return x
-    return field.element(x)
+        return x.rep
+    if not 0 <= x < field.q:
+        raise ValueError(f"element code {x} outside [0, {field.q})")
+    return x
 
 
-def _golomb_map(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
-    # f(i) = log_beta(1 - alpha^i) for i = 1..q-2
-    logs = discrete_logs(field, beta)
-    return logs[affine_map(field, power_table(field, alpha)[1:], -1, 1)].tolist()
+def _power(exp: np.ndarray, logs: np.ndarray, c: int, e: int) -> int:
+    """Code of c^e; c must be nonzero when e < 0."""
+    return int(exp[e * int(logs[c]) % len(exp)]) if c else 0
+
+
+def _one_minus(field: FieldDescriptor, c: int) -> int:
+    return int(affine_map(field, np.array([c]), -1, 1)[0])
+
+
+def _require_sum_one(field: FieldDescriptor, x: int, y: int, error: type, expr: str) -> None:
+    # x + y = 1 iff y = 1 - x; the sum itself is only needed for the message.
+    if _one_minus(field, x) != y:
+        place = field.p ** np.arange(field.k)
+        got = int((x // place + y // place) % field.p @ place)
+        raise error(f"{expr} must equal 1, got element code {got}")
+
+
+def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b: int) -> np.ndarray:
+    """f(i) = log_b(1 - a^i) for i = 1..q-2, once a and b are checked primitive.
+
+    With a = g^la and b = g^lb, a^i = exp[la * i mod n] and log_b is
+    log_g divided by lb mod n, so one table pair serves every (a, b).
+    """
+    n = len(exp)
+    for c in (a, b):
+        if c == 0:
+            raise ZeroElement("zero is not a unit")
+        # g^i generates the unit group iff gcd(i, n) = 1.
+        if math.gcd(int(logs[c]), n) != 1:
+            raise NotPrimitive(f"{field!r}[{c}] does not generate the unit group")
+    # In place: at q near the 10^6 cap each temporary is 8 MB.
+    i = np.arange(1, n) * int(logs[a])
+    i %= n
+    out = logs[affine_map(field, exp[i], -1, 1)] * pow(int(logs[b]), -1, n)
+    out %= n
+    return out
+
+
+def _drop_corner(a: np.ndarray, size: int) -> np.ndarray:
+    # a is a permutation of 1..n built here, so the corner block is closed
+    # iff its first columns stay in the lowest rows: O(size), not O(n).
+    bad = np.flatnonzero(a[:size] > size)
+    if bad.size:
+        raise BlockNotClosed(f"column {bad[0] + 1} breaks the {size} x {size} corner block")
+    return a[size:] - size
 
 
 def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
@@ -131,10 +193,7 @@ def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
     """
     if field.q < 4:
         raise DegenerateSize(f"Lempel needs q >= 4, got {field.q}")
-    a = _elem(field, alpha)
-    if not is_primitive(a):
-        raise NotPrimitive(f"{a!r} does not generate the unit group")
-    return _golomb_map(field, a.rep, a.rep)
+    return golomb_g2(field, alpha, alpha)
 
 
 def golomb_g2(
@@ -143,13 +202,8 @@ def golomb_g2(
     beta: Union[FieldElement, int],
 ) -> list[int]:
     """Golomb array: f(i) = log_beta(1 - alpha^i) for i = 1..q-2."""
-    a = _elem(field, alpha)
-    b = _elem(field, beta)
-    if not is_primitive(a):
-        raise NotPrimitive(f"{a!r} does not generate the unit group")
-    if not is_primitive(b):
-        raise NotPrimitive(f"{b!r} does not generate the unit group")
-    return _golomb_map(field, a.rep, b.rep)
+    exp, logs = _tables(field)
+    return _golomb(field, exp, logs, _code(field, alpha), _code(field, beta)).tolist()
 
 
 def golomb_g3(
@@ -158,13 +212,10 @@ def golomb_g3(
     beta: Union[FieldElement, int],
 ) -> list[int]:
     """Golomb array with the forced (1,1) corner dot removed, size q - 3."""
-    a = _elem(field, alpha)
-    b = _elem(field, beta)
-    if a + b != field.one:
-        raise CornerConditionFailed(
-            f"alpha + beta must equal 1, got element code {(a + b).rep}"
-        )
-    return remove_leading(golomb_g2(field, a, b), 1)
+    exp, logs = _tables(field)
+    a, b = _code(field, alpha), _code(field, beta)
+    _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
+    return _drop_corner(_golomb(field, exp, logs, a, b), 1).tolist()
 
 
 def golomb_g4_char2(
@@ -177,13 +228,10 @@ def golomb_g4_char2(
         raise WrongCharacteristic(f"characteristic 2 required, got {field.p}")
     if field.k < 3:
         raise DegenerateSize(f"field order >= 8 required, got {field.q}")
-    a = _elem(field, alpha)
-    b = _elem(field, beta)
-    if a + b != field.one:
-        raise CornerConditionFailed(
-            f"alpha + beta must equal 1, got element code {(a + b).rep}"
-        )
-    return remove_leading(golomb_g2(field, a, b), 2)
+    exp, logs = _tables(field)
+    a, b = _code(field, alpha), _code(field, beta)
+    _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
+    return _drop_corner(_golomb(field, exp, logs, a, b), 2).tolist()
 
 
 def taylor_t4(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[int]:
@@ -191,14 +239,10 @@ def taylor_t4(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
 
     Requires alpha^2 + alpha = 1, which forces exactly those two dots.
     """
-    a = _elem(field, alpha)
-    if a * a + a != field.one:
-        raise T4ConditionFailed(
-            f"alpha^2 + alpha must equal 1, got element code {(a * a + a).rep}"
-        )
-    if not is_primitive(a):
-        raise NotPrimitive(f"{a!r} does not generate the unit group")
-    return remove_leading(lempel_l2(field, a), 2)
+    exp, logs = _tables(field)
+    a = _code(field, alpha)
+    _require_sum_one(field, _power(exp, logs, a, 2), a, T4ConditionFailed, "alpha^2 + alpha")
+    return _drop_corner(_golomb(field, exp, logs, a, a), 2).tolist()
 
 
 def golomb_g4(
@@ -212,31 +256,19 @@ def golomb_g4(
     puts a dot at (1,1); after removing it, the second pins the next dot to
     the top of the first column, so that column and row can go too.
     """
-    a = _elem(field, alpha)
-    b = _elem(field, beta)
-    if a.rep == 0 or b.rep == 0:
+    exp, logs = _tables(field)
+    a, b = _code(field, alpha), _code(field, beta)
+    if a == 0 or b == 0:
         raise NotPrimitive("zero does not generate the unit group")
-    if a + b != field.one:
-        raise G4ConditionFailed(
-            f"alpha + beta must equal 1, got element code {(a + b).rep}"
-        )
-    if a * a + b.inv() != field.one:
-        raise G4ConditionFailed(
-            f"alpha^2 + 1/beta must equal 1, got element code {(a * a + b.inv()).rep}"
-        )
-    if not is_primitive(a):
-        raise NotPrimitive(f"{a!r} does not generate the unit group")
-    if not is_primitive(b):
-        raise NotPrimitive(f"{b!r} does not generate the unit group")
-    trimmed = remove_leading(golomb_g2(field, a, b), 1)
-    top = field.q - 3
-    if not trimmed or trimmed[0] != top:
+    _require_sum_one(field, a, b, G4ConditionFailed, "alpha + beta")
+    sq, inv = _power(exp, logs, a, 2), _power(exp, logs, b, -1)
+    _require_sum_one(field, sq, inv, G4ConditionFailed, "alpha^2 + 1/beta")
+    # Once both equations hold the result is Costas by the Golomb-Taylor
+    # theorem, so only the edge dot they force is checked, in O(1).
+    trimmed = _drop_corner(_golomb(field, exp, logs, a, b), 1)
+    if trimmed[0] != field.q - 3:
         raise ConstructionFailed("edge dot missing from the top of column 1")
-    result = trimmed[1:]
-    # The kernel, not is_costas: its size cap must not refuse a valid build.
-    if len(result) != field.q - 4 or _first_colliding_row(np.asarray(result, dtype=np.int64)):
-        raise ConstructionFailed("corner and edge removal did not yield a Costas array")
-    return result
+    return trimmed[1:].tolist()
 
 
 def build(spec: ConstructionSpec) -> list[int]:
@@ -274,41 +306,24 @@ def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     p, k, q = field.p, field.k, field.q
-    if method == "w1":
-        if k != 1 or p < 3:
-            return None
-        return ConstructionSpec("w1", field, least_primitive(field))
-    if method == "w2":
-        if k != 1 or p < 5:
-            return None
-        return ConstructionSpec("w2", field, least_primitive(field))
-    if method == "l2":
-        if q < 4:
-            return None
-        return ConstructionSpec("l2", field, least_primitive(field))
-    if method == "g2":
-        if q < 3:
-            return None
+    if q < _MIN_ORDER.get(method, 0) or (k > 1 and method in ("w1", "w2")) or (p != 2 and method == "g4c2"):
+        return None
+    if method in ("w1", "w2", "l2", "g2"):
         a = least_primitive(field)
-        return ConstructionSpec("g2", field, a, a)
-    if method in ("g3", "g4c2"):
-        if method == "g3" and q < 3:
-            return None
-        if method == "g4c2" and (p != 2 or k < 3):
-            return None
-        for rep in range(1, q):
-            a = FieldElement(field, rep)
-            bb = 1 - a
-            if bb.rep != 0 and is_primitive(a) and is_primitive(bb):
-                return ConstructionSpec(method, field, a.rep, bb.rep)
-        return None
+        return ConstructionSpec(method, field, a, a if method == "g2" else None)
     if method == "t4":
-        for a in quadratic_roots(field, 1, -1):
-            if is_primitive(field.element(a)):
-                return ConstructionSpec("t4", field, a)
-        return None
-    # g4: alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
-    a = g4_witness(q)
-    if a is None:
-        return None
-    return ConstructionSpec("g4", field, a, (1 - field.element(a)).rep)
+        a = t4_witness(q)
+        return None if a is None else ConstructionSpec("t4", field, a)
+    if method == "g4":
+        # alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
+        a = g4_witness(q)
+        return None if a is None else ConstructionSpec("g4", field, a, _one_minus(field, a))
+    # g3 and g4c2: the least primitive a with 1 - a primitive (0 is not
+    # primitive, so 1 - a is then a unit).
+    exp, _ = _tables(field)
+    primitive = np.zeros(q, dtype=bool)
+    primitive[exp[primitive_exponents(q - 1)]] = True
+    one_minus = affine_map(field, np.arange(q), -1, 1)
+    ok = primitive & primitive[one_minus]
+    a = int(np.argmax(ok))
+    return ConstructionSpec(method, field, a, int(one_minus[a])) if ok[a] else None

@@ -413,17 +413,6 @@ def _mul_rep(f: FieldDescriptor, a: int, b: int) -> int:
     return _encode(p, [c % p for c in prod[:k]])
 
 
-def multiplicative_order(a: FieldElement) -> int:
-    """Order of a in the unit group of its field."""
-    if a.rep == 0:
-        raise ZeroElement("zero has no multiplicative order")
-    t = a.field.q - 1
-    for f, _ in a.field.q1_factors:
-        while t % f == 0 and a ** (t // f) == a.field.one:
-            t //= f
-    return t
-
-
 def is_primitive(a: FieldElement) -> bool:
     """True iff a generates the full unit group."""
     if a.rep == 0:
@@ -514,35 +503,6 @@ def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.
     digits = codes[:, None] // place % p * s
     digits[:, 0] += c
     return digits % p @ place
-
-
-def quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[int]:
-    """Codes of the roots of x^2 + b x + c, ascending, for c nonzero mod p.
-
-    Odd prime fields solve with a square root mod p; other fields compare
-    squares and affine images over a power table, capped at order 10^6.
-    """
-    p = field.p
-    if field.k == 1 and p > 2:
-        rts = sqrt_mod_p((b * b - 4 * c) % p, p)
-        if rts is None:
-            return []
-        return sorted({(r - b) * ((p + 1) // 2) % p for r in rts})
-    if field.q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"scan over GF({field.q}) exceeds cap {_PRIMITIVE_SCAN_CAP}")
-    exp = power_table(field, least_primitive(field))
-    n = field.q - 1
-    squares = exp[2 * np.arange(n) % n]
-    return sorted(exp[squares == affine_map(field, exp, -b, -c)].tolist())
-
-
-def primitive_elements(field: FieldDescriptor) -> list[FieldElement]:
-    """All primitive elements of the field, ascending by code."""
-    if field.q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
-    exp = power_table(field, least_primitive(field))
-    reps = np.sort(exp[primitive_exponents(field.q - 1)])
-    return [FieldElement(field, r) for r in reps.tolist()]
 
 
 def log_table(alpha: FieldElement) -> list[Optional[int]]:

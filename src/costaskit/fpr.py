@@ -12,20 +12,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .ff import (
-    FieldDescriptor,
+    _PRIMITIVE_SCAN_CAP,
     FieldTooLarge,
     _is_primitive_root_unchecked,
+    affine_map,
+    discrete_logs,
     factorize,
     is_prime,
-    is_primitive,
+    least_primitive,
     make_field,
+    power_table,
     prime_power,
-    quadratic_roots,
     sqrt_mod_p,
 )
-
-_SCAN_CAP = 10**6
 
 
 class EvenPrime(ValueError):
@@ -123,47 +125,50 @@ def t4_admissible(q: int) -> bool:
     return k == 1 and q % 10 in (1, 9)
 
 
-def _scan_field(p: int, k: int) -> FieldDescriptor:
-    # Checked before make_field, whose modulus search is slow for large q.
-    if p**k > _SCAN_CAP:
-        raise FieldTooLarge(f"scan over GF({p**k}) exceeds cap {_SCAN_CAP}")
-    return make_field(p, k)
+def _table_roots(p: int, k: int, b: int) -> list[tuple[int, bool]]:
+    """Primitive roots a of x^2 + b x - 1 in GF(p^k) for b = +-1, by ascending
+    code, each with whether 1 - a is primitive too.
+
+    Read from the power and log tables of the least primitive element g; the
+    order cap is checked before make_field, whose modulus search is slow.
+    """
+    if p**k > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"scan over GF({p**k}) exceeds cap {_PRIMITIVE_SCAN_CAP}")
+    f = make_field(p, k)
+    g = least_primitive(f)
+    exp, logs, n = power_table(f, g), discrete_logs(f, g), f.q - 1
+    # a = g^i is a root iff g^(2i) = 1 - b g^i, and primitive iff gcd(i, n) = 1.
+    # Neither a nor 1 - a is 0, as the constant term is -1 and b = +-1.
+    i = np.flatnonzero(exp[2 * np.arange(n) % n] == affine_map(f, exp, -b, 1))
+    roots = exp[i[np.gcd(i, n) == 1]]
+    co = np.gcd(logs[affine_map(f, roots, -1, 1)], n) == 1
+    return sorted(zip(roots.tolist(), co.tolist()))
 
 
-def _t4_witness_ext(p: int, k: int) -> Optional[int]:
-    """Least rep of a primitive a with a^2 + a = 1 in GF(p^k)."""
-    f = _scan_field(p, k)
-    return next((a for a in quadratic_roots(f, 1, -1) if is_primitive(f.element(a))), None)
+def t4_witness(q: int) -> Optional[int]:
+    """Least a with a^2 + a = 1 and a primitive, or None.
+
+    Over GF(p) these a are g - 1 = 1/g for the FPRs g, so the least is the
+    least FPR minus 1.
+    """
+    p, k = _as_prime_power(q)
+    if k == 1 and p > 2:
+        return next((g - 1 for g in _fpr_data(p)[1]), None)
+    return next((a for a, _ in _table_roots(p, k, 1)), None)
 
 
 def t4_applicable(q: int) -> bool:
     """True when GF(q) has a primitive root of x^2 + x - 1."""
-    p, k = _as_prime_power(q)
-    if k == 1:
-        if p == 2:
-            return False
-        return bool(_fpr_data(p)[1])
-    return _t4_witness_ext(p, k) is not None
+    return t4_witness(q) is not None
 
 
 def g4_witness(q: int) -> Optional[int]:
     """Least a with a^2 = a + 1 and both a and 1 - a primitive, or None."""
     p, k = _as_prime_power(q)
-    if k > 1:
-        f = _scan_field(p, k)
-        # 1 is never a root, so 1 - a is a unit.
-        for a in quadratic_roots(f, -1, -1):
-            e = f.element(a)
-            if is_primitive(e) and is_primitive(1 - e):
-                return a
-        return None
-    if p == 2:
-        return None
-    fs = factorize(p - 1)
-    for g in _fpr_data(p)[1]:
-        if _is_primitive_root_unchecked(1 - g, p, fs):
-            return g
-    return None
+    if k == 1 and p > 2:
+        fs = factorize(p - 1)
+        return next((g for g in _fpr_data(p)[1] if _is_primitive_root_unchecked(1 - g, p, fs)), None)
+    return next((a for a, co in _table_roots(p, k, -1) if co), None)
 
 
 def g4_applicable(q: int) -> bool:

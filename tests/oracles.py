@@ -2,13 +2,32 @@
 
 Everything here is deliberately independent of the package internals:
 different algorithms, no shared helpers. Tests compare package output
-against these on small inputs and freeze the values they certify.
+against these on small inputs and freeze the values they certify. The
+last section is the exception: helpers only the tests use, moved out of
+the package, and the FieldElement parameter search that find_spec's table
+lookups replaced, kept as their reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Optional
+
+import numpy as np
+
+from costaskit.constructions import METHODS, ConstructionSpec
+from costaskit.ff import (
+    _PRIMITIVE_SCAN_CAP,
+    FieldDescriptor,
+    FieldElement,
+    FieldTooLarge,
+    ZeroElement,
+    is_primitive,
+    least_primitive,
+    power_table,
+    primitive_exponents,
+)
 
 
 def naive_is_costas(perm: list[int]) -> bool:
@@ -144,3 +163,79 @@ def smallest_irreducible_bruteforce(p: int, k: int) -> tuple[int, ...]:
         if cand not in reducible:
             return cand
     raise AssertionError("irreducible polynomials of every degree exist")
+
+
+# Built on the package: helpers moved out of it and the former find_spec search.
+
+
+def multiplicative_order(a: FieldElement) -> int:
+    """Order of a in the unit group of its field."""
+    if a.rep == 0:
+        raise ZeroElement("zero has no multiplicative order")
+    t = a.field.q - 1
+    for f, _ in a.field.q1_factors:
+        while t % f == 0 and a ** (t // f) == a.field.one:
+            t //= f
+    return t
+
+
+def primitive_elements(field: FieldDescriptor) -> list[FieldElement]:
+    """All primitive elements of the field, ascending by code."""
+    if field.q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
+    exp = power_table(field, least_primitive(field))
+    reps = np.sort(exp[primitive_exponents(field.q - 1)])
+    return [FieldElement(field, r) for r in reps.tolist()]
+
+
+def _quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[int]:
+    """Codes of the roots of x^2 + b x + c, by trying every element."""
+    return [x.rep for x in field.elements() if x * x + b * x + c == field.zero]
+
+
+def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:
+    """The element-by-element parameter search that find_spec replaced. The
+    g4 branch inlines the former fpr.g4_witness search instead of calling it,
+    and the roots of each quadratic are found by trying every element."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    p, k, q = field.p, field.k, field.q
+    if method == "w1":
+        if k != 1 or p < 3:
+            return None
+        return ConstructionSpec("w1", field, least_primitive(field))
+    if method == "w2":
+        if k != 1 or p < 5:
+            return None
+        return ConstructionSpec("w2", field, least_primitive(field))
+    if method == "l2":
+        if q < 4:
+            return None
+        return ConstructionSpec("l2", field, least_primitive(field))
+    if method == "g2":
+        if q < 3:
+            return None
+        a = least_primitive(field)
+        return ConstructionSpec("g2", field, a, a)
+    if method in ("g3", "g4c2"):
+        if method == "g3" and q < 3:
+            return None
+        if method == "g4c2" and (p != 2 or k < 3):
+            return None
+        for rep in range(1, q):
+            a = FieldElement(field, rep)
+            bb = 1 - a
+            if bb.rep != 0 and is_primitive(a) and is_primitive(bb):
+                return ConstructionSpec(method, field, a.rep, bb.rep)
+        return None
+    if method == "t4":
+        for a in _quadratic_roots(field, 1, -1):
+            if is_primitive(field.element(a)):
+                return ConstructionSpec("t4", field, a)
+        return None
+    # g4: alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
+    for a in _quadratic_roots(field, -1, -1):
+        e = field.element(a)
+        if is_primitive(e) and is_primitive(1 - e):
+            return ConstructionSpec("g4", field, a, (1 - e).rep)
+    return None

@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from costaskit.cli import main, run_sweep, worker_default
+from costaskit.cli import main, run_sweep, worker_count, worker_default
 from costaskit.costas import COSTAS_CAP
 
 
@@ -78,6 +78,13 @@ def test_build_condition_failure(capsys):
     code, _, err = run(capsys, "build", "g4", "41", "--alpha", "6", "--beta", "36")
     assert code == 2
     assert "alpha^2" in err
+
+
+def test_build_log_cap_before_parameters(capsys):
+    # Above the log-table cap a bad parameter reads like no parameter at all.
+    for argv in (["l2", "1000003"], ["l2", "1000003", "--alpha", "4"], ["t4", "1000003", "--alpha", "4"]):
+        code, out, err = run(capsys, "build", *argv)
+        assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n"), argv
 
 
 def test_build_explicit_pair(capsys):
@@ -396,6 +403,17 @@ def test_worker_default(monkeypatch, capsys):
     assert err.startswith("census:") and err.count("\n") == 1
     monkeypatch.delenv("COSTAS_THREADS")
     assert worker_default() == (os.cpu_count() or 1)
+
+
+def test_census_negative_workers(capsys):
+    code, out, err = run(capsys, "census", "t4", "100", "--workers", "-3")
+    assert (code, out) == (1, "")
+    assert err == "census: --workers must not be negative, got -3\n"
+    # 0, like an absent flag, means the default
+    code, out, err = run(capsys, "census", "t4", "100", "--workers", "0")
+    assert code == 0 and out.endswith("100,8,25,0.320000,0.265705\n") and err == ""
+    assert worker_count(None) == worker_count(0) == worker_default()
+    assert worker_count(2) == 2
 
 
 def test_help_and_missing_command(capsys):

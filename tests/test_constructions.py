@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import primitive_elements
 from costaskit.constructions import (
     ConstructionSpec,
     CornerConditionFailed,
@@ -27,14 +28,19 @@ from costaskit.constructions import (
     welch_w2,
 )
 from costaskit.costas import is_costas
-from costaskit import costas
+from costaskit import constructions, costas
 from costaskit.ff import (
+    FieldElement,
     FieldTooLarge,
     LimitTooLarge,
     NotPrimitive,
+    ZeroElement,
+    affine_map,
+    discrete_logs,
+    is_primitive,
     make_field,
+    power_table,
     prime_power,
-    primitive_elements,
 )
 
 
@@ -214,7 +220,7 @@ def test_golomb_g4_pinned():
 
 
 def test_golomb_g4_self_check_ignores_public_cap(monkeypatch):
-    # g4 checks its own output with the kernel, so the size cap of
+    # g4 never calls is_costas on its output, so the size cap of
     # is_costas cannot refuse a build that succeeds.
     monkeypatch.setattr(costas, "COSTAS_CAP", 10)
     arr = golomb_g4(make_field(41), 7, 35)
@@ -326,3 +332,73 @@ def test_g2_random_primitive_pairs(q, data):
     arr = golomb_g2(f, a, b)
     assert len(arr) == q - 2
     assert is_costas(arr)
+
+
+_FIELDS_3000 = [pk for pk in map(prime_power, range(2, 3001)) if pk is not None and pk[1] <= 6]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_FIELDS_3000), st.data())
+def test_table_conditions_match_object_arithmetic(pk, data):
+    f = make_field(*pk)
+    codes = st.integers(min_value=0, max_value=f.q - 1)
+    a, b = data.draw(codes), data.draw(codes)
+    A, B = FieldElement(f, a), FieldElement(f, b)
+    exp, logs = constructions._tables(f)
+    power = lambda c, e: constructions._power(exp, logs, c, e)
+
+    def failure(check, *args):
+        try:
+            check(*args)
+        except ValueError as e:
+            return type(e), str(e)
+        return None
+
+    # primitive, through the check the Golomb map makes first
+    got = failure(constructions._golomb, f, exp, logs, a, a)
+    if a == 0:
+        assert got == (ZeroElement, "zero is not a unit")
+    elif is_primitive(A):
+        assert got is None
+    else:
+        assert got == (NotPrimitive, f"{A!r} does not generate the unit group")
+    # 1 - c, c^2 and 1/c
+    assert constructions._one_minus(f, a) == (1 - A).rep
+    assert power(a, 2) == (A * A).rep
+    if b:
+        assert power(b, -1) == B.inv().rep
+    # alpha + beta = 1, alpha^2 + alpha = 1 and alpha^2 + 1/beta = 1, each
+    # with the code of the left side in the message when it fails
+    sides = [("alpha + beta", a, b, A + B), ("alpha^2 + alpha", power(a, 2), a, A * A + A)]
+    if b:
+        sides.append(("alpha^2 + 1/beta", power(a, 2), power(b, -1), A * A + B.inv()))
+    for expr, x, y, lhs in sides:
+        got = failure(constructions._require_sum_one, f, x, y, T4ConditionFailed, expr)
+        if lhs == f.one:
+            assert got is None, expr
+        else:
+            assert got == (T4ConditionFailed, f"{expr} must equal 1, got element code {lhs.rep}"), expr
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([pk for pk in _FIELDS_3000 if pk[0] ** pk[1] >= 3]), st.data())
+def test_golomb_map_matches_two_table_map(pk, data):
+    # log_beta(1 - alpha^i) from beta's log table and alpha's power table
+    f = make_field(*pk)
+    prims = [e.rep for e in primitive_elements(f)]
+    a, b = data.draw(st.sampled_from(prims)), data.draw(st.sampled_from(prims))
+    want = discrete_logs(f, b)[affine_map(f, power_table(f, a)[1:], -1, 1)]
+    assert golomb_g2(f, a, b) == want.tolist()
+
+
+def test_find_spec_matches_reference_search():
+    for q in range(2, 1025):
+        pk = prime_power(q)
+        if pk is None or pk[1] > 6:
+            continue
+        f = make_field(*pk)
+        for method in METHODS:
+            spec = find_spec(method, f)
+            assert spec == oracles.reference_find_spec(method, f), (method, q)
+            if spec is not None:
+                assert type(spec.alpha) is int and type(spec.beta) in (int, type(None))

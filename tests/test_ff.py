@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import multiplicative_order, primitive_elements
 from costaskit.ff import (
     CompositeCharacteristic,
     DegreeOutOfRange,
@@ -23,10 +24,8 @@ from costaskit.ff import (
     is_primitive_root,
     log_table,
     make_field,
-    multiplicative_order,
     pow_mod_array,
     prime_power,
-    primitive_elements,
     primitive_exponents,
     primitive_root_mask,
     smallest_primitive_root,

@@ -1,0 +1,59 @@
+"""Smoke runs of the two scripts in scripts/, each in its own interpreter."""
+
+from __future__ import annotations
+
+import io
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from costaskit.cli import write_census_csv
+from costaskit.density import census_g4, census_t4, trinomial_census
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+LIMIT = 1000
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _csv(rows) -> str:
+    fh = io.StringIO()
+    write_census_csv(fh, rows)
+    return fh.getvalue()
+
+
+def test_reproduce_theorem_densities(tmp_path):
+    r = _run("reproduce_theorem_densities.py",
+             "--limit", str(LIMIT), "--workers", "1", "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "census_t4.csv").read_text() == _csv(census_t4(LIMIT, workers=1))
+    assert (tmp_path / "census_g4.csv").read_text() == _csv(census_g4(LIMIT, workers=1))
+
+
+def test_trinomial_exploration(tmp_path):
+    r = _run("trinomial_exploration.py",
+             "--limit", str(LIMIT), "--i-max", "2", "--workers", "1", "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert "no violations" in r.stdout
+    shapes = runpy.run_path(str(SCRIPTS / "trinomial_exploration.py"))["SHAPES"]
+    assert len(shapes) == 3
+    for name, (e1, e2) in shapes.items():
+        want = _csv(trinomial_census(LIMIT, e1, e2, workers=1).rows)
+        assert (tmp_path / f"trinomial_{name}.csv").read_text() == want, name
+
+
+@pytest.mark.parametrize("script", ["reproduce_theorem_densities.py", "trinomial_exploration.py"])
+def test_negative_workers_refused(script, tmp_path):
+    out_dir = tmp_path / "out"
+    r = _run(script, "--limit", "100", "--workers", "-2", "--out-dir", str(out_dir))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"{script}: --workers must not be negative, got -2\n"
+    assert not out_dir.exists()
