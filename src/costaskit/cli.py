@@ -39,7 +39,7 @@ from .ff import (
     prime_power,
     primes_in_range,
 )
-from .fpr import fpr_report, g4_applicable
+from .fpr import fpr_report
 
 _INAPPLICABLE_REASONS = {
     "w1": "no primitive root for this q (need prime p >= 3)",
@@ -66,14 +66,17 @@ _SWEEP_CAP = 4096
 
 
 def worker_default() -> int:
-    """Census worker count: COSTAS_THREADS if set (at least 1), else the CPU count."""
+    """Census worker count: COSTAS_THREADS if set (0 means 1), else the CPU count."""
     env = os.environ.get("COSTAS_THREADS")
     if env is None:
         return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        n = int(env)
     except ValueError:
         raise ValueError(f"COSTAS_THREADS must be an integer, got {env!r}") from None
+    if n < 0:
+        raise ValueError(f"COSTAS_THREADS must not be negative, got {n}")
+    return max(1, n)
 
 
 def worker_count(flag: Optional[int]) -> int:
@@ -191,7 +194,7 @@ def _fpr_row(p: int) -> dict:
         "fprs": list(r.fprs),
         "t4_root": r.t4_root,
         "t4_applicable": bool(r.fprs),
-        "g4_applicable": g4_applicable(p),
+        "g4_applicable": r.g4_applicable,
     }
 
 

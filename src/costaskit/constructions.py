@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .costas import BlockNotClosed
+from .costas import _drop_corner
 from .ff import (
     FieldDescriptor,
     FieldElement,
@@ -36,7 +36,7 @@ from .ff import (
     NotPrimitive,
     ZeroElement,
     affine_map,
-    discrete_logs,
+    field_tables,
     is_primitive_root,
     least_primitive,
     make_field,
@@ -94,18 +94,6 @@ class ConstructionSpec:
     beta: Optional[int] = None
 
 
-def _tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """(exp, logs) of the least primitive element g: exp[i] = g^i for
-    0 <= i < q - 1, logs[g^i] = i and logs[0] = -1.
-
-    discrete_logs checks the 10^6 log-table cap before it builds anything,
-    so a log-based builder refuses a large field before any parameter.
-    """
-    g = least_primitive(field)
-    logs = discrete_logs(field, g)
-    return power_table(field, g), logs
-
-
 def _code(field: FieldDescriptor, x: Union[FieldElement, int]) -> int:
     if isinstance(x, FieldElement):
         if x.field != field:
@@ -154,15 +142,6 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
     return out
 
 
-def _drop_corner(a: np.ndarray, size: int) -> np.ndarray:
-    # a is a permutation of 1..n built here, so the corner block is closed
-    # iff its first columns stay in the lowest rows: O(size), not O(n).
-    bad = np.flatnonzero(a[:size] > size)
-    if bad.size:
-        raise BlockNotClosed(f"column {bad[0] + 1} breaks the {size} x {size} corner block")
-    return a[size:] - size
-
-
 def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
     if isinstance(g, FieldElement):
         g = g.rep
@@ -202,7 +181,7 @@ def golomb_g2(
     beta: Union[FieldElement, int],
 ) -> list[int]:
     """Golomb array: f(i) = log_beta(1 - alpha^i) for i = 1..q-2."""
-    exp, logs = _tables(field)
+    exp, logs = field_tables(field)
     return _golomb(field, exp, logs, _code(field, alpha), _code(field, beta)).tolist()
 
 
@@ -212,7 +191,7 @@ def golomb_g3(
     beta: Union[FieldElement, int],
 ) -> list[int]:
     """Golomb array with the forced (1,1) corner dot removed, size q - 3."""
-    exp, logs = _tables(field)
+    exp, logs = field_tables(field)
     a, b = _code(field, alpha), _code(field, beta)
     _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
     return _drop_corner(_golomb(field, exp, logs, a, b), 1).tolist()
@@ -228,7 +207,7 @@ def golomb_g4_char2(
         raise WrongCharacteristic(f"characteristic 2 required, got {field.p}")
     if field.k < 3:
         raise DegenerateSize(f"field order >= 8 required, got {field.q}")
-    exp, logs = _tables(field)
+    exp, logs = field_tables(field)
     a, b = _code(field, alpha), _code(field, beta)
     _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
     return _drop_corner(_golomb(field, exp, logs, a, b), 2).tolist()
@@ -239,7 +218,7 @@ def taylor_t4(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
 
     Requires alpha^2 + alpha = 1, which forces exactly those two dots.
     """
-    exp, logs = _tables(field)
+    exp, logs = field_tables(field)
     a = _code(field, alpha)
     _require_sum_one(field, _power(exp, logs, a, 2), a, T4ConditionFailed, "alpha^2 + alpha")
     return _drop_corner(_golomb(field, exp, logs, a, a), 2).tolist()
@@ -256,7 +235,7 @@ def golomb_g4(
     puts a dot at (1,1); after removing it, the second pins the next dot to
     the top of the first column, so that column and row can go too.
     """
-    exp, logs = _tables(field)
+    exp, logs = field_tables(field)
     a, b = _code(field, alpha), _code(field, beta)
     if a == 0 or b == 0:
         raise NotPrimitive("zero does not generate the unit group")
@@ -320,7 +299,7 @@ def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]
         return None if a is None else ConstructionSpec("g4", field, a, _one_minus(field, a))
     # g3 and g4c2: the least primitive a with 1 - a primitive (0 is not
     # primitive, so 1 - a is then a unit).
-    exp, _ = _tables(field)
+    exp, _ = field_tables(field)
     primitive = np.zeros(q, dtype=bool)
     primitive[exp[primitive_exponents(q - 1)]] = True
     one_minus = affine_map(field, np.arange(q), -1, 1)

@@ -40,21 +40,37 @@ _BLOCK_BINS = 1 << 15
 _MIN_BLOCK_ROWS = 16
 
 
-def _validated(perm: Sequence[int]) -> list[int]:
+def _permutation(perm: Sequence[int], cap: Optional[int] = None) -> np.ndarray:
+    """perm as an int64 array. Raises LimitTooLarge above cap (checked first), then
+    NotAPermutation unless perm is a permutation of 1..n made of ints, not bools."""
     seq = list(perm)
-    for v in seq:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise NotAPermutation(f"non-integer entry {v!r}")
-    if sorted(seq) != list(range(1, len(seq) + 1)):
-        raise NotAPermutation(f"expected a permutation of 1..{len(seq)}")
-    return seq
+    n = len(seq)
+    if cap is not None and n > cap:
+        raise LimitTooLarge(f"Costas check capped at n = {cap}, got n = {n}")
+    if not set(map(type, seq)) <= {int}:
+        # Only to name the bad entry; int subclasses except bool are integers.
+        for v in seq:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise NotAPermutation(f"non-integer entry {v!r}")
+    try:
+        a = np.array(seq, dtype=np.int64)
+        # n entries are a permutation of 1..n iff each of 1..n occurs.
+        seen = np.zeros(n + 2, dtype=bool)
+        seen[np.clip(a, 0, n + 1)] = True
+        if seen[1 : n + 1].all():
+            return a
+    except OverflowError:  # an entry beyond int64 is beyond n too
+        pass
+    raise NotAPermutation(f"expected a permutation of 1..{n}")
 
 
-def _checked_array(perm: Sequence[int]) -> np.ndarray:
-    seq = list(perm)
-    if len(seq) > COSTAS_CAP:
-        raise LimitTooLarge(f"Costas check capped at n = {COSTAS_CAP}, got n = {len(seq)}")
-    return np.asarray(_validated(seq), dtype=np.int64)
+def _drop_corner(a: np.ndarray, t: int) -> np.ndarray:
+    """x -> f(x + t) - t for a permutation array a, in O(t): the t x t corner
+    of a permutation is closed iff its first t columns lie in rows 1..t."""
+    bad = np.flatnonzero(a[:t] > t)
+    if bad.size:
+        raise BlockNotClosed(f"column {bad[0] + 1} breaks the {t} x {t} corner block")
+    return a[t:] - t
 
 
 def _first_colliding_row(a: np.ndarray) -> int:
@@ -104,14 +120,13 @@ def is_costas(perm: Sequence[int]) -> bool:
     Raises LimitTooLarge above n = COSTAS_CAP and NotAPermutation for anything
     that is not a permutation of 1..n.
     """
-    return _first_colliding_row(_checked_array(perm)) == 0
+    return _first_colliding_row(_permutation(perm, COSTAS_CAP)) == 0
 
 
 def difference_table(perm: Sequence[int]) -> list[list[int]]:
     """Row k (at index k-1) lists f(x+k) - f(x) for x = 1..n-k."""
-    seq = _validated(perm)
-    n = len(seq)
-    return [[seq[x + k] - seq[x] for x in range(n - k)] for k in range(1, n)]
+    a = _permutation(perm)
+    return [(a[k:] - a[:-k]).tolist() for k in range(1, len(a))]
 
 
 def first_collision(perm: Sequence[int]) -> Optional[tuple[int, int, int]]:
@@ -119,7 +134,7 @@ def first_collision(perm: Sequence[int]) -> Optional[tuple[int, int, int]]:
 
     x and y are 1-based column indices with x < y. Same limits as is_costas.
     """
-    a = _checked_array(perm)
+    a = _permutation(perm, COSTAS_CAP)
     k = _first_colliding_row(a)
     if k == 0:
         return None
@@ -182,11 +197,7 @@ def remove_leading(perm: Sequence[int], t: int) -> list[int]:
     Requires f to map {1..t} onto {1..t}; the result is the permutation
     x -> f(x + t) - t of size n - t. Raises BlockNotClosed otherwise.
     """
-    seq = _validated(perm)
-    n = len(seq)
-    if not 0 <= t <= n:
-        raise ValueError(f"block size {t} outside 0..{n}")
-    for x in range(1, n + 1):
-        if (x <= t) != (seq[x - 1] <= t):
-            raise BlockNotClosed(f"column {x} breaks the {t} x {t} corner block")
-    return [v - t for v in seq[t:]]
+    a = _permutation(perm)
+    if not 0 <= t <= len(a):
+        raise ValueError(f"block size {t} outside 0..{len(a)}")
+    return _drop_corner(a, t).tolist()

@@ -34,7 +34,7 @@ _TRINOMIAL_CAP = 10**6
 _VERIFY_CAP = 10**5
 _I_MAX_CAP = 10
 _ARTIN_BOUND = 10**6
-_SIEVE_BLOCK = 1 << 18
+# Primes are sieved, and censuses split into tasks, in segments this wide.
 _CHUNK = 1 << 17
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
@@ -104,12 +104,16 @@ class ZeroDensityReport:
     skipped: dict
 
 
+def _segments(limit: int) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the _CHUNK-wide segments that cover 2..limit."""
+    return [(lo, min(lo + _CHUNK, limit + 1)) for lo in range(2, limit + 1, _CHUNK)]
+
+
 def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
     # The cap is checked here, before the first block, not at the last one.
     if limit > SIEVE_CAP:
         raise LimitTooLarge(f"sieve limit {limit} above cap {SIEVE_CAP}")
-    los = range(2, limit + 1, _SIEVE_BLOCK)
-    return (primes_in_range(lo, min(lo + _SIEVE_BLOCK, limit + 1)) for lo in los)
+    return (primes_in_range(lo, hi) for lo, hi in _segments(limit))
 
 
 def prime_sieve(limit: int) -> Iterator[int]:
@@ -154,11 +158,8 @@ def _fib_census_predicate(primes: np.ndarray, modulus: int) -> tuple[np.ndarray,
     """Primes that are 1 or 9 mod the modulus and have a Fibonacci primitive root.
 
     Modulus 10 is the t4 census. Modulus 20 is the g4 census, which is the
-    same question: if g is an FPR then g(1 - g) = g - g^2 = -1, so
-    1 - g = -g^-1 = g^((p-1)/2 - 1) = g^((p-3)/2). With p - 1 = 2m that
-    exponent is m - 1, and gcd(m - 1, 2m) = gcd(m - 1, 2), so 1 - g is
-    primitive exactly when m is even, i.e. p = 1 (mod 4). Both classes
-    1 and 9 mod 20 are 1 mod 4, so there every FPR is a g4 witness.
+    same question: both classes 1 and 9 mod 20 are 1 mod 4, where every
+    FPR is a g4 witness (the proof is at fpr._g4_fprs).
     """
     r = primes % modulus
     gate = (r == 1) | (r == 9)
@@ -213,10 +214,7 @@ def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
     if limit > cap:
         raise LimitTooLarge(f"census limit {limit} above cap {cap}")
     cps = np.array(_normalize_checkpoints(checkpoints, limit), dtype=np.int64)
-    tasks = [
-        (predicate, lo, min(lo + _CHUNK, limit + 1), cps)
-        for lo in range(2, limit + 1, _CHUNK)
-    ]
+    tasks = [(predicate, lo, hi, cps) for lo, hi in _segments(limit)]
     processes = _pool_size(workers, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:

@@ -479,6 +479,14 @@ def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
     return logs
 
 
+def field_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, logs) of the least primitive element g: exp[i] = g^i, logs[g^i] = i
+    and logs[0] = -1. The 10^6 log-table cap is checked before either is built."""
+    g = least_primitive(field)
+    logs = discrete_logs(field, g)
+    return power_table(field, g), logs
+
+
 @lru_cache(maxsize=8)
 def primitive_exponents(n: int) -> np.ndarray:
     """Exponents i in [0, n) with gcd(i, n) = 1, as a read-only int64 array.
@@ -503,19 +511,6 @@ def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.
     digits = codes[:, None] // place % p * s
     digits[:, 0] += c
     return digits % p @ place
-
-
-def log_table(alpha: FieldElement) -> list[Optional[int]]:
-    """Discrete logs base alpha: table[code(alpha^i)] = i for i in 1..q-1.
-
-    The identity maps to q-1 and the zero slot holds None.
-    """
-    if not is_primitive(alpha):
-        raise NotPrimitive(f"{alpha!r} does not generate the unit group")
-    table: list[Optional[int]] = discrete_logs(alpha.field, alpha.rep).tolist()
-    table[0] = None
-    table[1] = alpha.field.q - 1
-    return table
 
 
 def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:

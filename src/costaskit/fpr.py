@@ -19,12 +19,10 @@ from .ff import (
     FieldTooLarge,
     _is_primitive_root_unchecked,
     affine_map,
-    discrete_logs,
     factorize,
+    field_tables,
     is_prime,
-    least_primitive,
     make_field,
-    power_table,
     prime_power,
     sqrt_mod_p,
 )
@@ -55,20 +53,17 @@ class FprReport:
     candidates: tuple[int, ...]
     fprs: tuple[int, ...]
     t4_root: Optional[int]
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2:
-        raise EvenPrime("no Fibonacci primitive roots exist mod 2")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    g4_applicable: bool
 
 
 @lru_cache(maxsize=4096)
 def _fpr_data(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(roots of x^2 - x - 1 mod p, the primitive ones), both sorted."""
-    _require_odd_prime(p)
-    roots = sqrt_mod_p(5 % p, p)
+    if p == 2:
+        raise EvenPrime("no Fibonacci primitive roots exist mod 2")
+    if p < 3:
+        raise ValueError(f"modulus {p} is not prime")
+    roots = sqrt_mod_p(5 % p, p)  # proves p prime, with the same message
     if roots is None:
         return (), ()
     inv2 = pow(2, p - 2, p)
@@ -76,6 +71,13 @@ def _fpr_data(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     fs = factorize(p - 1)
     fprs = tuple(g for g in candidates if _is_primitive_root_unchecked(g, p, fs))
     return candidates, fprs
+
+
+def _g4_fprs(p: int) -> tuple[int, ...]:
+    """FPRs g mod an odd prime p with 1 - g primitive: all iff p = 1 (mod 4). As
+    g(1 - g) = -1, 1 - g = -1/g = g^(m-1) for p - 1 = 2m, and gcd(m - 1, 2m)
+    = gcd(m - 1, 2) is 1 exactly when m is even."""
+    return _fpr_data(p)[1] if p % 4 == 1 else ()
 
 
 def fpr_candidates(p: int) -> list[int]:
@@ -96,6 +98,7 @@ def fpr_report(p: int) -> FprReport:
         candidates=candidates,
         fprs=fprs,
         t4_root=(min(fprs) - 1) % p if fprs else None,
+        g4_applicable=bool(_g4_fprs(p)),
     )
 
 
@@ -135,8 +138,8 @@ def _table_roots(p: int, k: int, b: int) -> list[tuple[int, bool]]:
     if p**k > _PRIMITIVE_SCAN_CAP:
         raise FieldTooLarge(f"scan over GF({p**k}) exceeds cap {_PRIMITIVE_SCAN_CAP}")
     f = make_field(p, k)
-    g = least_primitive(f)
-    exp, logs, n = power_table(f, g), discrete_logs(f, g), f.q - 1
+    exp, logs = field_tables(f)
+    n = f.q - 1
     # a = g^i is a root iff g^(2i) = 1 - b g^i, and primitive iff gcd(i, n) = 1.
     # Neither a nor 1 - a is 0, as the constant term is -1 and b = +-1.
     i = np.flatnonzero(exp[2 * np.arange(n) % n] == affine_map(f, exp, -b, 1))
@@ -163,11 +166,13 @@ def t4_applicable(q: int) -> bool:
 
 
 def g4_witness(q: int) -> Optional[int]:
-    """Least a with a^2 = a + 1 and both a and 1 - a primitive, or None."""
+    """Least a with a^2 = a + 1 and both a and 1 - a primitive, or None.
+
+    Over GF(p) these a are the FPRs when p = 1 (mod 4) and none otherwise.
+    """
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
-        fs = factorize(p - 1)
-        return next((g for g in _fpr_data(p)[1] if _is_primitive_root_unchecked(1 - g, p, fs)), None)
+        return next(iter(_g4_fprs(p)), None)
     return next((a for a, co in _table_roots(p, k, -1) if co), None)
 
 

@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the package internals:
 different algorithms, no shared helpers. Tests compare package output
 against these on small inputs and freeze the values they certify. The
-last section is the exception: helpers only the tests use, moved out of
-the package, and the FieldElement parameter search that find_spec's table
-lookups replaced, kept as their reference.
+last two sections are the exception: helpers only the tests use, moved
+out of the package, the FieldElement parameter search that find_spec's
+table lookups replaced, and the list-based permutation validator that the
+numpy one replaced, kept as their reference.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from typing import Optional
 import numpy as np
 
 from costaskit.constructions import METHODS, ConstructionSpec
+from costaskit.costas import COSTAS_CAP, BlockNotClosed, NotAPermutation
 from costaskit.ff import (
     _PRIMITIVE_SCAN_CAP,
     FieldDescriptor,
     FieldElement,
     FieldTooLarge,
+    LimitTooLarge,
     ZeroElement,
     is_primitive,
     least_primitive,
@@ -239,3 +242,49 @@ def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[Constru
         if is_primitive(e) and is_primitive(1 - e):
             return ConstructionSpec("g4", field, a, (1 - e).rep)
     return None
+
+
+# The list-based permutation validator the Costas functions used before the
+# numpy one, and the functions as they were written on top of it.
+
+
+def reference_validated(perm) -> list[int]:
+    seq = list(perm)
+    for v in seq:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise NotAPermutation(f"non-integer entry {v!r}")
+    if sorted(seq) != list(range(1, len(seq) + 1)):
+        raise NotAPermutation(f"expected a permutation of 1..{len(seq)}")
+    return seq
+
+
+def reference_checked_array(perm) -> np.ndarray:
+    seq = list(perm)
+    if len(seq) > COSTAS_CAP:
+        raise LimitTooLarge(f"Costas check capped at n = {COSTAS_CAP}, got n = {len(seq)}")
+    return np.asarray(reference_validated(seq), dtype=np.int64)
+
+
+def reference_is_costas(perm) -> bool:
+    return naive_is_costas(reference_checked_array(perm).tolist())
+
+
+def reference_first_collision(perm) -> tuple[int, int, int] | None:
+    return naive_first_collision(reference_checked_array(perm).tolist())
+
+
+def reference_difference_table(perm) -> list[list[int]]:
+    seq = reference_validated(perm)
+    n = len(seq)
+    return [[seq[x + k] - seq[x] for x in range(n - k)] for k in range(1, n)]
+
+
+def reference_remove_leading(perm, t: int) -> list[int]:
+    seq = reference_validated(perm)
+    n = len(seq)
+    if not 0 <= t <= n:
+        raise ValueError(f"block size {t} outside 0..{n}")
+    for x in range(1, n + 1):
+        if (x <= t) != (seq[x - 1] <= t):
+            raise BlockNotClosed(f"column {x} breaks the {t} x {t} corner block")
+    return [v - t for v in seq[t:]]

@@ -401,6 +401,13 @@ def test_worker_default(monkeypatch, capsys):
     code, out, err = run(capsys, "census", "t4", "100")
     assert code == 1 and out == ""
     assert err.startswith("census:") and err.count("\n") == 1
+    # negative is refused as --workers -3 is; 0 still means one worker
+    monkeypatch.setenv("COSTAS_THREADS", "-3")
+    code, out, err = run(capsys, "census", "t4", "100")
+    assert (code, out) == (1, "")
+    assert err == "census: COSTAS_THREADS must not be negative, got -3\n"
+    monkeypatch.setenv("COSTAS_THREADS", "0")
+    assert worker_default() == 1
     monkeypatch.delenv("COSTAS_THREADS")
     assert worker_default() == (os.cpu_count() or 1)
 

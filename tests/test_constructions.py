@@ -37,6 +37,7 @@ from costaskit.ff import (
     ZeroElement,
     affine_map,
     discrete_logs,
+    field_tables,
     is_primitive,
     make_field,
     power_table,
@@ -344,7 +345,7 @@ def test_table_conditions_match_object_arithmetic(pk, data):
     codes = st.integers(min_value=0, max_value=f.q - 1)
     a, b = data.draw(codes), data.draw(codes)
     A, B = FieldElement(f, a), FieldElement(f, b)
-    exp, logs = constructions._tables(f)
+    exp, logs = field_tables(f)
     power = lambda c, e: constructions._power(exp, logs, c, e)
 
     def failure(check, *args):

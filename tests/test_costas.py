@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from costaskit import costas
@@ -79,6 +81,57 @@ def test_first_collision_consistent(perm):
         assert 1 <= x < y <= len(perm) - k
         assert perm[x + k - 1] - perm[x - 1] == perm[y + k - 1] - perm[y - 1]
         assert not is_costas(perm)
+
+
+class _Row(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+_ODD_ENTRIES = st.sampled_from([
+    True, False, 1.0, 2.5, "1", None, _Row.ONE, _Row.TWO, np.int64(1),
+    2**63, 2**64 + 1, -(2**63) - 1, 0, -1, -7,
+])
+
+
+@st.composite
+def _validator_inputs(draw):
+    # A permutation with a few entries overwritten or appended: duplicates,
+    # out-of-range and non-integer values, and int subclasses.
+    perm = list(draw(st.integers(0, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))))
+    entry = _ODD_ENTRIES | st.integers(-2, 11)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, 63), entry), max_size=3)):
+        if perm and i % 2:
+            perm[i % len(perm)] = v
+        else:
+            perm.append(v)
+    return perm
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as e:  # NotAPermutation, LimitTooLarge, BlockNotClosed
+        return type(e), str(e)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(_validator_inputs(), permutations_st), st.integers(-1, 10))
+@example([], 0)
+@example([_Row.TWO, _Row.ONE, 3], 2)
+@example([2, 1, 2**63], 2)
+@example([0] * (COSTAS_CAP + 1), 0)
+@example(["a"] * (COSTAS_CAP + 1), 1)
+def test_validator_matches_list_reference(perm, t):
+    perm = list(perm)
+    pairs = [
+        (is_costas, oracles.reference_is_costas),
+        (first_collision, oracles.reference_first_collision),
+        (difference_table, oracles.reference_difference_table),
+    ]
+    for fn, ref in pairs:
+        assert _outcome(fn, perm) == _outcome(ref, perm), fn.__name__
+    assert _outcome(remove_leading, perm, t) == _outcome(oracles.reference_remove_leading, perm, t)
 
 
 @lru_cache(maxsize=None)

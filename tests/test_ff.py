@@ -16,13 +16,12 @@ from costaskit.ff import (
     FieldMismatch,
     FieldTooLarge,
     LimitTooLarge,
-    NotPrimitive,
     ZeroElement,
+    discrete_logs,
     factorize,
     is_prime,
     is_primitive,
     is_primitive_root,
-    log_table,
     make_field,
     pow_mod_array,
     prime_power,
@@ -253,22 +252,20 @@ def test_primitive_elements_cap():
 
 
 def test_log_table_gf11():
-    f = make_field(11)
-    table = log_table(f.element(2))
-    assert table[0] is None
-    assert table[1] == 10
+    table = discrete_logs(make_field(11), 2).tolist()
+    assert table[0] == -1
+    assert table[1] == 0
     assert table[2] == 1
     assert table[6] == 9
-    assert sorted(t for t in table if t is not None) == list(range(1, 11))
-    with pytest.raises(NotPrimitive):
-        log_table(f.element(3))
+    assert sorted(table[1:]) == list(range(10))
 
 
 def test_log_table_inverts_powers():
     f = make_field(3, 2)
     for alpha in primitive_elements(f):
-        table = log_table(alpha)
-        for i in range(1, f.q):
+        table = discrete_logs(f, alpha.rep).tolist()
+        assert table[0] == -1
+        for i in range(f.q - 1):
             assert (alpha**i).rep == [r for r, t in enumerate(table) if t == i][0]
 
 

@@ -57,9 +57,14 @@ def test_fpr_validation():
 
 def test_fpr_matches_bruteforce():
     for p in ODD_PRIMES_2K:
-        assert fpr_set(p) == oracles.brute_fprs(p), p
+        fprs = oracles.brute_fprs(p)
+        assert fpr_set(p) == fprs, p
         expected = [x for x in range(p) if (x * x - x - 1) % p == 0]
         assert fpr_candidates(p) == expected, p
+        # g4 over GF(p) by definition: the least FPR g with 1 - g primitive
+        g4 = [g for g in fprs if oracles.brute_order((1 - g) % p, p) == p - 1]
+        assert g4_witness(p) == (g4[0] if g4 else None), p
+        assert fpr_report(p).g4_applicable == bool(g4), p
 
 
 def test_candidates_exist_iff_residue_class_fits():

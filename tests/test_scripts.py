@@ -50,10 +50,23 @@ def test_trinomial_exploration(tmp_path):
         assert (tmp_path / f"trinomial_{name}.csv").read_text() == want, name
 
 
-@pytest.mark.parametrize("script", ["reproduce_theorem_densities.py", "trinomial_exploration.py"])
+SCRIPT_NAMES = ["reproduce_theorem_densities.py", "trinomial_exploration.py"]
+
+
+@pytest.mark.parametrize("script", SCRIPT_NAMES)
 def test_negative_workers_refused(script, tmp_path):
     out_dir = tmp_path / "out"
     r = _run(script, "--limit", "100", "--workers", "-2", "--out-dir", str(out_dir))
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == f"{script}: --workers must not be negative, got -2\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("script", SCRIPT_NAMES)
+def test_negative_costas_threads_refused(script, tmp_path, monkeypatch):
+    monkeypatch.setenv("COSTAS_THREADS", "-3")
+    out_dir = tmp_path / "out"
+    r = _run(script, "--limit", "100", "--out-dir", str(out_dir))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"{script}: COSTAS_THREADS must not be negative, got -3\n"
     assert not out_dir.exists()
