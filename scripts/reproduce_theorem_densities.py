@@ -26,14 +26,13 @@ def main() -> int:
     args = parser.parse_args()
     try:
         workers = worker_count(args.workers)
+        t4 = census_t4(args.limit, workers=workers)
+        g4 = census_g4(args.limit, workers=workers)
     except ValueError as e:
         sys.exit(f"{parser.prog}: {e}")
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     c = predicted_constants()
 
-    t4 = census_t4(args.limit, workers=workers)
-    g4 = census_g4(args.limit, workers=workers)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in (("census_t4.csv", t4), ("census_g4.csv", g4)):
         with open(args.out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
             write_census_csv(fh, rows)

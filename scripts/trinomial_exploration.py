@@ -37,12 +37,12 @@ def main() -> int:
     args = parser.parse_args()
     try:
         workers = worker_count(args.workers)
+        report = verify_zero_density_claims(args.limit, i_max=args.i_max)
+        censuses = {shape: trinomial_census(args.limit, e1, e2, workers=workers)
+                    for shape, (e1, e2) in SHAPES.items()}
     except ValueError as e:
         sys.exit(f"{parser.prog}: {e}")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    report = verify_zero_density_claims(args.limit, i_max=args.i_max)
     print(f"zero-density families up to {report.limit}, i <= {report.i_max}")
     for name in sorted(report.thresholds):
         bounds = ", ".join(str(t) for t in report.thresholds[name])
@@ -59,8 +59,8 @@ def main() -> int:
     print(f"  out-of-range primes skipped: {report.skipped}")
 
     print()
-    for shape, (e1, e2) in SHAPES.items():
-        census = trinomial_census(args.limit, e1, e2, workers=workers)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for shape, census in censuses.items():
         path = args.out_dir / f"trinomial_{shape}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_census_csv(fh, census.rows)

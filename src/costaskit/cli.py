@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 from .constructions import (
     ConstructionFailed,
@@ -21,24 +21,9 @@ from .constructions import (
     expected_size,
     find_spec,
 )
-from .costas import NotAPermutation, first_collision, is_costas
-from .density import (
-    CensusRow,
-    ExponentOutOfRange,
-    census_g4,
-    census_t4,
-    trinomial_census,
-)
-from .ff import (
-    DegreeOutOfRange,
-    FieldTooLarge,
-    LimitTooLarge,
-    NotPrimitive,
-    ZeroElement,
-    make_field,
-    prime_power,
-    primes_in_range,
-)
+from .costas import first_collision, is_costas
+from .density import CensusRow, census_g4, census_t4, prime_sieve, trinomial_census
+from .ff import DegreeOutOfRange, NotPrimitive, ZeroElement, make_field, prime_power
 from .fpr import fpr_report
 
 _INAPPLICABLE_REASONS = {
@@ -112,25 +97,18 @@ def _document(spec: ConstructionSpec, perm: list[int]) -> dict:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        pk = prime_power(args.q)
-        if pk is None:
-            _err(f"build: {args.q} is not a prime power")
-            return 1
-        field = make_field(*pk)
-    except (DegreeOutOfRange, FieldTooLarge, LimitTooLarge) as e:
-        _err(f"build: {e}")
-        return 1
+    pk = prime_power(args.q)
+    if pk is None:
+        raise ValueError(f"{args.q} is not a prime power")
+    field = make_field(*pk)
 
     if args.alpha is not None:
         needs_beta = args.method in ("g2", "g3", "g4c2", "g4")
         if needs_beta and args.beta is None:
-            _err(f"build: method {args.method} requires --beta")
-            return 1
+            raise ValueError(f"method {args.method} requires --beta")
         spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
     elif args.beta is not None:
-        _err("build: --beta without --alpha")
-        return 1
+        raise ValueError("--beta without --alpha")
 
     try:
         if args.alpha is None:
@@ -142,9 +120,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     except _CONDITION_ERRORS as e:
         _err(f"{args.method}: {e}")
         return 2
-    except ValueError as e:
-        _err(f"build: {e}")
-        return 1
 
     text = json.dumps(_document(spec, perm), separators=(",", ":"))
     if args.out is not None:
@@ -173,11 +148,7 @@ def _load_perm(args: argparse.Namespace) -> list[int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        hit = first_collision(_load_perm(args))
-    except (OSError, RecursionError, ValueError, json.JSONDecodeError, NotAPermutation) as e:
-        _err(f"verify: {e}")
-        return 1
+    hit = first_collision(_load_perm(args))
     if hit is None:
         print("costas")
         return 0
@@ -200,17 +171,13 @@ def _fpr_row(p: int) -> dict:
 
 def cmd_fpr(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.range is None):
-        _err("fpr: pass exactly one of P or --range A B")
-        return 1
-    try:
-        if args.p is not None:
-            rows = [_fpr_row(args.p)]
-        else:
-            lo, hi = args.range
-            rows = [_fpr_row(p) for p in primes_in_range(lo, hi + 1).tolist() if p != 2]
-    except ValueError as e:
-        _err(f"fpr: {e}")
-        return 1
+        raise ValueError("pass exactly one of P or --range A B")
+    if args.p is not None:
+        rows = [_fpr_row(args.p)]
+    else:
+        # Streamed: prime_sieve checks the cap now and sieves one segment at a time.
+        lo, hi = args.range
+        rows = map(_fpr_row, prime_sieve(hi, max(lo, 3)))
 
     if args.format == "json":
         for row in rows:
@@ -239,29 +206,24 @@ def _parse_expr(text: str) -> tuple[int, int]:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    try:
-        checkpoints = None
-        if args.checkpoints:
-            checkpoints = [int(t) for t in args.checkpoints.split(",")]
-        workers = worker_count(args.workers)
-        skipped = 0
-        if args.kind == "t4":
-            rows = census_t4(args.limit, checkpoints, workers)
-        elif args.kind == "g4":
-            rows = census_g4(args.limit, checkpoints, workers)
-        else:
-            if args.e1 is None or args.e2 is None:
-                _err("census: trinomial needs --e1 and --e2")
-                return 1
-            result = trinomial_census(
-                args.limit, _parse_expr(args.e1), _parse_expr(args.e2),
-                checkpoints, workers,
-            )
-            rows = list(result.rows)
-            skipped = result.skipped
-    except (LimitTooLarge, ExponentOutOfRange, ValueError) as e:
-        _err(f"census: {e}")
-        return 1
+    checkpoints = None
+    if args.checkpoints:
+        checkpoints = [int(t) for t in args.checkpoints.split(",")]
+    workers = worker_count(args.workers)
+    skipped = 0
+    if args.kind == "t4":
+        rows = census_t4(args.limit, checkpoints, workers)
+    elif args.kind == "g4":
+        rows = census_g4(args.limit, checkpoints, workers)
+    else:
+        if args.e1 is None or args.e2 is None:
+            raise ValueError("trinomial needs --e1 and --e2")
+        result = trinomial_census(
+            args.limit, _parse_expr(args.e1), _parse_expr(args.e2),
+            checkpoints, workers,
+        )
+        rows = list(result.rows)
+        skipped = result.skipped
 
     write_census_csv(sys.stdout, rows)
     if skipped:
@@ -308,8 +270,7 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 2 <= args.qmax <= _SWEEP_CAP:
-        _err(f"sweep: qmax must be in 2..{_SWEEP_CAP}")
-        return 1
+        raise ValueError(f"qmax must be in 2..{_SWEEP_CAP}")
     per_method, failures, skipped = run_sweep(args.qmax)
     if skipped:
         _err("sweep: skipped q over the degree cap: "
@@ -325,8 +286,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, without the usage text; the
+    subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        # Only "unrecognized arguments" quotes the user's text raw.
+        self.exit(1, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="costaskit",
         description="Costas arrays from finite-field constructions.",
     )
@@ -368,11 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_expr_flags(argv: Sequence[str]) -> list[str]:
-    # folds "--e1 -1,2" into "--e1=-1,2" so negative exponents parse
+    # folds "--e1 -1,2" into "--e1=-1,2" so negative values parse
     out = []
     it = iter(argv)
     for tok in it:
-        if tok in ("--e1", "--e2"):
+        if tok in ("--e1", "--e2", "--perm"):
             nxt = next(it, None)
             out.append(tok if nxt is None else f"{tok}={nxt}")
         else:
@@ -388,4 +358,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(_merge_expr_flags(argv))
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    return args.func(args)
+    # The one place an error becomes exit 1; cmd_build maps condition
+    # failures to exit 2 itself.
+    try:
+        return args.func(args)
+    except (OSError, RecursionError, ValueError) as e:
+        _err(f"{args.command}: {e}")
+        return 1

@@ -1,10 +1,10 @@
 """Algebraic Costas array constructions over finite fields.
 
 All constructions address columns x = 1..N and rows f(x) = 1..N. The
-exponential Welch family works directly with integers mod p; the Lempel
-and Golomb families work in an arbitrary GF(q) through discrete logs.
-Elements are integer codes, and every condition on them is read from the
-power and log tables of the field's least primitive element.
+exponential Welch family works in GF(p), the Lempel and Golomb families in
+an arbitrary GF(q), all through discrete logs. Elements are integer codes,
+and every condition on them is read from the power and log tables of the
+field's least primitive element.
 Corner-removal variants shrink a construction whose forced corner dots
 close a leading block.
 
@@ -37,10 +37,8 @@ from .ff import (
     ZeroElement,
     affine_map,
     field_tables,
-    is_primitive_root,
     least_primitive,
     make_field,
-    power_table,
     primitive_exponents,
 )
 from .fpr import g4_witness, t4_witness
@@ -143,26 +141,32 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
 
 
 def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
+    """g^i mod p for i = 1..p-1, read from the tables of GF(p)."""
     if isinstance(g, FieldElement):
         g = g.rep
-    field = make_field(p)
-    if not is_primitive_root(g, p, field.q1_factors):
+    exp, logs = field_tables(make_field(p))
+    n = p - 1
+    lg = int(logs[g % p])
+    # g = r^lg for the least primitive root r, so g generates iff gcd(lg, n) = 1.
+    if g % p == 0 or math.gcd(lg, n) != 1:
         raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-    return power_table(field, g % p)
+    i = np.arange(1, p) * lg
+    i %= n
+    return exp[i]
 
 
 def welch_w1(p: int, g: Union[int, FieldElement]) -> list[int]:
     """Exponential Welch array: f(i) = g^i mod p for i = 1..p-1."""
     if p < 3:
         raise DegenerateSize(f"exponential Welch needs p >= 3, got {p}")
-    return np.roll(_welch_powers(p, g), -1).tolist()
+    return _welch_powers(p, g).tolist()
 
 
 def welch_w2(p: int, g: Union[int, FieldElement]) -> list[int]:
     """Corner-removed Welch array: f(i) = g^i - 1 for i = 1..p-2."""
     if p < 5:
         raise DegenerateSize(f"shifted Welch needs p >= 5, got {p}")
-    return (_welch_powers(p, g)[1:] - 1).tolist()
+    return (_welch_powers(p, g)[:-1] - 1).tolist()
 
 
 def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[int]:

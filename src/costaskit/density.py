@@ -104,21 +104,21 @@ class ZeroDensityReport:
     skipped: dict
 
 
-def _segments(limit: int) -> list[tuple[int, int]]:
-    """Bounds [lo, hi) of the _CHUNK-wide segments that cover 2..limit."""
-    return [(lo, min(lo + _CHUNK, limit + 1)) for lo in range(2, limit + 1, _CHUNK)]
+def _segments(limit: int, start: int = 2) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of the _CHUNK-wide segments that cover start..limit."""
+    return [(lo, min(lo + _CHUNK, limit + 1)) for lo in range(max(start, 2), limit + 1, _CHUNK)]
 
 
-def _prime_blocks(limit: int) -> Iterator[np.ndarray]:
+def _prime_blocks(limit: int, start: int = 2) -> Iterator[np.ndarray]:
     # The cap is checked here, before the first block, not at the last one.
     if limit > SIEVE_CAP:
         raise LimitTooLarge(f"sieve limit {limit} above cap {SIEVE_CAP}")
-    return (primes_in_range(lo, hi) for lo, hi in _segments(limit))
+    return (primes_in_range(lo, hi) for lo, hi in _segments(limit, start))
 
 
-def prime_sieve(limit: int) -> Iterator[int]:
-    """All primes p <= limit, in order, as a lazy iterator."""
-    return (p for block in _prime_blocks(limit) for p in block.tolist())
+def prime_sieve(limit: int, start: int = 2) -> Iterator[int]:
+    """All primes start <= p <= limit, in order, as a lazy iterator."""
+    return (p for block in _prime_blocks(limit, start) for p in block.tolist())
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from costaskit import density
 from costaskit.cli import main, run_sweep, worker_count, worker_default
 from costaskit.costas import COSTAS_CAP
 
@@ -82,7 +84,10 @@ def test_build_condition_failure(capsys):
 
 def test_build_log_cap_before_parameters(capsys):
     # Above the log-table cap a bad parameter reads like no parameter at all.
-    for argv in (["l2", "1000003"], ["l2", "1000003", "--alpha", "4"], ["t4", "1000003", "--alpha", "4"]):
+    for argv in (
+        ["l2", "1000003"], ["l2", "1000003", "--alpha", "4"], ["t4", "1000003", "--alpha", "4"],
+        ["w1", "1000003"], ["w1", "1000003", "--alpha", "4"], ["w2", "10000019"],
+    ):
         code, out, err = run(capsys, "build", *argv)
         assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n"), argv
 
@@ -206,6 +211,17 @@ def test_fpr_range_sieve_cap(capsys):
     assert err.startswith("fpr:") and err.count("\n") == 1
 
 
+def test_fpr_range_streams_across_segments(capsys, monkeypatch):
+    # With 7-wide sieve segments the range spans dozens of them.
+    primes = oracles.simple_sieve(400)[1:]
+    rows = [run(capsys, "fpr", str(p))[1].splitlines()[-1] for p in primes]
+    monkeypatch.setattr(density, "_CHUNK", 7)
+    for lo in (-5, 100):
+        code, out, err = run(capsys, "fpr", "--range", str(lo), "399")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [r for p, r in zip(primes, rows) if p >= lo]
+
+
 def test_census_t4_csv(capsys):
     code, out, err = run(capsys, "census", "t4", "100", "--workers", "1")
     assert code == 0
@@ -247,6 +263,65 @@ def test_census_usage(capsys):
     assert run(capsys, "census", "t4", "100", "--checkpoints", "300")[0] == 1
 
 
+def _one_line(err: str) -> bool:
+    return err.endswith("\n") and len(err.splitlines()) == 1
+
+
+def _check_exit(argv):
+    """main(argv) returns 0..4, and an error leaves stdout empty and one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    if code in (1, 2):
+        assert out.getvalue() == "" and _one_line(err.getvalue()), (argv, err.getvalue())
+
+
+# Each argv exits 1 with empty stdout and one stderr line starting with the
+# text given. Argparse errors come first, then each cap at its least rejected
+# input, then two inputs that once ended in a traceback and a negative --perm.
+ONE_LINE_ERRORS = [
+    ([], "costaskit: error: the following arguments are required: command"),
+    (["build", "w1"], "costaskit build: error: the following arguments are required: q"),
+    (["build", "zz", "5"], "costaskit build: error: argument method: invalid choice: 'zz'"),
+    (["build", "w1", "5", "--alpha"], "costaskit build: error: argument --alpha: expected one argument"),
+    (["verify", "--perm"], "costaskit verify: error: argument --perm: expected one argument"),
+    (["verify", "a", "b"], "costaskit: error: unrecognized arguments: b"),
+    (["fpr", "x"], "costaskit fpr: error: argument p: invalid int value: 'x'"),
+    (["fpr", "--range", "3"], "costaskit fpr: error: argument --range: expected 2 arguments"),
+    (["fpr", "--format", "xml"], "costaskit fpr: error: argument --format: invalid choice: 'xml'"),
+    (["fpr", "-x\ny"], "costaskit: error: unrecognized arguments: -x y"),
+    (["census", "t4"], "costaskit census: error: the following arguments are required: limit"),
+    (["census", "t5", "100"], "costaskit census: error: argument kind: invalid choice: 't5'"),
+    (["census", "t4", "100", "--workers", "1.5"], "costaskit census: error: argument --workers: invalid int value: '1.5'"),
+    (["census", "t4", "100", "--e", "1"], "costaskit census: error: ambiguous option: --e could match --e1, --e2"),
+    (["sweep"], "costaskit sweep: error: the following arguments are required: qmax"),
+    (["sweep", "1e3"], "costaskit sweep: error: argument qmax: invalid int value: '1e3'"),
+    (["build", "l2", "1000003"], "build: log table capped at order 1000000"),
+    (["build", "t4", "1018081"], "build: scan over GF(1018081) exceeds cap 1000000"),
+    (["build", "w1", "128"], "build: degree 7 outside 1..6"),
+    (["build", "w1", "2147483659"], "build: field order 2147483659 exceeds 2147483648"),
+    (["build", "w1", str(65537**2)], "build: cofactor 4295098369 has no prime factor below 2^16"),
+    (["verify", "--perm", ",".join(["1"] * (COSTAS_CAP + 1))], f"verify: Costas check capped at n = {COSTAS_CAP},"),
+    (["fpr", "--range", "3", str(10**8 + 1)], "fpr: sieve limit 100000001 above cap 100000000"),
+    (["census", "t4", str(10**8 + 1)], "census: census limit 100000001 above cap 100000000"),
+    (["census", "g4", str(10**8 + 1)], "census: census limit 100000001 above cap 100000000"),
+    (["census", "trinomial", str(10**6 + 1), "--e1", "3", "--e2", "1"], "census: census limit 1000001 above cap 1000000"),
+    (["sweep", "4097"], "sweep: qmax must be in 2..4096"),
+    (["build", "w1", "2147483647"], "build: log table capped at order 1000000"),
+    (["build", "w1", "7", "--out", "{tmp}/missing/x.json"], "build: [Errno 2] No such file or directory: '{tmp}/missing/x.json'"),
+    (["verify", "--perm", "-1,2"], "verify: expected a permutation of 1..2"),
+]
+
+
+@pytest.mark.parametrize("argv, first", ONE_LINE_ERRORS)
+def test_errors_are_one_line(capsys, tmp_path, argv, first):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), argv
+    assert _one_line(err) and err.startswith(first.format(tmp=tmp_path)), (argv, err)
+
+
 _EXPR_TEXT = st.one_of(
     st.integers(-4, 6).map(str),
     st.builds("{},{}".format, st.integers(-4, 6), st.integers(-3, 3)),
@@ -274,14 +349,7 @@ def test_census_argv_never_raises(kind, limit, e1, e2, checkpoints, workers):
     for flag, value in (("--e1", e1), ("--e2", e2), ("--checkpoints", checkpoints), ("--workers", workers)):
         if value is not None:
             argv += [flag, str(value)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in range(5), argv
-
-
-def _main_quietly(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    _check_exit(argv)
 
 
 _INT_TEXT = st.one_of(
@@ -303,7 +371,7 @@ _PERM_TOKEN = st.one_of(
 @example("")
 @example(",".join(["1"] * (COSTAS_CAP + 1)))
 def test_verify_argv_never_raises(perm):
-    assert _main_quietly(["verify", "--perm", perm]) in range(5)
+    _check_exit(["verify", "--perm", perm])
 
 
 @settings(deadline=None, max_examples=120)
@@ -322,7 +390,7 @@ def test_build_argv_never_raises(method, q, alpha, beta):
     for flag, value in (("--alpha", alpha), ("--beta", beta)):
         if value is not None:
             argv += [flag, value]
-    assert _main_quietly(argv) in range(5), argv
+    _check_exit(argv)
 
 
 @settings(deadline=None, max_examples=120)
@@ -342,7 +410,7 @@ def test_fpr_argv_never_raises(p, lo_hi, fmt):
         argv += ["--range", *lo_hi]
     if fmt is not None:
         argv += ["--format", fmt]
-    assert _main_quietly(argv) in range(5), argv
+    _check_exit(argv)
 
 
 @settings(deadline=None, max_examples=60)
@@ -350,7 +418,7 @@ def test_fpr_argv_never_raises(p, lo_hi, fmt):
 @example("9" * 30)
 @example("4097")
 def test_sweep_argv_never_raises(qmax):
-    assert _main_quietly(["sweep", qmax]) in range(5)
+    _check_exit(["sweep", qmax])
 
 
 def test_sweep_small(capsys):

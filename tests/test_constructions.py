@@ -76,16 +76,21 @@ def test_welch_all_small_primes():
 
 
 def test_log_table_cap_applies_to_logs_only():
-    # 2 is a primitive root mod 1000003; Welch needs no log table
+    # 2 is a primitive root mod 1000003 and mod 999979; Welch reads the
+    # log table too, so the cap binds it as it binds Lempel and Golomb
     f = make_field(1000003)
     with pytest.raises(FieldTooLarge):
         lempel_l2(f, 2)
     with pytest.raises(FieldTooLarge):
         golomb_g2(f, 2, 2)
-    w1 = welch_w1(1000003, 2)
-    assert len(w1) == 1000002 and w1[:3] == [2, 4, 8] and w1[-1] == 1
+    with pytest.raises(FieldTooLarge):
+        welch_w1(1000003, 2)
+    with pytest.raises(FieldTooLarge):
+        welch_w2(1000003, 2)
+    w1 = welch_w1(999979, 2)
+    assert len(w1) == 999978 and w1[:3] == [2, 4, 8] and w1[-1] == 1
     assert type(w1[0]) is int
-    assert welch_w2(1000003, 2)[:3] == [1, 3, 7]
+    assert welch_w2(999979, 2)[:3] == [1, 3, 7]
 
 
 def test_lempel_pinned():

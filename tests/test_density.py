@@ -42,11 +42,16 @@ def test_prime_sieve_inclusive():
     assert list(prime_sieve(31))[-1] == 31
     assert list(prime_sieve(1)) == []
     assert list(prime_sieve(10**4)) == oracles.simple_sieve(10**4 + 1)
+    assert list(prime_sieve(30, 12)) == [13, 17, 19, 23, 29]
+    assert list(prime_sieve(13, 13)) == [13] and list(prime_sieve(30, -5))[:2] == [2, 3]
+    assert list(prime_sieve(10**4, 5000)) == [p for p in oracles.simple_sieve(10**4 + 1) if p >= 5000]
 
 
 def test_prime_sieve_cap():
     with pytest.raises(LimitTooLarge):
         prime_sieve(10**8 + 1)
+    with pytest.raises(LimitTooLarge):
+        prime_sieve(10**8 + 1, 10**8)
 
 
 def test_prime_counts():

@@ -70,3 +70,16 @@ def test_negative_costas_threads_refused(script, tmp_path, monkeypatch):
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == f"{script}: COSTAS_THREADS must not be negative, got -3\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("trinomial_exploration.py", ["--limit", "200000"], "limit 200000 above cap 100000"),
+    ("trinomial_exploration.py", ["--i-max", "11"], "i_max must be in 1..10"),
+    ("reproduce_theorem_densities.py", ["--limit", "1000000000"], "census limit 1000000000 above cap 100000000"),
+])
+def test_library_errors_refused(script, args, message, tmp_path):
+    out_dir = tmp_path / "out"
+    r = _run(script, *args, "--workers", "1", "--out-dir", str(out_dir))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"{script}: {message}\n"
+    assert not out_dir.exists()
