@@ -362,6 +362,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # failures to exit 2 itself.
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout: stop quietly, and let the exit flush go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, RecursionError, ValueError) as e:
         _err(f"{args.command}: {e}")
         return 1

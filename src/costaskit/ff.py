@@ -34,10 +34,6 @@ class FieldTooLarge(ValueError):
     """The field order exceeds the cap for this operation."""
 
 
-class NoIrreducibleFound(ValueError):
-    """The modulus search exhausted all candidates (unreachable for valid input)."""
-
-
 class FieldMismatch(ValueError):
     """Elements of distinct fields were combined."""
 
@@ -71,7 +67,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for any n the package handles."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -114,7 +110,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
 _TRIAL_PRIMES = primes_in_range(2, 1 << 16).tolist()
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, multiplicity), ...) ascending.
 
@@ -142,12 +138,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """Return (p, k) with q = p^k and p prime, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    fs = factorize(q)
-    if len(fs) != 1:
-        return None
-    return fs[0]
+    fs = factorize(q) if q >= 2 else ()
+    return fs[0] if len(fs) == 1 else None
 
 
 def _decode(p: int, k: int, rep: int) -> list[int]:
@@ -188,14 +180,10 @@ def _poly_rem_is_zero(dividend: Sequence[int], divisor: Sequence[int], p: int) -
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int, k: int) -> bool:
-    if coeffs[0] == 0:
-        return k == 1
     if _poly_has_root(coeffs, p):
         return k == 1
-    if k <= 3:
-        return True
-    # Degrees 4..6: a factorization with no linear part forces a monic
-    # divisor of degree 2..k//2.
+    # A factorization with no linear part forces a monic divisor of degree
+    # 2..k//2, a range that is empty up to degree 3.
     for d in range(2, k // 2 + 1):
         for t in range(p**d):
             divisor = _decode(p, d, t) + [1]
@@ -215,8 +203,6 @@ class FieldDescriptor:
     q1_factors: tuple[tuple[int, int], ...]
 
     def element(self, rep: int) -> "FieldElement":
-        if not 0 <= rep < self.q:
-            raise ValueError(f"element code {rep} outside [0, {self.q})")
         return FieldElement(self, rep)
 
     @property
@@ -242,13 +228,9 @@ def _make_field_cached(p: int, k: int) -> FieldDescriptor:
         raise FieldTooLarge(f"field order {q} exceeds {_MAX_ORDER}")
     modulus: Optional[tuple[int, ...]] = None
     if k > 1:
-        for t in range(q):
-            coeffs = _decode(p, k, t) + [1]
-            if _is_irreducible(coeffs, p, k):
-                modulus = tuple(coeffs)
-                break
-        else:
-            raise NoIrreducibleFound(f"no monic irreducible of degree {k} over GF({p})")
+        # Every degree has a monic irreducible, so the search always ends.
+        candidates = (_decode(p, k, t) + [1] for t in range(q))
+        modulus = next(tuple(c) for c in candidates if _is_irreducible(c, p, k))
     return FieldDescriptor(p=p, k=k, q=q, modulus=modulus, q1_factors=factorize(q - 1))
 
 
@@ -424,8 +406,8 @@ def is_primitive(a: FieldElement) -> bool:
 @lru_cache(maxsize=4096)
 def least_primitive(field: FieldDescriptor) -> int:
     """Code of the least primitive element of the field."""
-    if field.k == 1:
-        return smallest_primitive_root(field.p)
+    if field.k == 1 and field.p > 2:
+        return _least_root(field.p, field.q1_factors)
     return next(r for r in range(1, field.q) if is_primitive(FieldElement(field, r)))
 
 
@@ -467,13 +449,17 @@ def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
     return out
 
 
+def _check_log_table(q: int) -> None:
+    if q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
+
+
 def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
     """logs[code] = i where code = base^i, 0 <= i <= q-2, for a primitive base.
 
     Slot 0 holds -1. Capped at order 10^6.
     """
-    if field.q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
+    _check_log_table(field.q)
     logs = np.full(field.q, -1, dtype=np.int64)
     logs[power_table(field, base)] = np.arange(field.q - 1)
     return logs
@@ -525,21 +511,19 @@ def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:
         return (0,)
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return tuple(sorted((r, p - r)))
-    # Tonelli-Shanks for p = 1 (mod 4).
+    # Tonelli-Shanks, p - 1 = s * 2^e with s odd; p = 3 (mod 4) gives e = 1 and b = 1.
     s = p - 1
     e = 0
     while s % 2 == 0:
         s //= 2
         e += 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
     x = pow(a, (s + 1) // 2, p)
     b = pow(a, s, p)
-    g = pow(n, s, p)
+    if b != 1:
+        n = 2
+        while pow(n, (p - 1) // 2, p) != p - 1:
+            n += 1
+        g = pow(n, s, p)
     r = e
     while b != 1:
         t = b
@@ -555,22 +539,16 @@ def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:
     return tuple(sorted((x, p - x)))
 
 
-def is_primitive_root(a: int, p: int, p1_factors: Optional[tuple[tuple[int, int], ...]] = None) -> bool:
-    """True iff a generates the units mod prime p. Factors of p-1 may be supplied."""
+def is_primitive_root(a: int, p: int) -> bool:
+    """True iff a generates the units mod prime p."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    if p1_factors is None:
-        p1_factors = factorize(p - 1)
-    return _is_primitive_root_unchecked(a, p, p1_factors)
+    return _is_primitive_root_unchecked(a, p, factorize(p - 1))
 
 
 def _is_primitive_root_unchecked(a: int, p: int, p1_factors: tuple[tuple[int, int], ...]) -> bool:
     # For loops over candidates whose caller has already proved p prime.
-    a %= p
-    if a == 0:
-        return False
-    p1 = p - 1
-    return all(pow(a, p1 // f, p) != 1 for f, _ in p1_factors)
+    return a % p != 0 and all(pow(a, (p - 1) // f, p) != 1 for f, _ in p1_factors)
 
 
 def smallest_primitive_root(p: int) -> int:

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .ff import (
-    _PRIMITIVE_SCAN_CAP,
-    FieldTooLarge,
+    _check_log_table,
     _is_primitive_root_unchecked,
     affine_map,
     factorize,
@@ -135,8 +134,7 @@ def _table_roots(p: int, k: int, b: int) -> list[tuple[int, bool]]:
     Read from the power and log tables of the least primitive element g; the
     order cap is checked before make_field, whose modulus search is slow.
     """
-    if p**k > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"scan over GF({p**k}) exceeds cap {_PRIMITIVE_SCAN_CAP}")
+    _check_log_table(p**k)
     f = make_field(p, k)
     exp, logs = field_tables(f)
     n = f.q - 1

@@ -22,6 +22,7 @@ from costaskit.ff import (
     is_prime,
     is_primitive,
     is_primitive_root,
+    least_primitive,
     make_field,
     pow_mod_array,
     prime_power,
@@ -93,7 +94,10 @@ def test_make_field_moduli_pinned():
     assert make_field(7).modulus is None
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+@pytest.mark.parametrize("p,k", [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+    (5, 2), (5, 3), (5, 4), (7, 2), (11, 2), (13, 2),
+])
 def test_make_field_modulus_matches_bruteforce(p, k):
     assert make_field(p, k).modulus == oracles.smallest_irreducible_bruteforce(p, k)
 
@@ -270,7 +274,8 @@ def test_log_table_inverts_powers():
 
 
 def test_sqrt_mod_p_matches_brute():
-    for p in [3, 5, 7, 11, 13, 17, 29, 41, 97]:
+    # The primes 3 mod 4 (3, 7, 11, 19, 23, 31, 43, 47) run Tonelli-Shanks with e = 1.
+    for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 97]:
         for a in range(p):
             got = sqrt_mod_p(a, p)
             want = oracles.brute_sqrts(a, p)
@@ -298,6 +303,7 @@ def test_primitive_roots_mod_p():
         for a in range(1, p):
             assert is_primitive_root(a, p) == (a in roots)
         assert smallest_primitive_root(p) == min(roots)
+        assert least_primitive(make_field(p)) == min(roots)
     assert not is_primitive_root(0, 5)
     assert not is_primitive_root(10, 5)
     with pytest.raises(ValueError):

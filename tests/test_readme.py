@@ -1,0 +1,45 @@
+"""README's work-cap table names every cap constant with its enforced value."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from costaskit import cli, costas, density, ff
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+MODULES = {"cli": cli, "costas": costas, "density": density, "ff": ff}
+
+# (constant, README phrase); the phrase ends in the value as n or b^e.
+CAPS = [
+    ("ff.SIEVE_CAP", "`ff.SIEVE_CAP = 10^8`"),
+    ("density._TRINOMIAL_CAP", "`density._TRINOMIAL_CAP = 10^6`"),
+    ("density._VERIFY_CAP", "`density._VERIFY_CAP = 10^5`"),
+    ("density._I_MAX_CAP", "`density._I_MAX_CAP = 10`"),
+    ("ff._PRIMITIVE_SCAN_CAP", "`ff._PRIMITIVE_SCAN_CAP = 10^6`"),
+    ("costas.COSTAS_CAP", "`costas.COSTAS_CAP = 10^5`"),
+    ("costas._ENUM_CAP", "`costas._ENUM_CAP = 8`"),
+    ("cli._SWEEP_CAP", "`cli._SWEEP_CAP = 4096`"),
+    ("ff._MAX_DEGREE", "`ff._MAX_DEGREE = 6`"),
+    ("ff._MAX_ORDER", "`ff._MAX_ORDER = 2^31`"),
+]
+
+
+@pytest.mark.parametrize("constant, phrase", CAPS)
+def test_readme_states_cap(constant, phrase):
+    assert phrase in README
+    module, name = constant.split(".")
+    base, _, exp = phrase.strip("`").rpartition(" = ")[2].partition("^")
+    assert getattr(MODULES[module], name) == int(base) ** int(exp or 1)
+
+
+def test_every_cap_constant_is_in_the_table():
+    caps = {
+        f"{path.stem}.{name}"
+        for path in Path(ff.__file__).parent.glob("*.py")
+        for name in re.findall(r"^(\w+_CAP) = ", path.read_text(encoding="utf-8"), re.M)
+    }
+    assert caps | {"ff._MAX_DEGREE", "ff._MAX_ORDER"} == {c for c, _ in CAPS}
