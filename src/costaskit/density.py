@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Union
 
@@ -36,8 +36,13 @@ _I_MAX_CAP = 10
 _ARTIN_BOUND = 10**6
 # Primes are sieved, and censuses split into tasks, in segments this wide.
 _CHUNK = 1 << 17
+# The fold-root kernel decides a prime of a degree-d fold when
+# _ROOT_COST * d^2 * log2(p) < p: its O(d^2 log p) cost against the
+# exhaustive scan's O(p), with the constant fitted to measured crossovers.
+_ROOT_COST = 1.5
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class ExponentOutOfRange(ValueError):
@@ -54,10 +59,29 @@ class ExpExpr:
     def evaluate(self, p):
         return self.c + self.h * ((p - 1) // 2)
 
+    @cached_property
+    def _half_bounds(self) -> tuple[int, int]:
+        # With t = (p - 1)/2 the two bounds read h t >= 1 - c and
+        # (2 - h) t >= 1 + c, so the admissible t form one interval.
+        lo, hi = 0, _I64_MAX
+        for a, b in ((self.h, 1 - self.c), (2 - self.h, 1 + self.c)):
+            if a > 0:
+                lo = max(lo, -(-b // a))
+            elif a < 0:
+                hi = min(hi, b // a)
+            elif b > 0:
+                lo, hi = 1, 0
+        return min(lo, _I64_MAX), max(hi, _I64_MIN)
+
     def in_range(self, p):
-        """Whether the exponent lies in [1, p - 2]; element-wise for an array p."""
-        v = self.evaluate(p)
-        return (1 <= v) & (v <= p - 2)
+        """Whether the exponent lies in [1, p - 2] at a prime p; element-wise for an int64 array.
+
+        The interval of t = (p - 1)/2 where it does is found once in Python
+        ints and clamped to int64, so any c and h compare exactly against t.
+        """
+        lo, hi = self._half_bounds
+        t = (p - 1) // 2
+        return (lo <= t) & (t <= hi)
 
 
 ExprLike = Union[ExpExpr, tuple, int]
@@ -328,48 +352,203 @@ def _folded_coeffs(e1: ExpExpr, e2: ExpExpr) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k + shift, v) for k, v in coeffs.items()))
 
 
+def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
+    """Roots mod p of c2 x^2 + c1 x + c0 as a (2, N) array, 0 where there is none.
+
+    The coefficients broadcast against the 1-D odd primes p, and c2 and c1
+    must not both vanish mod p. Where c2 = 0 both rows hold -c0/c1;
+    otherwise they hold (-c1 +- sqrt(disc))/(2 c2), and a non-residue
+    discriminant leaves them 0. A root 0 is never primitive either, so
+    the rows can go to primitive_root_mask as they are.
+    """
+    c0, c1, c2 = (np.broadcast_to(c, p.shape) % p for c in (c0, c1, c2))
+    quad = c2 != 0
+    r = np.zeros_like(p)
+    disc = c1 * c1 - 4 * (c0 * c2 % p)
+    r[quad] = sqrt_mod_array(disc[quad] % p[quad], p[quad])
+    roots = np.zeros((2, p.size), dtype=np.int64)
+    solve = np.flatnonzero(r >= 0)
+    ps, r, sq = p[solve], r[solve], quad[solve]
+    num = np.where(sq, -c1[solve], -c0[solve]) % ps
+    inv = pow_mod_array(np.where(sq, 2 * c2[solve], c1[solve]) % ps, ps - 2, ps)
+    roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
+    return roots
+
+
 def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> Optional[np.ndarray]:
     """Mask of odd primes where the folded polynomial has a primitive root.
 
     None when the degree is above 2. A polynomial that vanishes mod p is
-    satisfied by every primitive root. Otherwise the candidate roots are
-    -c0/c1 when c2 = 0 mod p and (-c1 +- sqrt(disc))/(2 c2) otherwise;
-    a root 0 is never primitive.
+    satisfied by every primitive root; otherwise the at most two roots
+    from `_quadratic_roots` are tested.
     """
     if coeffs and max(k for k, _ in coeffs) > 2:
         return None
     c0, c1, c2 = (dict(coeffs).get(k, 0) for k in range(3))
     p = np.asarray(primes, dtype=np.int64).reshape(-1)
-    quad = c2 % p != 0
-    lin = ~quad & (c1 % p != 0)
-    hit = ~quad & ~lin & (c0 % p == 0)
-
-    r = np.zeros_like(p)
-    r[quad] = sqrt_mod_array((c1 * c1 - 4 * c0 * c2) % p[quad], p[quad])
-    solve = np.flatnonzero((quad | lin) & (r >= 0))
-    ps, r, sq = p[solve], r[solve], quad[solve]
-    num = np.where(sq, -c1, -c0) % ps
-    inv = pow_mod_array(np.where(sq, 2 * c2, c1) % ps, ps - 2, ps)
-    roots = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
-    hit[solve] = primitive_root_mask(roots, ps).any(axis=0)
+    zero = (c2 % p == 0) & (c1 % p == 0)
+    hit = zero & (c0 % p == 0)
+    solve = np.flatnonzero(~zero)
+    roots = _quadratic_roots(c0, c1, c2, p[solve])
+    some = roots.any(axis=0)
+    solve, roots = solve[some], roots[:, some]
+    hit[solve] = primitive_root_mask(roots, p[solve]).any(axis=0)
     return hit.reshape(np.shape(primes))
 
 
+def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Mask of the primes the fold-root kernel decides; the rest take the scan.
+
+    The kernel needs p > 2d and a unit leading coefficient, and pays
+    O(d^2 log p) per prime against the scan's O(p). Only the degree is
+    read, so a fold of any degree is routed before anything of size d
+    is allocated.
+    """
+    d, lead = coeffs[-1]
+    d = float(d)
+    return (primes > 2 * d) & (lead % primes != 0) & (primes > _ROOT_COST * d * d * np.log2(primes))
+
+
+def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod (x^k + f) row by row, coefficients low to high.
+
+    a, b and f are (N, k) arrays of residues mod the (N, 1) primes p; f
+    holds the low coefficients of a monic modulus. Each product of two
+    residues is reduced before it is summed, so int64 stays exact for
+    p < 2^31.
+    """
+    k = f.shape[1]
+    acc = np.zeros((f.shape[0], 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        acc[:, i:i + k] += a[:, i:i + 1] * b % p
+    for j in range(2 * k - 2, k - 1, -1):
+        acc[:, j - k:j] -= acc[:, j:j + 1] % p * f % p
+    return acc[:, :k] % p
+
+
+def _poly_powmod(delta: int, e: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(x + delta)^e mod (x^k + f) row by row, by left-to-right square-and-multiply."""
+    r = np.zeros_like(f)
+    r[:, 0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = _poly_mulmod(r, r, f, p)
+        # times x + delta: shift up one place and fold x^k back in
+        step = r * delta
+        step[:, 1:] += r[:, :-1]
+        step = (step - r[:, -1:] * f % p) % p
+        r = np.where((e >> bit & 1 == 1)[:, None], step, r)
+    return r
+
+
+def _strip_x(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their largest power of x, and their degrees (-1 for 0)."""
+    w = a.shape[1]
+    nz = a != 0
+    low = nz.argmax(axis=1)
+    cols = low[:, None] + np.arange(w)
+    a = np.where(cols < w, np.take_along_axis(a, np.minimum(cols, w - 1), axis=1), 0)
+    deg = np.where(nz.any(axis=1), w - 1 - nz[:, ::-1].argmax(axis=1) - low, -1)
+    return a, deg
+
+
+def _poly_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd of each pair of rows of a and b, up to a unit and a power of x, with its degree.
+
+    Euclid from the low end: while b(0) != 0, b(0) a - a(0) b has the
+    same gcd with b and vanishes at 0, so it is divided by x. Each step
+    lowers the degree of a by at least one, a swap keeps the larger degree
+    in a, and a is the gcd once b is 0.
+    """
+    (a, da), (b, db) = _strip_x(a), _strip_x(b)
+    while True:
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = np.flatnonzero(db >= 0)
+        if not live.size:
+            return a, da
+        al, bl = a[live], b[live]
+        a[live], da[live] = _strip_x((bl[:, :1] * al - al[:, :1] * bl) % p[live])
+
+
+def _monic(g: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
+    """The k + 1 low coefficients of each row of degree k, made monic."""
+    return g[:, :k + 1] * pow_mod_array(g[:, k], p[:, 0] - 2, p[:, 0])[:, None] % p
+
+
+def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Mask of the primes where the folded polynomial f of degree d >= 3 has a primitive root.
+
+    For a nonempty array of primes `_root_route` accepts. The roots of f
+    in GF(p)* are those of g = gcd(f, x^(p-1) - 1). A piece of degree 3
+    or more is split into its gcds with (x + delta)^((p-1)/2) - 1,
+    (x + delta)^((p-1)/2) + 1 and x + delta, for delta = 0, 1, 2, ... in
+    turn (equal-degree splitting: Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.6.1), until every piece has degree 1
+    or 2. One `_quadratic_roots` call solves those, and one
+    primitive_root_mask call tests every candidate.
+    """
+    n, d = primes.size, coeffs[-1][0]
+    p = primes.astype(np.int64)[:, None]
+    f = np.zeros((n, d + 1), dtype=np.int64)
+    for k, v in coeffs:
+        f[:, k:k + 1] = v % p
+    f = _monic(f, d, p)
+    power = np.hstack([_poly_powmod(0, p[:, 0] - 1, f[:, :d], p), 0 * p])
+    g, dg = _poly_gcd(f, (power - np.eye(1, d + 1, dtype=np.int64)) % p, p)
+    own = np.arange(n)
+    small, at = [], []
+    delta = 0
+    while True:
+        parts = []
+        for k in np.unique(dg[dg > 0]).tolist():
+            sel = np.flatnonzero(dg == k)
+            own_k, pk = own[sel], p[own[sel]]
+            g_k = _monic(g[sel], k, pk)
+            if k <= 2:
+                small.append(np.pad(g_k, ((0, 0), (0, 2 - k))))
+                at.append(own_k)
+                continue
+            power = np.hstack([_poly_powmod(delta, (pk[:, 0] - 1) // 2, g_k[:, :k], pk), 0 * pk])
+            one, x = np.eye(2, k + 1, dtype=np.int64)
+            for b in (power - one, power + one, np.broadcast_to(x + delta * one, power.shape)):
+                parts.append((*_poly_gcd(g_k, b % pk, pk), own_k))
+        if not parts:
+            break
+        g = np.concatenate([np.pad(q, ((0, 0), (0, d + 1 - q.shape[1]))) for q, _, _ in parts])
+        dg = np.concatenate([dq for _, dq, _ in parts])
+        own = np.concatenate([oq for _, _, oq in parts])
+        delta += 1
+    hit = np.zeros(n, dtype=bool)
+    if small:
+        c, at = np.concatenate(small), np.concatenate(at)
+        roots = _quadratic_roots(c[:, 0], c[:, 1], c[:, 2], primes[at])
+        hit[np.tile(at, 2)[primitive_root_mask(roots.ravel(), np.tile(primes[at], 2))]] = True
+    return hit
+
+
 def _trinomial_predicate(primes: np.ndarray, e1: ExpExpr, e2: ExpExpr) -> tuple[np.ndarray, np.ndarray]:
-    """Hit and skipped masks; a prime where an exponent leaves [1, p - 2] is skipped."""
-    # Object dtype keeps the exponent arithmetic exact for any size of c and h.
-    big = primes.astype(object)
-    skip = ~(e1.in_range(big) & e2.in_range(big)).astype(bool)
-    live = np.flatnonzero(~skip)
-    hit = np.zeros(primes.shape, dtype=bool)
-    fast = _fast_exists(primes[live], _folded_coeffs(e1, e2))
+    """Hit and skipped masks; a prime where an exponent leaves [1, p - 2] is skipped.
+
+    Folds of degree at most 2 take the closed form. Higher folds take the
+    fold-root kernel where `_root_route` finds it cheaper than the
+    exhaustive scan, and the scan elsewhere.
+    """
+    skip = ~(e1.in_range(primes) & e2.in_range(primes))
+    live = primes[~skip]
+    coeffs = _folded_coeffs(e1, e2)
+    fast = _fast_exists(live, coeffs)
     if fast is None:
-        # Degree above 2: the exhaustive scan, O(p) per prime anyway.
-        fast = [
+        kernel = _root_route(live, coeffs)
+        fast = np.zeros(live.shape, dtype=bool)
+        if kernel.any():
+            fast[kernel] = _fold_roots_exist(live[kernel], coeffs)
+        fast[~kernel] = [
             _witness_rows(p, [(e1.evaluate(p), e2.evaluate(p))])[0].size > 0
-            for p in primes[live].tolist()
+            for p in live[~kernel].tolist()
         ]
-    hit[live] = fast
+    hit = np.zeros(primes.shape, dtype=bool)
+    hit[~skip] = fast
     return hit, skip
 
 
@@ -398,8 +577,10 @@ def trinomial_census(
 
     Primes where either exponent leaves [1, p - 2] are skipped and
     reported in the skipped field rather than wrapped into range. Families
-    that do not fold to degree at most 2 fall back to the exhaustive scan
-    per prime, which is impractical near the cap.
+    that fold to degree at most 2 are decided by a closed form, higher
+    folds by batched root-finding mod p, at O(d^2 log p) per prime; the
+    primes where that costs more than the O(p) exhaustive scan, and those
+    with p <= 2d, take the scan.
     """
     x1, x2 = _as_expr(e1), _as_expr(e2)
     predicate = partial(_trinomial_predicate, e1=x1, e2=x2)

@@ -114,6 +114,13 @@ def brute_fprs(p: int) -> list[int]:
     return [g for g in roots if brute_order(g, p) == p - 1]
 
 
+def brute_fold_primitive_roots(p: int, coeffs: tuple[tuple[int, int], ...]) -> list[int]:
+    """Primitive roots g mod p with sum(v * g^k) = 0 over the (k, v) pairs: the
+    roots by exhaustive evaluation, then their order by repeated multiplication."""
+    roots = [g for g in range(1, p) if sum(v * pow(g, k, p) for k, v in coeffs) % p == 0]
+    return [g for g in roots if brute_order(g, p) == p - 1]
+
+
 def brute_trinomial_witnesses(p: int, a: int, b: int) -> list[int]:
     """Primitive roots g mod p with g^a + g^b = 1, checked one residue at a time."""
     return [g for g in brute_primitive_roots(p) if (pow(g, a, p) + pow(g, b, p)) % p == 1]

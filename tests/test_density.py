@@ -8,6 +8,7 @@ from functools import lru_cache
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -191,9 +192,14 @@ _FAMILIES = {
     "1/2,1": ((1, 0), (2, 1)),
     # in range only at p = 11, and far outside int64 everywhere
     "huge": ((3 - 5 * 2**62, 2**62), (1, 0)),
-    # degree 3 after folding: the exhaustive scan
+    # degrees 3, 4 and 5 after folding: the fold-root kernel above p = 2d
     "3/1": ((3, 0), (1, 0)),
     "3,1/1,1": ((3, 1), (1, 1)),
+    "4/1": ((4, 0), (1, 0)),
+    "5,1/2": ((5, 1), (2, 0)),
+    # degree 16: the exhaustive scan below the routing crossover near 4700,
+    # the kernel above it
+    "16/1": ((16, 0), (1, 0)),
 }
 
 
@@ -236,6 +242,18 @@ def test_expexpr():
     assert e.in_range(11)
     assert not ExpExpr(2).in_range(3)
     assert ExpExpr(-1, 2).evaluate(11) == 9
+
+
+def test_in_range_exact_for_arrays_and_scalars():
+    # one interval test in int64, exact however large c and h are
+    primes = oracles.simple_sieve(1000)
+    cases = [(c, h) for c in range(-9, 10) for h in range(-4, 5)] + [
+        (3 - 5 * 2**62, 2**62), (2**70, -2**68), (-2**70, 2**66), (2**64, 0), (1, 2**63), (-2**65, 2),
+    ]
+    for e in (ExpExpr(c, h) for c, h in cases):
+        expected = [1 <= e.evaluate(p) <= p - 2 for p in primes]
+        assert e.in_range(np.array(primes, dtype=np.int64)).tolist() == expected, e
+        assert [e.in_range(p) for p in primes] == expected, e
 
 
 def test_trinomial_witnesses_pinned():
@@ -308,6 +326,60 @@ def test_fpr_pattern_matches_fpr_set():
         if p < 5:
             continue
         assert exists_primitive_trinomial(p, (2, 0), (1, 1)) == bool(fpr_set(p)), p
+
+
+_SMALL_PRIMES = [q for q in oracles.simple_sieve(2000) if q > 2]
+
+
+@st.composite
+def _fold_and_prime(draw):
+    d = draw(st.integers(3, 6))
+    low = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    coeffs = tuple((k, v) for k, v in enumerate(low) if v) + ((d, lead),)
+    return coeffs, draw(st.sampled_from(_SMALL_PRIMES))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_fold_and_prime())
+# (x - 1)(x - 2)(x - 3) splits fully at 13, so the splitting loop runs
+@example((((0, -6), (1, 11), (2, -6), (3, 1)), 13))
+# roots -2, 6, 8 at 37 share their character at delta = 0 and 1, so
+# delta = 2 splits off -2, the one primitive root, as the factor x + 2
+@example((((0, -15), (1, -17), (2, -12), (3, 1)), 37))
+# (x - 2)^2 (x - 6) at 11: a repeated root, and 2 is primitive mod 11
+@example((((0, -24), (1, 28), (2, -10), (3, 1)), 11))
+# x (x^2 - x - 1): a root at 0 beside the FPRs of 11
+@example((((1, -1), (2, -1), (3, 1)), 11))
+# the least prime above 2d
+@example((((0, -1), (1, 1), (3, 1)), 7))
+# a degree-6 fold at 401 routes to the scan by cost; the kernel still agrees
+@example((((0, -1), (1, 1), (6, 1)), 401))
+def test_fold_root_kernel_matches_bruteforce(case):
+    coeffs, p = case
+    d, lead = coeffs[-1]
+    primes = np.array([p], dtype=np.int64)
+    if p <= 2 * d or lead % p == 0:
+        assert not density._root_route(primes, coeffs)[0]
+        return
+    expected = bool(oracles.brute_fold_primitive_roots(p, coeffs))
+    assert density._fold_roots_exist(primes, coeffs).tolist() == [expected], case
+
+
+def test_root_route():
+    cubic = _folded_coeffs(ExpExpr(3), ExpExpr(1))
+    # p <= 2d, then the cubic's crossover between 83 and 89
+    primes = np.array([3, 5, 83, 89, 10007], dtype=np.int64)
+    assert density._root_route(primes, cubic).tolist() == [False, False, False, True, True]
+    assert not density._root_route(np.array([401]), ((0, -1), (1, 1), (6, 1)))[0]
+    # a leading coefficient that vanishes mod p
+    assert not density._root_route(np.array([10007]), ((0, 1), (3, 10007)))[0]
+    # only the degree is read: a fold of degree about 5 * 2^62 routes every prime to the scan
+    huge = _folded_coeffs(*(ExpExpr(*e) for e in _FAMILIES["huge"]))
+    assert not density._root_route(np.array(oracles.simple_sieve(10**4)), huge).any()
+    # degree 40: the crossover lies between 3e4 and 4e4
+    d40 = _folded_coeffs(ExpExpr(40), ExpExpr(1))
+    assert density._root_route(np.array([30011, 40009]), d40).tolist() == [False, True]
 
 
 def test_folded_coeffs():
