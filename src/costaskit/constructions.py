@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .costas import _drop_corner
 from .ff import (
     FieldDescriptor,
-    FieldElement,
-    FieldMismatch,
     NotPrimitive,
     ZeroElement,
     affine_map,
@@ -92,11 +90,7 @@ class ConstructionSpec:
     beta: Optional[int] = None
 
 
-def _code(field: FieldDescriptor, x: Union[FieldElement, int]) -> int:
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise FieldMismatch(f"{x!r} does not belong to {field!r}")
-        return x.rep
+def _code(field: FieldDescriptor, x: int) -> int:
     if not 0 <= x < field.q:
         raise ValueError(f"element code {x} outside [0, {field.q})")
     return x
@@ -140,10 +134,8 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
     return out
 
 
-def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
+def _welch_powers(p: int, g: int) -> np.ndarray:
     """g^i mod p for i = 1..p-1, read from the tables of GF(p)."""
-    if isinstance(g, FieldElement):
-        g = g.rep
     exp, logs = field_tables(make_field(p))
     n = p - 1
     lg = int(logs[g % p])
@@ -155,21 +147,21 @@ def _welch_powers(p: int, g: Union[int, FieldElement]) -> np.ndarray:
     return exp[i]
 
 
-def welch_w1(p: int, g: Union[int, FieldElement]) -> list[int]:
+def welch_w1(p: int, g: int) -> list[int]:
     """Exponential Welch array: f(i) = g^i mod p for i = 1..p-1."""
     if p < 3:
         raise DegenerateSize(f"exponential Welch needs p >= 3, got {p}")
     return _welch_powers(p, g).tolist()
 
 
-def welch_w2(p: int, g: Union[int, FieldElement]) -> list[int]:
+def welch_w2(p: int, g: int) -> list[int]:
     """Corner-removed Welch array: f(i) = g^i - 1 for i = 1..p-2."""
     if p < 5:
         raise DegenerateSize(f"shifted Welch needs p >= 5, got {p}")
     return (_welch_powers(p, g)[:-1] - 1).tolist()
 
 
-def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[int]:
+def lempel_l2(field: FieldDescriptor, alpha: int) -> list[int]:
     """Lempel array: f(i) = log_alpha(1 - alpha^i) for i = 1..q-2.
 
     The output is symmetric: f(i) = j implies f(j) = i.
@@ -179,21 +171,13 @@ def lempel_l2(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
     return golomb_g2(field, alpha, alpha)
 
 
-def golomb_g2(
-    field: FieldDescriptor,
-    alpha: Union[FieldElement, int],
-    beta: Union[FieldElement, int],
-) -> list[int]:
+def golomb_g2(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Golomb array: f(i) = log_beta(1 - alpha^i) for i = 1..q-2."""
     exp, logs = field_tables(field)
     return _golomb(field, exp, logs, _code(field, alpha), _code(field, beta)).tolist()
 
 
-def golomb_g3(
-    field: FieldDescriptor,
-    alpha: Union[FieldElement, int],
-    beta: Union[FieldElement, int],
-) -> list[int]:
+def golomb_g3(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Golomb array with the forced (1,1) corner dot removed, size q - 3."""
     exp, logs = field_tables(field)
     a, b = _code(field, alpha), _code(field, beta)
@@ -201,11 +185,7 @@ def golomb_g3(
     return _drop_corner(_golomb(field, exp, logs, a, b), 1).tolist()
 
 
-def golomb_g4_char2(
-    field: FieldDescriptor,
-    alpha: Union[FieldElement, int],
-    beta: Union[FieldElement, int],
-) -> list[int]:
+def golomb_g4_char2(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Characteristic-2 Golomb array with the (1,1) and (2,2) dots removed."""
     if field.p != 2:
         raise WrongCharacteristic(f"characteristic 2 required, got {field.p}")
@@ -217,7 +197,7 @@ def golomb_g4_char2(
     return _drop_corner(_golomb(field, exp, logs, a, b), 2).tolist()
 
 
-def taylor_t4(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[int]:
+def taylor_t4(field: FieldDescriptor, alpha: int) -> list[int]:
     """Lempel array with the (1,2) and (2,1) dots removed, size q - 4.
 
     Requires alpha^2 + alpha = 1, which forces exactly those two dots.
@@ -228,11 +208,7 @@ def taylor_t4(field: FieldDescriptor, alpha: Union[FieldElement, int]) -> list[i
     return _drop_corner(_golomb(field, exp, logs, a, a), 2).tolist()
 
 
-def golomb_g4(
-    field: FieldDescriptor,
-    alpha: Union[FieldElement, int],
-    beta: Union[FieldElement, int],
-) -> list[int]:
+def golomb_g4(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Golomb array with the corner dot and an edge dot removed, size q - 4.
 
     Requires alpha + beta = 1 and alpha^2 + 1/beta = 1. The first equation

@@ -21,6 +21,9 @@ from .ff import (
     LimitTooLarge,
     _least_root,
     _make_field_cached,
+    _monic,
+    _poly_gcd,
+    _poly_powmod,
     make_field,
     pow_mod_array,
     power_table,
@@ -407,73 +410,6 @@ def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.n
     d, lead = coeffs[-1]
     d = float(d)
     return (primes > 2 * d) & (lead % primes != 0) & (primes > _ROOT_COST * d * d * np.log2(primes))
-
-
-def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod (x^k + f) row by row, coefficients low to high.
-
-    a, b and f are (N, k) arrays of residues mod the (N, 1) primes p; f
-    holds the low coefficients of a monic modulus. Each product of two
-    residues is reduced before it is summed, so int64 stays exact for
-    p < 2^31.
-    """
-    k = f.shape[1]
-    acc = np.zeros((f.shape[0], 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        acc[:, i:i + k] += a[:, i:i + 1] * b % p
-    for j in range(2 * k - 2, k - 1, -1):
-        acc[:, j - k:j] -= acc[:, j:j + 1] % p * f % p
-    return acc[:, :k] % p
-
-
-def _poly_powmod(delta: int, e: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(x + delta)^e mod (x^k + f) row by row, by left-to-right square-and-multiply."""
-    r = np.zeros_like(f)
-    r[:, 0] = 1
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        r = _poly_mulmod(r, r, f, p)
-        # times x + delta: shift up one place and fold x^k back in
-        step = r * delta
-        step[:, 1:] += r[:, :-1]
-        step = (step - r[:, -1:] * f % p) % p
-        r = np.where((e >> bit & 1 == 1)[:, None], step, r)
-    return r
-
-
-def _strip_x(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows divided by their largest power of x, and their degrees (-1 for 0)."""
-    w = a.shape[1]
-    nz = a != 0
-    low = nz.argmax(axis=1)
-    cols = low[:, None] + np.arange(w)
-    a = np.where(cols < w, np.take_along_axis(a, np.minimum(cols, w - 1), axis=1), 0)
-    deg = np.where(nz.any(axis=1), w - 1 - nz[:, ::-1].argmax(axis=1) - low, -1)
-    return a, deg
-
-
-def _poly_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gcd of each pair of rows of a and b, up to a unit and a power of x, with its degree.
-
-    Euclid from the low end: while b(0) != 0, b(0) a - a(0) b has the
-    same gcd with b and vanishes at 0, so it is divided by x. Each step
-    lowers the degree of a by at least one, a swap keeps the larger degree
-    in a, and a is the gcd once b is 0.
-    """
-    (a, da), (b, db) = _strip_x(a), _strip_x(b)
-    while True:
-        swap = da < db
-        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
-        da, db = np.maximum(da, db), np.minimum(da, db)
-        live = np.flatnonzero(db >= 0)
-        if not live.size:
-            return a, da
-        al, bl = a[live], b[live]
-        a[live], da[live] = _strip_x((bl[:, :1] * al - al[:, :1] * bl) % p[live])
-
-
-def _monic(g: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
-    """The k + 1 low coefficients of each row of degree k, made monic."""
-    return g[:, :k + 1] * pow_mod_array(g[:, k], p[:, 0] - 2, p[:, 0])[:, None] % p
 
 
 def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,14 +32,6 @@ class DegreeOutOfRange(ValueError):
 
 class FieldTooLarge(ValueError):
     """The field order exceeds the cap for this operation."""
-
-
-class FieldMismatch(ValueError):
-    """Elements of distinct fields were combined."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Division or inversion of the zero element."""
 
 
 class ZeroElement(ValueError):
@@ -142,59 +134,9 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     return fs[0] if len(fs) == 1 else None
 
 
-def _decode(p: int, k: int, rep: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(rep % p)
-        rep //= p
-    return out
-
-
-def _encode(p: int, coeffs: Sequence[int]) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * p + c
-    return out
-
-
-def _poly_has_root(coeffs: Sequence[int], p: int) -> bool:
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
-def _poly_rem_is_zero(dividend: Sequence[int], divisor: Sequence[int], p: int) -> bool:
-    # Both monic, coefficient lists LSB first.
-    rem = list(dividend)
-    dd = len(divisor) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * divisor[j]) % p
-    return all(c == 0 for c in rem[:dd])
-
-
-def _is_irreducible(coeffs: Sequence[int], p: int, k: int) -> bool:
-    if _poly_has_root(coeffs, p):
-        return k == 1
-    # A factorization with no linear part forces a monic divisor of degree
-    # 2..k//2, a range that is empty up to degree 3.
-    for d in range(2, k // 2 + 1):
-        for t in range(p**d):
-            divisor = _decode(p, d, t) + [1]
-            if _poly_rem_is_zero(coeffs, divisor, p):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Canonical description of GF(p^k); acts as the element factory."""
+    """Canonical description of GF(p^k)."""
 
     p: int
     k: int
@@ -202,23 +144,36 @@ class FieldDescriptor:
     modulus: Optional[tuple[int, ...]]
     q1_factors: tuple[tuple[int, int], ...]
 
-    def element(self, rep: int) -> "FieldElement":
-        return FieldElement(self, rep)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for rep in range(self.q):
-            yield FieldElement(self, rep)
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
+
+
+# Candidate moduli and candidate primitive elements are tested this many at a time.
+_BATCH = 16
+
+
+def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """Coefficients, constant term first, of the least monic irreducible of degree k >= 2.
+
+    Ben-Or's test over batches of candidates in code order: m is
+    irreducible iff gcd(x^(p^j) - x, m) = 1 for every j <= k/2. A candidate
+    with constant term 0 is divisible by x; it is dropped first, because
+    `_poly_gcd` ignores powers of x. Every degree has a monic irreducible,
+    so the search always ends.
+    """
+    place = p ** np.arange(k, dtype=np.int64)
+    x = np.eye(1, k + 1, 1, dtype=np.int64)
+    for start in itertools.count(0, _BATCH):
+        t = np.arange(start, min(start + _BATCH, p**k))
+        low = t[t % p != 0, None] // place % p
+        mods = np.full((len(low), 1), p, dtype=np.int64)
+        m = np.hstack([low, np.ones_like(mods)])
+        ok = np.ones(len(low), dtype=bool)
+        for j in range(1, k // 2 + 1):
+            power = np.hstack([_poly_powmod(0, np.full(len(low), p**j), low, mods), 0 * mods])
+            ok &= _poly_gcd(m, (power - x) % mods, mods)[1] == 0
+        if ok.any():
+            return tuple(m[ok.argmax()].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +181,7 @@ def _make_field_cached(p: int, k: int) -> FieldDescriptor:
     q = p**k
     if q > _MAX_ORDER:
         raise FieldTooLarge(f"field order {q} exceeds {_MAX_ORDER}")
-    modulus: Optional[tuple[int, ...]] = None
-    if k > 1:
-        # Every degree has a monic irreducible, so the search always ends.
-        candidates = (_decode(p, k, t) + [1] for t in range(q))
-        modulus = next(tuple(c) for c in candidates if _is_irreducible(c, p, k))
+    modulus = _least_irreducible(p, k) if k > 1 else None
     return FieldDescriptor(p=p, k=k, q=q, modulus=modulus, q1_factors=factorize(q - 1))
 
 
@@ -243,178 +194,51 @@ def make_field(p: int, k: int = 1) -> FieldDescriptor:
     return _make_field_cached(p, k)
 
 
-class FieldElement:
-    """Immutable element of a FieldDescriptor, supporting field arithmetic.
+def _mul_matrices(field: FieldDescriptor, codes: np.ndarray) -> np.ndarray:
+    """(N, k, k) matrices over GF(p^k), k > 1: row j of matrix i holds the
+    digits of codes[i] * x^j, so digits @ matrix multiplies by codes[i].
 
-    Integers mix freely with elements and embed as scalars (n mod p).
+    Each row is the one above it shifted up one place, with x^k = -f folded
+    back in for the modulus x^k + f.
     """
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: FieldDescriptor, rep: int):
-        if not 0 <= rep < field.q:
-            raise ValueError(f"element code {rep} outside [0, {field.q})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other: object) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, other % self.field.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: object) -> "FieldElement":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        f = self.field
-        if f.k == 1:
-            return FieldElement(f, (self.rep + rhs.rep) % f.p)
-        a = _decode(f.p, f.k, self.rep)
-        b = _decode(f.p, f.k, rhs.rep)
-        return FieldElement(f, _encode(f.p, [(x + y) % f.p for x, y in zip(a, b)]))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FieldElement":
-        f = self.field
-        if f.k == 1:
-            return FieldElement(f, -self.rep % f.p)
-        a = _decode(f.p, f.k, self.rep)
-        return FieldElement(f, _encode(f.p, [-x % f.p for x in a]))
-
-    def __sub__(self, other: object) -> "FieldElement":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "FieldElement":
-        lhs = self._coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return lhs + (-self)
-
-    def __mul__(self, other: object) -> "FieldElement":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        f = self.field
-        if f.k == 1:
-            return FieldElement(f, self.rep * rhs.rep % f.p)
-        return FieldElement(f, _mul_rep(f, self.rep, rhs.rep))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if not isinstance(e, int):
-            return NotImplemented
-        f = self.field
-        if self.rep == 0:
-            if e == 0:
-                return f.one
-            if e < 0:
-                raise DivisionByZero("zero has no negative powers")
-            return f.zero
-        e %= f.q - 1
-        if f.k == 1:
-            return FieldElement(f, pow(self.rep, e, f.p))
-        acc = 1
-        base = self.rep
-        while e:
-            if e & 1:
-                acc = _mul_rep(f, acc, base)
-            base = _mul_rep(f, base, base)
-            e >>= 1
-        return FieldElement(f, acc)
-
-    def inv(self) -> "FieldElement":
-        if self.rep == 0:
-            raise DivisionByZero("zero is not invertible")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return self * rhs.inv()
-
-    def __rtruediv__(self, other: object) -> "FieldElement":
-        lhs = self._coerce(other)
-        if lhs is NotImplemented:
-            return NotImplemented
-        return lhs * self.inv()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.rep == other.rep
-        if isinstance(other, int):
-            return self.rep == other % self.field.p
-        return NotImplemented
-
-    def __lt__(self, other: "FieldElement") -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        return self.rep < other.rep
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.k, self.rep))
-
-    def __bool__(self) -> bool:
-        return self.rep != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q})[{self.rep}]"
-
-
-def _mul_rep(f: FieldDescriptor, a: int, b: int) -> int:
-    p, k = f.p, f.k
-    ca = _decode(p, k, a)
-    cb = _decode(p, k, b)
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in enumerate(cb):
-                prod[i + j] += x * y
-    mod = f.modulus
-    assert mod is not None
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(k):
-                prod[i - k + j] -= c * mod[j]
-        prod[i] = 0
-    return _encode(p, [c % p for c in prod[:k]])
-
-
-def is_primitive(a: FieldElement) -> bool:
-    """True iff a generates the full unit group."""
-    if a.rep == 0:
-        raise ZeroElement("zero is not a unit")
-    q1 = a.field.q - 1
-    return all(a ** (q1 // f) != a.field.one for f, _ in a.field.q1_factors)
+    p, k = field.p, field.k
+    f = np.array(field.modulus[:k], dtype=np.int64)
+    row = codes[:, None] // p ** np.arange(k, dtype=np.int64) % p
+    out = np.empty((len(codes), k, k), dtype=np.int64)
+    for j in range(k):
+        out[:, j] = row
+        row = np.hstack([0 * row[:, :1], row[:, :-1]]) - row[:, -1:] * f % p
+        row %= p
+    return out
 
 
 @lru_cache(maxsize=4096)
 def least_primitive(field: FieldDescriptor) -> int:
-    """Code of the least primitive element of the field."""
-    if field.k == 1 and field.p > 2:
-        return _least_root(field.p, field.q1_factors)
-    return next(r for r in range(1, field.q) if is_primitive(FieldElement(field, r)))
+    """Code of the least primitive element of the field.
 
-
-def _digit_matrix(field: FieldDescriptor, a: int) -> np.ndarray:
-    # Row j holds the digits of a * x^j, so digits @ matrix multiplies by a.
-    p, k = field.p, field.k
-    return np.array([_decode(p, k, _mul_rep(field, a, p**j)) for j in range(k)], dtype=np.int64)
+    Over GF(p^k), k > 1, candidates are tested in batches from code p up,
+    since the smaller codes lie in GF(p)*. With M_a the multiplication
+    matrix of a, a is primitive unless M_a^((q-1)/r) = I for a prime r
+    dividing q - 1; the powers are taken by batched square-and-multiply,
+    exact in int64 because every entry stays below p <= 46341.
+    """
+    p, k, n = field.p, field.k, field.q - 1
+    if k == 1:
+        return _least_root(p, field.q1_factors) if p > 2 else 1
+    exps = np.array([n // r for r, _ in field.q1_factors], dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    for start in itertools.count(p, _BATCH):
+        codes = np.arange(start, min(start + _BATCH, field.q))
+        mats = np.repeat(_mul_matrices(field, codes), len(exps), axis=0)
+        e = np.tile(exps, len(codes))
+        acc = np.broadcast_to(eye, mats.shape)
+        while e.any():
+            acc = np.where((e & 1 == 1)[:, None, None], acc @ mats % p, acc)
+            mats = mats @ mats % p
+            e >>= 1
+        ok = ~(acc == eye).all(axis=(1, 2)).reshape(len(codes), len(exps)).any(axis=1)
+        if ok.any():
+            return int(codes[ok.argmax()])
 
 
 @lru_cache(maxsize=8)
@@ -438,7 +262,7 @@ def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
             c = c * c % p
     else:
         place = p ** np.arange(field.k, dtype=np.int64)
-        mat = _digit_matrix(field, alpha)
+        mat = _mul_matrices(field, np.array([alpha]))[0]
         while filled < n:
             m = min(filled, n - filled)
             digits = out[:m, None] // place % p
@@ -468,6 +292,7 @@ def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
 def field_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """(exp, logs) of the least primitive element g: exp[i] = g^i, logs[g^i] = i
     and logs[0] = -1. The 10^6 log-table cap is checked before either is built."""
+    _check_log_table(field.q)
     g = least_primitive(field)
     logs = discrete_logs(field, g)
     return power_table(field, g), logs
@@ -719,3 +544,76 @@ def primitive_root_mask(a, p) -> np.ndarray:
     for row_a, row_ok in zip(a.reshape(-1, p.size), ok.reshape(-1, p.size)):
         row_ok[idx[pow_mod_array(row_a[idx], exps, mods) == 1]] = False
     return ok
+
+
+# Batched polynomial arithmetic mod p: row i of each (N, w) array holds the
+# coefficients, constant term first, of one polynomial over GF(p[i]), and p
+# is an (N, 1) column of primes below 2^31. The fold-root census of
+# `density` and the modulus search of `make_field` share it.
+
+
+def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod (x^k + f) row by row, coefficients low to high.
+
+    a, b and f are (N, k) arrays of residues mod the (N, 1) primes p; f
+    holds the low coefficients of a monic modulus. Each product of two
+    residues is reduced before it is summed, so int64 stays exact for
+    p < 2^31.
+    """
+    k = f.shape[1]
+    acc = np.zeros((f.shape[0], 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        acc[:, i:i + k] += a[:, i:i + 1] * b % p
+    for j in range(2 * k - 2, k - 1, -1):
+        acc[:, j - k:j] -= acc[:, j:j + 1] % p * f % p
+    return acc[:, :k] % p
+
+
+def _poly_powmod(delta: int, e: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(x + delta)^e mod (x^k + f) row by row, by left-to-right square-and-multiply."""
+    r = np.zeros_like(f)
+    r[:, 0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = _poly_mulmod(r, r, f, p)
+        # times x + delta: shift up one place and fold x^k back in
+        step = r * delta
+        step[:, 1:] += r[:, :-1]
+        step = (step - r[:, -1:] * f % p) % p
+        r = np.where((e >> bit & 1 == 1)[:, None], step, r)
+    return r
+
+
+def _strip_x(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their largest power of x, and their degrees (-1 for 0)."""
+    w = a.shape[1]
+    nz = a != 0
+    low = nz.argmax(axis=1)
+    cols = low[:, None] + np.arange(w)
+    a = np.where(cols < w, np.take_along_axis(a, np.minimum(cols, w - 1), axis=1), 0)
+    deg = np.where(nz.any(axis=1), w - 1 - nz[:, ::-1].argmax(axis=1) - low, -1)
+    return a, deg
+
+
+def _poly_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd of each pair of rows of a and b, up to a unit and a power of x, with its degree.
+
+    Euclid from the low end: while b(0) != 0, b(0) a - a(0) b has the
+    same gcd with b and vanishes at 0, so it is divided by x. Each step
+    lowers the degree of a by at least one, a swap keeps the larger degree
+    in a, and a is the gcd once b is 0.
+    """
+    (a, da), (b, db) = _strip_x(a), _strip_x(b)
+    while True:
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = np.flatnonzero(db >= 0)
+        if not live.size:
+            return a, da
+        al, bl = a[live], b[live]
+        a[live], da[live] = _strip_x((bl[:, :1] * al - al[:, :1] * bl) % p[live])
+
+
+def _monic(g: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
+    """The k + 1 low coefficients of each row of degree k, made monic."""
+    return g[:, :k + 1] * pow_mod_array(g[:, k], p[:, 0] - 2, p[:, 0])[:, None] % p

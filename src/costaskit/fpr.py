@@ -132,7 +132,7 @@ def _table_roots(p: int, k: int, b: int) -> list[tuple[int, bool]]:
     code, each with whether 1 - a is primitive too.
 
     Read from the power and log tables of the least primitive element g; the
-    order cap is checked before make_field, whose modulus search is slow.
+    order cap is checked before make_field.
     """
     _check_log_table(p**k)
     f = make_field(p, k)

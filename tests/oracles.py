@@ -1,19 +1,21 @@
 """Slow reference implementations, written straight from definitions.
 
 Everything here is deliberately independent of the package internals:
-different algorithms, no shared helpers. Tests compare package output
+different algorithms, no shared helpers. Field elements are integer codes
+as in the package, but their arithmetic here is scalar polynomial
+arithmetic reduced by `field.modulus`. Tests compare package output
 against these on small inputs and freeze the values they certify. The
 last two sections are the exception: helpers only the tests use, moved
-out of the package, the FieldElement parameter search that find_spec's
-table lookups replaced, and the list-based permutation validator that the
-numpy one replaced, kept as their reference.
+out of the package, the element-by-element parameter search that
+find_spec's table lookups replaced, and the list-based permutation
+validator that the numpy one replaced, kept as their reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,11 +24,8 @@ from costaskit.costas import COSTAS_CAP, BlockNotClosed, NotAPermutation
 from costaskit.ff import (
     _PRIMITIVE_SCAN_CAP,
     FieldDescriptor,
-    FieldElement,
     FieldTooLarge,
     LimitTooLarge,
-    ZeroElement,
-    is_primitive,
     least_primitive,
     power_table,
     primitive_exponents,
@@ -138,69 +137,124 @@ def _poly_mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
+def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic m by long division, as deg m coefficients."""
+    d = len(m) - 1
+    rem = list(a) + [0] * max(0, d - len(a))
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        for j in range(d + 1):
+            rem[i - d + j] = (rem[i - d + j] - c * m[j]) % p
+    return rem[:d]
+
+
+def _monics(p: int, d: int) -> Iterator[list[int]]:
+    """Every monic polynomial of degree d over GF(p), in code order."""
+    return ([t // p**i % p for i in range(d)] + [1] for t in range(p**d))
+
+
 def smallest_irreducible_bruteforce(p: int, k: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree k over GF(p), by building the
-    set of reducible monic polynomials from products of lower-degree monics.
+    """Smallest monic irreducible of degree k over GF(p): the first candidate
+    in code order that no monic polynomial of degree 1..k/2 divides.
 
     Coefficient tuples are LSB first; the code order matches base-p digit
     order of the non-leading coefficients.
     """
-    monics_by_degree: dict[int, list[list[int]]] = {}
-    for d in range(1, k):
-        monics_by_degree[d] = []
-        for t in range(p**d):
-            coeffs = []
-            tt = t
-            for _ in range(d):
-                coeffs.append(tt % p)
-                tt //= p
-            monics_by_degree[d].append(coeffs + [1])
-
-    reducible = set()
-    for d1 in range(1, k // 2 + 1):
-        d2 = k - d1
-        for f in monics_by_degree[d1]:
-            for g in monics_by_degree[d2]:
-                reducible.add(tuple(_poly_mul_mod(f, g, p)))
-
-    for t in range(p**k):
-        coeffs = []
-        tt = t
-        for _ in range(k):
-            coeffs.append(tt % p)
-            tt //= p
-        cand = tuple(coeffs + [1])
-        if cand not in reducible:
-            return cand
+    divisors = [m for d in range(1, k // 2 + 1) for m in _monics(p, d)]
+    for cand in _monics(p, k):
+        if all(any(_poly_rem(cand, m, p)) for m in divisors):
+            return tuple(cand)
     raise AssertionError("irreducible polynomials of every degree exist")
 
 
-# Built on the package: helpers moved out of it and the former find_spec search.
+# Arithmetic on element codes: the base-p digits of a code are the
+# coefficients of a polynomial of degree < k, constant term first.
 
 
-def multiplicative_order(a: FieldElement) -> int:
-    """Order of a in the unit group of its field."""
-    if a.rep == 0:
-        raise ZeroElement("zero has no multiplicative order")
-    t = a.field.q - 1
-    for f, _ in a.field.q1_factors:
-        while t % f == 0 and a ** (t // f) == a.field.one:
-            t //= f
+def _digits(field: FieldDescriptor, c: int) -> list[int]:
+    return [c // field.p**i % field.p for i in range(field.k)]
+
+
+def _from_digits(field: FieldDescriptor, digits: list[int]) -> int:
+    return sum(d % field.p * field.p**i for i, d in enumerate(digits))
+
+
+def field_add(field: FieldDescriptor, a: int, b: int) -> int:
+    return _from_digits(field, [x + y for x, y in zip(_digits(field, a), _digits(field, b))])
+
+
+def field_sub(field: FieldDescriptor, a: int, b: int) -> int:
+    return _from_digits(field, [x - y for x, y in zip(_digits(field, a), _digits(field, b))])
+
+
+def field_mul(field: FieldDescriptor, a: int, b: int) -> int:
+    prod = _poly_mul_mod(_digits(field, a), _digits(field, b), field.p)
+    # GF(p) reduces by x, which keeps the constant term.
+    return _from_digits(field, _poly_rem(prod, list(field.modulus or (0, 1)), field.p))
+
+
+def field_pow(field: FieldDescriptor, a: int, e: int) -> int:
+    """a^e by square-and-multiply; a negative e needs a != 0."""
+    if e < 0:
+        e %= field.q - 1
+    out = 1
+    while e:
+        if e & 1:
+            out = field_mul(field, out, a)
+        a = field_mul(field, a, a)
+        e >>= 1
+    return out
+
+
+def multiplicative_order(field: FieldDescriptor, a: int) -> int:
+    """Order of the nonzero code a in the unit group, by repeated multiplication."""
+    assert a != 0
+    x, t = a, 1
+    while x != 1:
+        x = field_mul(field, x, a)
+        t += 1
     return t
 
 
-def primitive_elements(field: FieldDescriptor) -> list[FieldElement]:
-    """All primitive elements of the field, ascending by code."""
-    if field.q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
-    exp = power_table(field, least_primitive(field))
-    reps = np.sort(exp[primitive_exponents(field.q - 1)])
-    return [FieldElement(field, r) for r in reps.tolist()]
+def _prime_factors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
+def is_primitive(field: FieldDescriptor, a: int) -> bool:
+    """a != 0 and a^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    n = field.q - 1
+    return a != 0 and all(field_pow(field, a, n // r) != 1 for r in _prime_factors(n))
+
+
+def least_primitive_bruteforce(field: FieldDescriptor) -> int:
+    return next(a for a in range(1, field.q) if is_primitive(field, a))
 
 
 def _quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[int]:
-    """Codes of the roots of x^2 + b x + c, by trying every element."""
-    return [x.rep for x in field.elements() if x * x + b * x + c == field.zero]
+    """Codes of the roots of x^2 + b x + c for integers b and c, by trying every element."""
+    b, c = b % field.p, c % field.p
+    return [
+        x for x in range(field.q)
+        if field_add(field, field_mul(field, x, field_add(field, x, b)), c) == 0
+    ]
+
+
+# Built on the package: a helper moved out of it and the former find_spec search.
+
+
+def primitive_elements(field: FieldDescriptor) -> list[int]:
+    """Codes of all primitive elements of the field, ascending."""
+    if field.q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
+    exp = power_table(field, least_primitive(field))
+    return np.sort(exp[primitive_exponents(field.q - 1)]).tolist()
 
 
 def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:
@@ -232,22 +286,21 @@ def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[Constru
             return None
         if method == "g4c2" and (p != 2 or k < 3):
             return None
-        for rep in range(1, q):
-            a = FieldElement(field, rep)
-            bb = 1 - a
-            if bb.rep != 0 and is_primitive(a) and is_primitive(bb):
-                return ConstructionSpec(method, field, a.rep, bb.rep)
+        for a in range(1, q):
+            b = field_sub(field, 1, a)
+            if is_primitive(field, a) and is_primitive(field, b):
+                return ConstructionSpec(method, field, a, b)
         return None
     if method == "t4":
         for a in _quadratic_roots(field, 1, -1):
-            if is_primitive(field.element(a)):
+            if is_primitive(field, a):
                 return ConstructionSpec("t4", field, a)
         return None
     # g4: alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
     for a in _quadratic_roots(field, -1, -1):
-        e = field.element(a)
-        if is_primitive(e) and is_primitive(1 - e):
-            return ConstructionSpec("g4", field, a, (1 - e).rep)
+        b = field_sub(field, 1, a)
+        if is_primitive(field, a) and is_primitive(field, b):
+            return ConstructionSpec("g4", field, a, b)
     return None
 
 

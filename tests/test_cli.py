@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -90,6 +91,18 @@ def test_build_log_cap_before_parameters(capsys):
     ):
         code, out, err = run(capsys, "build", *argv)
         assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n"), argv
+
+
+@pytest.mark.parametrize("method, q", [
+    ("g2", 211**4), ("l2", 46337**2), ("g3", 46337**2), ("t4", 46337**2),
+])
+def test_build_refuses_large_extension_field_fast(capsys, method, q):
+    # Building the field, and for l2 and g2 finding its least primitive
+    # element, come before the cap, so both must be quick near order 2^31.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", method, str(q))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n")
 
 
 def test_build_explicit_pair(capsys):

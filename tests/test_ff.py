@@ -7,24 +7,23 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import multiplicative_order, primitive_elements
+from oracles import field_add, field_mul, field_pow, multiplicative_order, primitive_elements
 from costaskit.ff import (
     CompositeCharacteristic,
     DegreeOutOfRange,
-    DivisionByZero,
     EvenModulus,
-    FieldMismatch,
     FieldTooLarge,
     LimitTooLarge,
-    ZeroElement,
+    affine_map,
     discrete_logs,
     factorize,
+    field_tables,
     is_prime,
-    is_primitive,
     is_primitive_root,
     least_primitive,
     make_field,
     pow_mod_array,
+    power_table,
     prime_power,
     primitive_exponents,
     primitive_root_mask,
@@ -34,6 +33,11 @@ from costaskit.ff import (
 )
 
 FIELD_PARAMS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4)]
+
+# Every extension field up to order 2^16.
+SMALL_EXTENSIONS = [
+    (p, k) for p in range(2, 257) if is_prime(p) for k in range(2, 7) if p**k <= 2**16
+]
 
 
 def test_is_prime_matches_sieve():
@@ -94,12 +98,28 @@ def test_make_field_moduli_pinned():
     assert make_field(7).modulus is None
 
 
-@pytest.mark.parametrize("p,k", [
-    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
-    (5, 2), (5, 3), (5, 4), (7, 2), (11, 2), (13, 2),
-])
+@pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
 def test_make_field_modulus_matches_bruteforce(p, k):
     assert make_field(p, k).modulus == oracles.smallest_irreducible_bruteforce(p, k)
+
+
+@pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
+def test_least_primitive_matches_bruteforce(p, k):
+    f = make_field(p, k)
+    assert least_primitive(f) == oracles.least_primitive_bruteforce(f)
+
+
+# Certified once with the element-by-element search these kernels replaced.
+@pytest.mark.parametrize("p,k,modulus,alpha", [
+    (211, 4, (1, 1, 0, 0, 1), 229),
+    (1289, 3, (1, 1, 0, 1), 1296),
+    (31, 6, (5, 0, 0, 0, 0, 0, 1), 34),
+    (46337, 2, (3, 0, 1), 46344),
+])
+def test_large_fields_pinned(p, k, modulus, alpha):
+    f = make_field(p, k)
+    assert f.modulus == modulus
+    assert least_primitive(f) == alpha
 
 
 def test_make_field_validation():
@@ -120,103 +140,66 @@ def test_field_descriptor_basics():
     assert f.q == 9
     assert repr(f) == "GF(9)"
     assert f.q1_factors == ((2, 3),)
-    assert f.zero.rep == 0 and f.one.rep == 1
-    assert [e.rep for e in f.elements()] == list(range(9))
-    with pytest.raises(ValueError):
-        f.element(9)
-    with pytest.raises(ValueError):
-        f.element(-1)
 
 
 def test_gf9_hand_arithmetic():
-    # Modulus x^2 + 1, so element 3 is the imaginary unit.
+    # Modulus x^2 + 1, so code 3 is the imaginary unit i and code 4 is 1 + i.
     f = make_field(3, 2)
-    i = f.element(3)
-    assert (i * i).rep == 2
-    one_plus_i = f.element(4)
-    assert (one_plus_i * one_plus_i).rep == 6
-    assert (one_plus_i**8).rep == 1
-    assert multiplicative_order(one_plus_i) == 8
-    assert is_primitive(one_plus_i)
-    assert not is_primitive(i)
-
-
-def test_int_mixing():
-    f = make_field(11)
-    a = f.element(4)
-    assert (1 - a).rep == 8
-    assert (a + 20).rep == 2
-    assert (3 * a).rep == 1
-    assert a == 4
-    assert a != 5
-    assert (2 / f.element(3)).rep == 8
-
-
-def test_field_mismatch():
-    a = make_field(2, 2).element(1)
-    b = make_field(3, 2).element(1)
-    with pytest.raises(FieldMismatch):
-        a + b
-    assert a != b
-
-
-def test_pow_edge_cases():
-    f = make_field(5)
-    z = f.zero
-    assert (z**0).rep == 1
-    assert (z**3).rep == 0
-    with pytest.raises(DivisionByZero):
-        z**-1
-    with pytest.raises(DivisionByZero):
-        z.inv()
-    a = f.element(2)
-    assert (a**-1).rep == 3
-    assert a ** (f.q - 1) == f.one
-    with pytest.raises(ZeroElement):
-        multiplicative_order(z)
+    assert power_table(f, 3).tolist() == [1, 3, 2, 6] * 2
+    assert power_table(f, 4).tolist() == [1, 4, 6, 7, 2, 8, 3, 5]
+    assert least_primitive(f) == 4
+    assert (field_mul(f, 3, 3), field_mul(f, 4, 4)) == (2, 6)
+    assert (multiplicative_order(f, 3), multiplicative_order(f, 4)) == (4, 8)
 
 
 @st.composite
-def _field_elems(draw, count):
+def _field_codes(draw, count):
     p, k = draw(st.sampled_from(FIELD_PARAMS))
     f = make_field(p, k)
-    reps = [draw(st.integers(min_value=0, max_value=f.q - 1)) for _ in range(count)]
-    return f, [f.element(r) for r in reps]
+    return f, [draw(st.integers(min_value=0, max_value=f.q - 1)) for _ in range(count)]
 
 
 @settings(deadline=None)
-@given(_field_elems(3))
-def test_field_axioms(fe):
-    f, (a, b, c) = fe
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a + f.zero == a
-    assert a * f.one == a
-    assert a + (-a) == f.zero
-    if b.rep != 0:
-        assert b * b.inv() == f.one
-        assert (a / b) * b == a
+@given(_field_codes(3), st.integers(-20, 20), st.integers(-20, 20))
+def test_field_axioms(fc, s, t):
+    f, (a, b, c) = fc
+    add, mul = lambda x, y: field_add(f, x, y), lambda x, y: field_mul(f, x, y)
+    # The oracle's arithmetic is a field ...
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a
+    assert add(a, int(affine_map(f, np.array([a]), -1, 0)[0])) == 0
+    # ... and the package's tables and affine map compute in it.
+    exp, logs = field_tables(f)
+    n = f.q - 1
+    if a and b:
+        assert int(exp[(logs[a] + logs[b]) % n]) == mul(a, b)
+    if b:
+        assert mul(b, int(exp[-logs[b] % n])) == 1
+    assert int(affine_map(f, np.array([a]), s, t)[0]) == add(mul(s % f.p, a), t % f.p)
 
 
 @settings(deadline=None)
-@given(_field_elems(1), st.integers(min_value=-20, max_value=40), st.integers(min_value=-20, max_value=40))
-def test_pow_is_homomorphic(fe, m, n):
-    f, (a,) = fe
-    if a.rep == 0:
+@given(_field_codes(1), st.integers(min_value=-20, max_value=40), st.integers(min_value=-20, max_value=40))
+def test_pow_is_homomorphic(fc, m, n):
+    f, (a,) = fc
+    if a == 0:
         return
-    assert a**m * a**n == a ** (m + n)
+    table = power_table(f, a)
+    power = lambda e: int(table[e % (f.q - 1)])
+    assert power(m) == field_pow(f, a, m)
+    assert field_mul(f, power(m), power(n)) == power(m + n)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_order_and_primitivity_match_oracle(p):
     f = make_field(p)
     for a in range(1, p):
-        assert multiplicative_order(f.element(a)) == oracles.brute_order(a, p)
-    lib = [e.rep for e in primitive_elements(f)]
-    assert lib == oracles.brute_primitive_roots(p)
+        assert multiplicative_order(f, a) == oracles.brute_order(a, p)
+    assert primitive_elements(f) == oracles.brute_primitive_roots(p)
 
 
 def test_primitive_elements_extension_count():
@@ -230,24 +213,26 @@ def test_primitive_elements_extension_count():
             phi = phi // fac * (fac - 1)
         elems = primitive_elements(f)
         assert len(elems) == phi
-        assert all(multiplicative_order(e) == f.q - 1 for e in elems)
-        assert [e.rep for e in elems] == sorted(e.rep for e in elems)
+        assert all(multiplicative_order(f, e) == f.q - 1 for e in elems)
+        assert elems == sorted(elems)
 
 
 def test_lagrange_over_full_small_fields():
+    # Every power table repeats with the period of its base's order, which divides q - 1.
     for p, k in [(11, 1), (101, 1), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3)]:
         f = make_field(p, k)
-        for e in f.elements():
-            if e.rep == 0:
-                continue
-            assert e ** (f.q - 1) == f.one
-            assert (f.q - 1) % multiplicative_order(e) == 0
+        for e in range(1, f.q):
+            order = multiplicative_order(f, e)
+            table = power_table(f, e).tolist()
+            assert (f.q - 1) % order == 0
+            assert table == table[:order] * ((f.q - 1) // order)
+            assert 1 not in table[1:order]
 
 
 def test_primitive_elements_pinned():
-    assert [e.rep for e in primitive_elements(make_field(5))] == [2, 3]
-    assert [e.rep for e in primitive_elements(make_field(11))] == [2, 6, 7, 8]
-    assert [e.rep for e in primitive_elements(make_field(3))] == [2]
+    assert primitive_elements(make_field(5)) == [2, 3]
+    assert primitive_elements(make_field(11)) == [2, 6, 7, 8]
+    assert primitive_elements(make_field(3)) == [2]
 
 
 def test_primitive_elements_cap():
@@ -267,10 +252,10 @@ def test_log_table_gf11():
 def test_log_table_inverts_powers():
     f = make_field(3, 2)
     for alpha in primitive_elements(f):
-        table = discrete_logs(f, alpha.rep).tolist()
+        table = discrete_logs(f, alpha).tolist()
         assert table[0] == -1
         for i in range(f.q - 1):
-            assert (alpha**i).rep == [r for r, t in enumerate(table) if t == i][0]
+            assert field_pow(f, alpha, i) == [r for r, t in enumerate(table) if t == i][0]
 
 
 def test_sqrt_mod_p_matches_brute():

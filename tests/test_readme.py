@@ -1,4 +1,5 @@
-"""README's work-cap table names every cap constant with its enforced value."""
+"""README's work-cap table names every cap constant with its enforced value,
+and every module attribute README names exists."""
 
 from __future__ import annotations
 
@@ -7,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from costaskit import cli, costas, density, ff
+from costaskit import cli, constructions, costas, density, ff, fpr
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
-MODULES = {"cli": cli, "costas": costas, "density": density, "ff": ff}
+MODULES = {
+    "cli": cli, "constructions": constructions, "costas": costas,
+    "density": density, "ff": ff, "fpr": fpr,
+}
 
 # (constant, README phrase); the phrase ends in the value as n or b^e.
 CAPS = [
@@ -43,3 +47,9 @@ def test_every_cap_constant_is_in_the_table():
         for name in re.findall(r"^(\w+_CAP) = ", path.read_text(encoding="utf-8"), re.M)
     }
     assert caps | {"ff._MAX_DEGREE", "ff._MAX_ORDER"} == {c for c, _ in CAPS}
+
+
+def test_readme_dotted_names_resolve():
+    names = set(re.findall(rf"`({'|'.join(MODULES)})\.(\w+)", README))
+    assert names
+    assert sorted(f"{m}.{n}" for m, n in names if not hasattr(MODULES[m], n)) == []
