@@ -33,20 +33,27 @@ _ENUM_CAP = 8
 # Largest n that is_costas and first_collision accept; the check is Theta(n^2).
 COSTAS_CAP = 100_000
 
-# Up to n = 1024 the kernel checks rows in blocks of _BLOCK_BINS // (2n) >= 16
-# rows per np.bincount; beyond that one bincount per row is faster. A block's
-# bincount spans at most about 2 * _BLOCK_BINS bins, which bounds its memory.
+# Largest n that difference_table accepts. Its n(n-1)/2 Python ints take
+# about 36 bytes each: about 72 MiB at n = 2048.
+_TABLE_CAP = 2048
+
+# A row of m cells has distinct entries iff scattering them into a zeroed
+# byte table marks m bins. Up to n = 1024 the kernel keys blocks of
+# _BLOCK_BINS // (2n) >= 16 rows into one table of at most 2 * _BLOCK_BINS
+# bytes; beyond that it scatters and counts one row at a time into 2n bytes.
 _BLOCK_BINS = 1 << 15
 _MIN_BLOCK_ROWS = 16
 
 
-def _permutation(perm: Sequence[int], cap: Optional[int] = None) -> np.ndarray:
+def _permutation(
+    perm: Sequence[int], cap: Optional[int] = None, what: str = "Costas check"
+) -> np.ndarray:
     """perm as an int64 array. Raises LimitTooLarge above cap (checked first), then
     NotAPermutation unless perm is a permutation of 1..n made of ints, not bools."""
     seq = list(perm)
     n = len(seq)
     if cap is not None and n > cap:
-        raise LimitTooLarge(f"Costas check capped at n = {cap}, got n = {n}")
+        raise LimitTooLarge(f"{what} capped at n = {cap}, got n = {n}")
     if not set(map(type, seq)) <= {int}:
         # Only to name the bad entry; int subclasses except bool are integers.
         for v in seq:
@@ -89,17 +96,16 @@ def _first_colliding_row(a: np.ndarray) -> int:
     width = 2 * n  # hi[x+k] - a[x] = d + n lies in 1..2n-1
     hi = a + n
     if _BLOCK_BINS // width < _MIN_BLOCK_ROWS:
-        for k in range(1, half + 1):
-            if np.bincount(hi[k:] - a[:-k]).max() > 1:
-                return k
-        return 0
-    # Rows k0..k0+rows-1 share one bincount, row r keyed into bins
+        return _first_row_scatter(hi, a, 1, half)
+    # Rows k0..k0+rows-1 share one table, row r keyed into bins
     # [r * width, (r+1) * width). The rectangle (rows, n - k0) overhangs the
     # shorter rows; the pad value sends those cells past rows * width, each
-    # to a bin of its own, as a[x] differs for the cells of one row.
+    # to a bin of its own (below 2 * step * width), as a[x] differs for the
+    # cells of one row.
     step = min(_BLOCK_BINS // width, half)
     hi = np.concatenate((hi, np.full(step, (step - 1) * width + n, dtype=np.int64)))
     offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
+    seen = np.zeros(2 * step * width, dtype=np.uint8)
     s = hi.strides[0]
     k0 = 1
     while k0 <= half:
@@ -107,10 +113,30 @@ def _first_colliding_row(a: np.ndarray) -> int:
         m = n - k0
         keys = as_strided(hi[k0:], (rows, m), (s, s), writeable=False) - a[:m]
         keys += offsets[:rows]
-        counts = np.bincount(keys.ravel())
-        if counts.max() > 1:
-            return k0 + int(np.argmax(counts > 1)) // width
+        seen[keys.ravel()] = 1
+        if np.count_nonzero(seen) < keys.size:
+            return _first_row_scatter(hi, a, k0, k0 + rows - 1)
+        seen.fill(0)
         k0 += rows
+    return 0
+
+
+def _first_row_scatter(hi: np.ndarray, a: np.ndarray, k_lo: int, k_hi: int) -> int:
+    """First k in k_lo..k_hi whose keys hi[x+k] - a[x], x < n - k, repeat, or 0.
+
+    hi is a + n (possibly padded past n); each row is scattered into a
+    reused table of 2n bytes and its marked bins counted.
+    """
+    n = len(a)
+    seen = np.zeros(2 * n, dtype=np.uint8)
+    buf = np.empty(n, dtype=np.int64)
+    for k in range(k_lo, k_hi + 1):
+        m = n - k
+        np.subtract(hi[k : k + m], a[:m], out=buf[:m])
+        seen[buf[:m]] = 1
+        if np.count_nonzero(seen) < m:
+            return k
+        seen.fill(0)
     return 0
 
 
@@ -124,8 +150,12 @@ def is_costas(perm: Sequence[int]) -> bool:
 
 
 def difference_table(perm: Sequence[int]) -> list[list[int]]:
-    """Row k (at index k-1) lists f(x+k) - f(x) for x = 1..n-k."""
-    a = _permutation(perm)
+    """Row k (at index k-1) lists f(x+k) - f(x) for x = 1..n-k.
+
+    Raises LimitTooLarge above n = _TABLE_CAP and NotAPermutation for anything
+    that is not a permutation of 1..n.
+    """
+    a = _permutation(perm, _TABLE_CAP, "difference table")
     return [(a[k:] - a[:-k]).tolist() for k in range(1, len(a))]
 
 

@@ -148,14 +148,24 @@ class FieldDescriptor:
         return f"GF({self.q})"
 
 
-# Candidate moduli and candidate primitive elements are tested this many at a time.
-_BATCH = 16
+def _batches(start: int, stop: int):
+    """Consecutive runs of codes from start up to stop: 16, 32, 64, ... long.
+
+    Candidate moduli and candidate primitive elements are tested a run at a
+    time, so an answer d codes into the search takes about log2(d / 16) + 1
+    rounds.
+    """
+    size = 16
+    while start < stop:
+        yield np.arange(start, min(start + size, stop))
+        start += size
+        size *= 2
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Coefficients, constant term first, of the least monic irreducible of degree k >= 2.
 
-    Ben-Or's test over batches of candidates in code order: m is
+    Ben-Or's test over growing batches of candidates in code order: m is
     irreducible iff gcd(x^(p^j) - x, m) = 1 for every j <= k/2. A candidate
     with constant term 0 is divisible by x; it is dropped first, because
     `_poly_gcd` ignores powers of x. Every degree has a monic irreducible,
@@ -163,8 +173,7 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """
     place = p ** np.arange(k, dtype=np.int64)
     x = np.eye(1, k + 1, 1, dtype=np.int64)
-    for start in itertools.count(0, _BATCH):
-        t = np.arange(start, min(start + _BATCH, p**k))
+    for t in _batches(0, p**k):
         low = t[t % p != 0, None] // place % p
         mods = np.full((len(low), 1), p, dtype=np.int64)
         m = np.hstack([low, np.ones_like(mods)])
@@ -216,8 +225,8 @@ def _mul_matrices(field: FieldDescriptor, codes: np.ndarray) -> np.ndarray:
 def least_primitive(field: FieldDescriptor) -> int:
     """Code of the least primitive element of the field.
 
-    Over GF(p^k), k > 1, candidates are tested in batches from code p up,
-    since the smaller codes lie in GF(p)*. With M_a the multiplication
+    Over GF(p^k), k > 1, candidates are tested in growing batches from code
+    p up, since the smaller codes lie in GF(p)*. With M_a the multiplication
     matrix of a, a is primitive unless M_a^((q-1)/r) = I for a prime r
     dividing q - 1; the powers are taken by batched square-and-multiply,
     exact in int64 because every entry stays below p <= 46341.
@@ -227,8 +236,7 @@ def least_primitive(field: FieldDescriptor) -> int:
         return _least_root(p, field.q1_factors) if p > 2 else 1
     exps = np.array([n // r for r, _ in field.q1_factors], dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)
-    for start in itertools.count(p, _BATCH):
-        codes = np.arange(start, min(start + _BATCH, field.q))
+    for codes in _batches(p, field.q):
         mats = np.repeat(_mul_matrices(field, codes), len(exps), axis=0)
         e = np.tile(exps, len(codes))
         acc = np.broadcast_to(eye, mats.shape)

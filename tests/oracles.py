@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from costaskit.constructions import METHODS, ConstructionSpec
-from costaskit.costas import COSTAS_CAP, BlockNotClosed, NotAPermutation
+from costaskit.costas import _TABLE_CAP, COSTAS_CAP, BlockNotClosed, NotAPermutation
 from costaskit.ff import (
     _PRIMITIVE_SCAN_CAP,
     FieldDescriptor,
@@ -334,7 +334,10 @@ def reference_first_collision(perm) -> tuple[int, int, int] | None:
 
 
 def reference_difference_table(perm) -> list[list[int]]:
-    seq = reference_validated(perm)
+    seq = list(perm)
+    if len(seq) > _TABLE_CAP:
+        raise LimitTooLarge(f"difference table capped at n = {_TABLE_CAP}, got n = {len(seq)}")
+    seq = reference_validated(seq)
     n = len(seq)
     return [[seq[x + k] - seq[x] for x in range(n - k)] for k in range(1, n)]
 

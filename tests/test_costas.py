@@ -175,7 +175,7 @@ def test_matches_naive_oracle(perm):
 
 
 # (bins, min rows): blocks of 2 rows for n <= 8 with partial last blocks;
-# blocks for n <= 32 and one bincount per row above; one bincount per row.
+# blocks for n <= 32 and one scatter per row above; one scatter per row.
 _TINY_BLOCKS = [(32, 2), (256, 4), (1, 1)]
 
 
@@ -200,7 +200,7 @@ def test_kernel_with_tiny_blocks_matches_naive(bins, min_rows, perm):
 
 def test_kernel_across_the_block_switch():
     # n <= 1024 runs row blocks of 16 or more rows, and the last block is
-    # partial (n = 1018: 508 rows, 1024: 511); n > 1024 runs one bincount
+    # partial (n = 1018: 508 rows, 1024: 511); n > 1024 runs one scatter
     # per row.
     assert costas._BLOCK_BINS // (2 * 1024) == costas._MIN_BLOCK_ROWS
     assert costas._BLOCK_BINS // (2 * 1025) < costas._MIN_BLOCK_ROWS
@@ -215,6 +215,18 @@ def test_kernel_across_the_block_switch():
         assert first_collision(perm) == (1, 1, 2)
         perm = [*range(2, n + 1, 2), *range(1, n + 1, 2)]
         assert first_collision(perm) == oracles.naive_first_collision(perm)
+
+
+@pytest.mark.parametrize("p,swap,hit", [
+    (1019, (49, 418), (2, 242, 417)),  # n = 1018, row blocks
+    (1031, (440, 550), (2, 441, 539)),  # n = 1030, one row at a time
+])
+def test_collision_past_row_one_with_default_blocks(p, swap, hit):
+    # Row 1 of these swapped Welch arrays is clean, so a kernel that kept
+    # row 1's marks while checking row 2 would miss the collision.
+    bad = _with_swaps(_welch("w1", p), [swap])
+    assert first_collision(bad) == oracles.naive_first_collision(bad) == hit
+    assert not is_costas(bad)
 
 
 def _half_triangle_lemma_holds(perm):
@@ -247,6 +259,14 @@ def test_costas_check_cap():
         is_costas(too_long)
     with pytest.raises(LimitTooLarge):
         first_collision(too_long)
+
+
+def test_difference_table_cap():
+    cap = costas._TABLE_CAP
+    with pytest.raises(LimitTooLarge, match=f"difference table capped at n = {cap}"):
+        difference_table(range(1, cap + 2))
+    table = difference_table(range(cap, 0, -1))
+    assert len(table) == cap - 1 and table[-1] == [1 - cap]
 
 
 def test_difference_table_shape_and_values():

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from costaskit import ff
 from oracles import field_add, field_mul, field_pow, multiplicative_order, primitive_elements
 from costaskit.ff import (
     CompositeCharacteristic,
@@ -120,6 +121,27 @@ def test_large_fields_pinned(p, k, modulus, alpha):
     f = make_field(p, k)
     assert f.modulus == modulus
     assert least_primitive(f) == alpha
+
+
+def test_candidate_batches_double(monkeypatch):
+    # x^3 + x + 1 is code 1290 over GF(1289); 81 rounds of 16 codes, or 7
+    # doubling rounds. GF(17^4)'s least primitive element 307 is 290 codes
+    # past 17: 19 rounds of 16, or 5.
+    rounds = []
+    batches = ff._batches
+
+    def counted(start, stop):
+        for codes in batches(start, stop):
+            rounds.append(len(codes))
+            yield codes
+
+    field = make_field(17, 4)
+    monkeypatch.setattr(ff, "_batches", counted)
+    assert ff._least_irreducible(1289, 3) == (1, 1, 0, 1)
+    assert rounds == [16, 32, 64, 128, 256, 512, 1024]
+    rounds.clear()
+    assert ff.least_primitive.__wrapped__(field) == 307
+    assert rounds == [16, 32, 64, 128, 256]
 
 
 def test_make_field_validation():

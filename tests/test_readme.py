@@ -25,6 +25,7 @@ CAPS = [
     ("density._I_MAX_CAP", "`density._I_MAX_CAP = 10`"),
     ("ff._PRIMITIVE_SCAN_CAP", "`ff._PRIMITIVE_SCAN_CAP = 10^6`"),
     ("costas.COSTAS_CAP", "`costas.COSTAS_CAP = 10^5`"),
+    ("costas._TABLE_CAP", "`costas._TABLE_CAP = 2^11`"),
     ("costas._ENUM_CAP", "`costas._ENUM_CAP = 8`"),
     ("cli._SWEEP_CAP", "`cli._SWEEP_CAP = 4096`"),
     ("ff._MAX_DEGREE", "`ff._MAX_DEGREE = 6`"),
