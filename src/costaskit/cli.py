@@ -6,7 +6,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, NoReturn, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .constructions import (
     ConstructionFailed,
@@ -22,7 +24,15 @@ from .constructions import (
     find_spec,
 )
 from .costas import first_collision, is_costas
-from .density import CensusRow, census_g4, census_t4, prime_sieve, trinomial_census
+from .density import (
+    _FIB_COEFFS,
+    CensusRow,
+    _closed_form_roots,
+    _prime_blocks,
+    census_g4,
+    census_t4,
+    trinomial_census,
+)
 from .ff import DegreeOutOfRange, NotPrimitive, ZeroElement, make_field, prime_power
 from .fpr import fpr_report
 
@@ -157,27 +167,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3
 
 
-def _fpr_row(p: int) -> dict:
-    r = fpr_report(p)
+def _fpr_row(p: int, candidates: list[int], fprs: list[int], g4: bool) -> dict:
     return {
         "p": p,
-        "candidates": list(r.candidates),
-        "fprs": list(r.fprs),
-        "t4_root": r.t4_root,
-        "t4_applicable": bool(r.fprs),
-        "g4_applicable": r.g4_applicable,
+        "candidates": candidates,
+        "fprs": fprs,
+        "t4_root": (fprs[0] - 1) % p if fprs else None,
+        "t4_applicable": bool(fprs),
+        "g4_applicable": g4,
     }
+
+
+def _fpr_table_rows(blocks: Iterable[np.ndarray]) -> Iterator[dict]:
+    """`fpr` report rows for every odd prime of the sieve blocks, from one
+    closed-form table of x^2 - x - 1 per block; `fpr_report` is the scalar
+    oracle. g4 holds where an FPR exists and p = 1 (mod 4), the rule of
+    fpr._g4_fprs."""
+    for p in blocks:
+        roots, primitive = _closed_form_roots(p, _FIB_COEFFS)
+        for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):
+            flags = {r0: f0, r1: f1}
+            candidates = sorted(r for r in flags if r)
+            fprs = [r for r in candidates if flags[r]]
+            yield _fpr_row(q, candidates, fprs, bool(fprs) and q % 4 == 1)
 
 
 def cmd_fpr(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.range is None):
         raise ValueError("pass exactly one of P or --range A B")
     if args.p is not None:
-        rows = [_fpr_row(args.p)]
+        r = fpr_report(args.p)
+        rows = [_fpr_row(args.p, list(r.candidates), list(r.fprs), r.g4_applicable)]
     else:
-        # Streamed: prime_sieve checks the cap now and sieves one segment at a time.
+        # Streamed: _prime_blocks checks the cap now and sieves one segment at a time.
         lo, hi = args.range
-        rows = map(_fpr_row, prime_sieve(hi, max(lo, 3)))
+        rows = _fpr_table_rows(_prime_blocks(hi, max(lo, 3)))
 
     if args.format == "json":
         for row in rows:

@@ -8,7 +8,9 @@ families of trinomials that provably stop having primitive solutions.
 
 from __future__ import annotations
 
+import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from multiprocessing import Pool
@@ -45,6 +47,11 @@ _CHUNK = 1 << 17
 _ROOT_COST = 1.5
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
+# Closed-form hit masks, packed by np.packbits over the odd primes of one
+# census segment [lo, hi), keyed by (coeffs, lo, hi), least recently used
+# first. The slots outnumber the 763 segments of a census at SIEVE_CAP.
+_SEGMENT_MASKS: OrderedDict = OrderedDict()
+_SEGMENT_SLOTS = 1024
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
@@ -181,18 +188,21 @@ def predicted_constants() -> PredictedConstants:
     )
 
 
-def _fib_census_predicate(primes: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _fib_census_predicate(primes: np.ndarray, lo: int, hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     """Primes that are 1 or 9 mod the modulus and have a Fibonacci primitive root.
 
     Modulus 10 is the t4 census. Modulus 20 is the g4 census, which is the
     same question: both classes 1 and 9 mod 20 are 1 mod 4, where every
-    FPR is a g4 witness (the proof is at fpr._g4_fprs).
+    FPR is a g4 witness (the proof is at fpr._g4_fprs). For odd p != 5 the
+    t4 classes are where x^2 - x - 1 has roots at all, so t4 decides every
+    odd prime at no extra cost and keeps the segment's mask; the g4
+    classes also halve the primitive-root tests, so a g4 census without a
+    kept mask decides only its own primes.
     """
     r = primes % modulus
     gate = (r == 1) | (r == 9)
-    hit = np.zeros(primes.shape, dtype=bool)
-    hit[gate] = _fast_exists(primes[gate], _FIB_COEFFS)
-    return hit, np.zeros_like(hit)
+    hit = _segment_hits(primes, lo, hi, _FIB_COEFFS, gate if modulus == 20 else None)
+    return hit & gate, np.zeros_like(hit)
 
 
 def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> list[int]:
@@ -219,11 +229,12 @@ def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> 
 def _census_chunk(predicate, lo: int, hi: int, cps: np.ndarray):
     """Per-checkpoint hit and prime counts, and the skipped count, for [lo, hi).
 
-    The predicate takes the segment's primes as one array and returns a hit
-    mask and a skipped mask; a prime counts in the first checkpoint >= p.
+    The predicate takes the segment's primes as one array, and the bounds,
+    and returns a hit mask and a skipped mask; a prime counts in the first
+    checkpoint >= p.
     """
     primes = primes_in_range(lo, hi)
-    hit, skip = predicate(primes)
+    hit, skip = predicate(primes, lo, hi)
     slot = np.searchsorted(cps, primes)
     hits = np.bincount(slot[hit], minlength=cps.size)
     pis = np.bincount(slot, minlength=cps.size)
@@ -284,10 +295,11 @@ def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
     of one power table. The caller has proved p prime and every exponent in
     [1, p - 2]; nothing is checked again. With m = (p - 1)/2, every unit j
     is odd, so j(e + m) = je + m mod p - 1 and the row of powers for e + m is
-    p minus the row for e: each exponent is gathered once, as e mod m, and
-    pairs share rows. Powers lie in [1, p - 1], so x + y = 1 mod p exactly
-    when x + y = p + 1; with one row flipped that reads y - x = 1, with both
-    flipped x + y = p - 1.
+    p minus the row for e. The units are symmetric under j -> n - j, so the
+    row for m - k is p minus the row for k read backwards. Each row is
+    gathered once, as min(k, m - k) for k = e mod m, and pairs share rows.
+    Powers lie in [1, p - 1], so x + y = 1 mod p exactly when x + y = p + 1;
+    with one row flipped that reads y - x = 1, with both flipped x + y = p - 1.
     """
     if not exps:
         return []
@@ -299,9 +311,12 @@ def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
 
     def powers(e: int) -> tuple[np.ndarray, bool]:
         k = e % m
-        if k not in rows:
-            rows[k] = table[js * k % n]
-        return rows[k], e >= m
+        r = min(k, m - k)
+        if r not in rows:
+            rows[r] = table[js * r % n]
+        if r == k:
+            return rows[r], e >= m
+        return rows[r][::-1], e < m
 
     out = []
     for a, b in exps:
@@ -310,7 +325,7 @@ def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
             hit = x + y == (p - 1 if fx else p + 1)
         else:
             hit = (y - x if fx else x - y) == 1
-        out.append(np.sort(table[js[hit]]))
+        out.append(np.sort(table[js[hit]]) if hit.any() else table[:0])
     return out
 
 
@@ -378,25 +393,92 @@ def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=64)
+def _residue_classes(d: int) -> np.ndarray:
+    """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
+
+    The Jacobi symbol (d/n) depends only on n mod 4|d|, and for a prime p
+    it is the Legendre symbol, 0 when p divides d (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.4.10). Even n read False.
+    """
+    table = np.zeros(4 * abs(d), dtype=bool)
+    for n in range(1, table.size, 2):
+        a, b, t = d % n, n, 1
+        while a:
+            while a % 2 == 0:
+                a //= 2
+                if b % 8 in (3, 5):
+                    t = -t
+            a, b = b, a
+            if a % 4 == 3 and b % 4 == 3:
+                t = -t
+            a %= b
+        table[n] = b > 1 or t == 1
+    return table
+
+
+def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a fold of degree <= 2 mod the odd primes p, and which are primitive.
+
+    Both are (2, N): the roots from `_quadratic_roots`, 0 where there is
+    none and where the fold vanishes mod p, and their primitive_root_mask.
+    The discriminant d is the same integer at every p, so a prime where d
+    is a non-residue is turned away by a table lookup on p mod 4|d|, not
+    by a square root.
+    """
+    c0, c1, c2 = (dict(coeffs).get(k, 0) for k in range(3))
+    d = c1 * c1 - 4 * c0 * c2
+    solve = math.gcd(c1, c2) % p != 0
+    if d:
+        solve &= _residue_classes(d)[p % (4 * abs(d))]
+    solve = np.flatnonzero(solve)
+    roots = np.zeros((2, p.size), dtype=np.int64)
+    roots[:, solve] = _quadratic_roots(c0, c1, c2, p[solve])
+    primitive = np.zeros(roots.shape, dtype=bool)
+    primitive[:, solve] = primitive_root_mask(roots[:, solve], p[solve])
+    return roots, primitive
+
+
 def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> Optional[np.ndarray]:
     """Mask of odd primes where the folded polynomial has a primitive root.
 
     None when the degree is above 2. A polynomial that vanishes mod p is
-    satisfied by every primitive root; otherwise the at most two roots
-    from `_quadratic_roots` are tested.
+    satisfied by every primitive root; otherwise one of the at most two
+    roots from `_closed_form_roots` must be primitive.
     """
     if coeffs and max(k for k, _ in coeffs) > 2:
         return None
-    c0, c1, c2 = (dict(coeffs).get(k, 0) for k in range(3))
     p = np.asarray(primes, dtype=np.int64).reshape(-1)
-    zero = (c2 % p == 0) & (c1 % p == 0)
-    hit = zero & (c0 % p == 0)
-    solve = np.flatnonzero(~zero)
-    roots = _quadratic_roots(c0, c1, c2, p[solve])
-    some = roots.any(axis=0)
-    solve, roots = solve[some], roots[:, some]
-    hit[solve] = primitive_root_mask(roots, p[solve]).any(axis=0)
+    hit = _closed_form_roots(p, coeffs)[1].any(axis=0)
+    hit |= math.gcd(*(v for _, v in coeffs)) % p == 0
     return hit.reshape(np.shape(primes))
+
+
+def _segment_hits(primes: np.ndarray, lo: int, hi: int, coeffs: tuple[tuple[int, int], ...],
+                  gate: Optional[np.ndarray] = None) -> np.ndarray:
+    """`_fast_exists` at the sieve primes of the census segment [lo, hi), False at 2.
+
+    The mask over the segment's odd primes is computed once per process:
+    it is kept in `_SEGMENT_MASKS` and read back by later censuses of the
+    same segment and fold. With a gate the mask is further limited to the
+    gated odd primes; then, when no mask is kept, only those are decided
+    and nothing is kept.
+    """
+    key = (coeffs, lo, hi)
+    bits = _SEGMENT_MASKS.get(key)
+    hit = np.zeros(primes.shape, dtype=bool)
+    if bits is None and gate is not None:
+        hit[gate] = _fast_exists(primes[gate], coeffs)
+        return hit
+    odd = primes != 2
+    if bits is None:
+        bits = _SEGMENT_MASKS[key] = np.packbits(_fast_exists(primes[odd], coeffs))
+        if len(_SEGMENT_MASKS) > _SEGMENT_SLOTS:
+            _SEGMENT_MASKS.popitem(last=False)
+    else:
+        _SEGMENT_MASKS.move_to_end(key)
+    hit[odd] = np.unpackbits(bits, count=int(odd.sum())).view(bool)
+    return hit if gate is None else hit & gate
 
 
 def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -463,26 +545,28 @@ def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -
     return hit
 
 
-def _trinomial_predicate(primes: np.ndarray, e1: ExpExpr, e2: ExpExpr) -> tuple[np.ndarray, np.ndarray]:
+def _trinomial_predicate(primes: np.ndarray, lo: int, hi: int, e1: ExpExpr, e2: ExpExpr) -> tuple[np.ndarray, np.ndarray]:
     """Hit and skipped masks; a prime where an exponent leaves [1, p - 2] is skipped.
 
-    Folds of degree at most 2 take the closed form. Higher folds take the
-    fold-root kernel where `_root_route` finds it cheaper than the
-    exhaustive scan, and the scan elsewhere.
+    Folds of degree at most 2 take the closed form, whose mask the segment
+    shares with the t4 census when the fold is x^2 - x - 1. Higher folds
+    take the fold-root kernel where `_root_route` finds it cheaper than
+    the exhaustive scan, and the scan elsewhere. No exponent is in range
+    at p = 2.
     """
     skip = ~(e1.in_range(primes) & e2.in_range(primes))
-    live = primes[~skip]
     coeffs = _folded_coeffs(e1, e2)
-    fast = _fast_exists(live, coeffs)
-    if fast is None:
-        kernel = _root_route(live, coeffs)
-        fast = np.zeros(live.shape, dtype=bool)
-        if kernel.any():
-            fast[kernel] = _fold_roots_exist(live[kernel], coeffs)
-        fast[~kernel] = [
-            _witness_rows(p, [(e1.evaluate(p), e2.evaluate(p))])[0].size > 0
-            for p in live[~kernel].tolist()
-        ]
+    if not coeffs or coeffs[-1][0] <= 2:
+        return _segment_hits(primes, lo, hi, coeffs) & ~skip, skip
+    live = primes[~skip]
+    kernel = _root_route(live, coeffs)
+    fast = np.zeros(live.shape, dtype=bool)
+    if kernel.any():
+        fast[kernel] = _fold_roots_exist(live[kernel], coeffs)
+    fast[~kernel] = [
+        _witness_rows(p, [(e1.evaluate(p), e2.evaluate(p))])[0].size > 0
+        for p in live[~kernel].tolist()
+    ]
     hit = np.zeros(primes.shape, dtype=bool)
     hit[~skip] = fast
     return hit, skip

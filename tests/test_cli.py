@@ -17,6 +17,7 @@ import oracles
 from costaskit import density
 from costaskit.cli import main, run_sweep, worker_count, worker_default
 from costaskit.costas import COSTAS_CAP
+from costaskit.fpr import fpr_report
 
 
 def run(capsys, *argv):
@@ -233,6 +234,33 @@ def test_fpr_range_streams_across_segments(capsys, monkeypatch):
         code, out, err = run(capsys, "fpr", "--range", str(lo), "399")
         assert (code, err) == (0, "")
         assert out.splitlines()[2:] == [r for p, r in zip(primes, rows) if p >= lo]
+
+
+def test_fpr_range_matches_fpr_report(capsys, monkeypatch):
+    # Every odd prime to 2e4, in 1000-wide segments, against the scalar report.
+    monkeypatch.setattr(density, "_CHUNK", 1000)
+    reports = [fpr_report(p) for p in oracles.simple_sieve(2 * 10**4)[1:]]
+    code, out, err = run(capsys, "fpr", "--range", "1", str(2 * 10**4))
+    assert (code, err) == (0, "")
+    text = lambda v: "" if v is None else str(v).lower()
+    assert out.splitlines()[2:] == [
+        ",".join([str(r.p), ";".join(map(str, r.candidates)), ";".join(map(str, r.fprs)),
+                  text(r.t4_root), text(bool(r.fprs)), text(r.g4_applicable)])
+        for r in reports
+    ]
+    code, out, err = run(capsys, "fpr", "--range", "1", str(2 * 10**4), "--format", "json")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows == [
+        {"p": r.p, "candidates": list(r.candidates), "fprs": list(r.fprs), "t4_root": r.t4_root,
+         "t4_applicable": bool(r.fprs), "g4_applicable": r.g4_applicable}
+        for r in reports
+    ]
+    # no root mod 3; mod 5 the discriminant vanishes and 3 is a double root
+    assert rows[0] == {"p": 3, "candidates": [], "fprs": [], "t4_root": None,
+                       "t4_applicable": False, "g4_applicable": False}
+    assert rows[1] == {"p": 5, "candidates": [3], "fprs": [3], "t4_root": 2,
+                       "t4_applicable": True, "g4_applicable": True}
 
 
 def test_census_t4_csv(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from functools import lru_cache
 import subprocess
@@ -145,12 +146,78 @@ def test_census_caps():
 
 
 def test_census_sharding_deterministic():
+    # The memo is cleared before each parallel run, so the workers decide
+    # every segment themselves rather than read the serial run's masks.
     seq = census_t4(3 * 10**4, workers=1)
+    density._SEGMENT_MASKS.clear()
     par = census_t4(3 * 10**4, workers=2)
     assert seq == par
     tri_seq = trinomial_census(3 * 10**4, (2, 0), (1, 1), workers=1)
+    density._SEGMENT_MASKS.clear()
     tri_par = trinomial_census(3 * 10**4, (2, 0), (1, 1), workers=2)
     assert tri_seq == tri_par
+
+
+def _fib_censuses(limit, workers):
+    return (
+        census_t4(limit, workers=workers),
+        census_g4(limit, workers=workers),
+        trinomial_census(limit, (2, 0), (1, 1), workers=workers),
+    )
+
+
+def test_fib_censuses_share_segment_masks(monkeypatch):
+    # Seven segments, so workers=2 starts a pool; the forked workers inherit
+    # the patched kernel, the warm memo and the shared counter.
+    monkeypatch.setattr(density, "_CHUNK", 1 << 14)
+    calls = multiprocessing.Value("i", 0)
+    kernel = density._closed_form_roots
+
+    def counted(p, coeffs):
+        with calls.get_lock():
+            calls.value += 1
+        return kernel(p, coeffs)
+
+    monkeypatch.setattr(density, "_closed_form_roots", counted)
+    cold = _fib_censuses(10**5, 1)
+    assert calls.value == len(density._segments(10**5))
+    calls.value = 0
+    assert _fib_censuses(10**5, 1) == cold
+    assert _fib_censuses(10**5, 2) == cold
+    assert calls.value == 0
+
+
+def test_cold_g4_keeps_no_mask():
+    # A g4 census decides only its own residue classes, so it keeps nothing
+    # for t4 to read; t4 then keeps the full mask, which g4 reads.
+    g4 = census_g4(10**4)
+    assert not density._SEGMENT_MASKS
+    census_t4(10**4)
+    assert len(density._SEGMENT_MASKS) == 1
+    assert census_g4(10**4) == g4
+
+
+def test_segment_memo_holds_packed_bits(monkeypatch):
+    census_t4(10**6)
+    segments = len(density._segments(10**6))
+    assert len(density._SEGMENT_MASKS) == segments
+    assert density._SEGMENT_SLOTS >= len(density._segments(density.SIEVE_CAP))
+    # one bit per odd prime: pi(10^6) = 78498, at most a byte of padding a segment
+    assert sum(b.nbytes for b in density._SEGMENT_MASKS.values()) <= 78498 / 8 + segments
+    # the least recently used segment goes first
+    monkeypatch.setattr(density, "_SEGMENT_SLOTS", 2)
+    density._SEGMENT_MASKS.clear()
+    census_t4(3 * 10**5)
+    assert [lo for _, lo, _ in density._SEGMENT_MASKS] == [2 + (1 << 17), 2 + (1 << 18)]
+
+
+def test_residue_classes_match_euler():
+    for d in range(-40, 41):
+        if not d:
+            continue
+        table = density._residue_classes(d)
+        for p in oracles.simple_sieve(600)[1:]:
+            assert table[p % (4 * abs(d))] == (pow(d, (p - 1) // 2, p) != p - 1), (d, p)
 
 
 def _scalar_census(limit, cps, predicate):
