@@ -155,7 +155,6 @@ def prime_sieve(limit: int, start: int = 2) -> Iterator[int]:
     return (p for block in _prime_blocks(limit, start) for p in block.tolist())
 
 
-@lru_cache(maxsize=None)
 def artin_constant(prime_bound: int) -> float:
     """Partial Artin product over primes q <= prime_bound.
 
@@ -348,7 +347,6 @@ def exists_primitive_trinomial(p: int, e1: ExprLike, e2: ExprLike) -> bool:
     return bool(trinomial_witnesses(p, e1, e2))
 
 
-@lru_cache(maxsize=64)
 def _folded_coeffs(e1: ExpExpr, e2: ExpExpr) -> tuple[tuple[int, int], ...]:
     """Coefficients of the polynomial a primitive witness must satisfy.
 
@@ -393,7 +391,6 @@ def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=64)
 def _residue_classes(d: int) -> np.ndarray:
     """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
 
@@ -484,14 +481,14 @@ def _segment_hits(primes: np.ndarray, lo: int, hi: int, coeffs: tuple[tuple[int,
 def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Mask of the primes the fold-root kernel decides; the rest take the scan.
 
-    The kernel needs p > 2d and a unit leading coefficient, and pays
-    O(d^2 log p) per prime against the scan's O(p). Only the degree is
-    read, so a fold of any degree is routed before anything of size d
+    The kernel pays O(d^2 log p) per prime against the scan's O(p). Its
+    needs follow: p > 1.5 d^2 log2 p gives p > 2d, and a fold's leading
+    coefficient, +-1 or +-2, is a unit mod every odd prime. Only the degree
+    is read, so a fold of any degree is routed before anything of size d
     is allocated.
     """
-    d, lead = coeffs[-1]
-    d = float(d)
-    return (primes > 2 * d) & (lead % primes != 0) & (primes > _ROOT_COST * d * d * np.log2(primes))
+    d = float(coeffs[-1][0])
+    return primes > _ROOT_COST * d * d * np.log2(primes)
 
 
 def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -599,8 +596,8 @@ def trinomial_census(
     reported in the skipped field rather than wrapped into range. Families
     that fold to degree at most 2 are decided by a closed form, higher
     folds by batched root-finding mod p, at O(d^2 log p) per prime; the
-    primes where that costs more than the O(p) exhaustive scan, and those
-    with p <= 2d, take the scan.
+    primes where that costs more than the O(p) exhaustive scan take the
+    scan.
     """
     x1, x2 = _as_expr(e1), _as_expr(e2)
     predicate = partial(_trinomial_predicate, e1=x1, e2=x2)

@@ -249,9 +249,8 @@ def least_primitive(field: FieldDescriptor) -> int:
             return int(codes[ok.argmax()])
 
 
-@lru_cache(maxsize=8)
 def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
-    """Codes of alpha^0 .. alpha^(q-2) as a read-only int64 array.
+    """Codes of alpha^0 .. alpha^(q-2) as an int64 array.
 
     Built by block doubling: once the first m powers are known, the next m
     are those times alpha^m. In GF(p) that product is codes * c % p; in
@@ -277,7 +276,6 @@ def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
             out[filled : filled + m] = digits @ mat % p @ place
             filled += m
             mat = mat @ mat % p
-    out.flags.writeable = False
     return out
 
 
@@ -297,18 +295,21 @@ def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
     return logs
 
 
+@lru_cache(maxsize=1)
 def field_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """(exp, logs) of the least primitive element g: exp[i] = g^i, logs[g^i] = i
-    and logs[0] = -1. The 10^6 log-table cap is checked before either is built."""
+    and logs[0] = -1, read-only and kept for the last field asked for (README
+    "Caches"). The 10^6 log-table cap is checked before either is built."""
     _check_log_table(field.q)
-    g = least_primitive(field)
-    logs = discrete_logs(field, g)
-    return power_table(field, g), logs
+    exp = power_table(field, least_primitive(field))
+    logs = np.full(field.q, -1, dtype=np.int64)
+    logs[exp] = np.arange(field.q - 1)
+    exp.flags.writeable = logs.flags.writeable = False
+    return exp, logs
 
 
-@lru_cache(maxsize=8)
 def primitive_exponents(n: int) -> np.ndarray:
-    """Exponents i in [0, n) with gcd(i, n) = 1, as a read-only int64 array.
+    """Exponents i in [0, n) with gcd(i, n) = 1, as an int64 array.
 
     For a generator alpha of a cyclic group of order n, alpha^i generates
     it exactly for these i.
@@ -316,9 +317,7 @@ def primitive_exponents(n: int) -> np.ndarray:
     coprime = np.ones(n, dtype=bool)
     for q, _ in factorize(n):
         coprime[::q] = False
-    out = np.flatnonzero(coprime).astype(np.int64, copy=False)
-    out.flags.writeable = False
-    return out
+    return np.flatnonzero(coprime).astype(np.int64, copy=False)
 
 
 def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.ndarray:

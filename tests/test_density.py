@@ -8,6 +8,7 @@ import os
 from functools import lru_cache
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,9 +146,12 @@ def test_census_caps():
         census_t4(1)
 
 
-def test_census_sharding_deterministic():
-    # The memo is cleared before each parallel run, so the workers decide
-    # every segment themselves rather than read the serial run's masks.
+def test_census_sharding_deterministic(monkeypatch):
+    # Eight segments, so workers=2 starts a pool wherever there are two
+    # CPUs. The memo is cleared before each parallel run, so the workers
+    # decide every segment themselves rather than read the serial run's masks.
+    monkeypatch.setattr(density, "_CHUNK", 1 << 12)
+    assert len(density._segments(3 * 10**4)) == 8
     seq = census_t4(3 * 10**4, workers=1)
     density._SEGMENT_MASKS.clear()
     par = census_t4(3 * 10**4, workers=2)
@@ -345,6 +349,19 @@ def test_trinomial_witnesses_bruteforce_oracle():
         assert trinomial_witnesses(p, (2, 0), (1, 1)) == expected, p
 
 
+def test_exhaustive_scan_keeps_no_tables():
+    # Each scan builds an O(p) power table and exponent list; none outlives the call.
+    primes = density.primes_in_range(999000, 10**6)[:4].tolist()
+    tracemalloc.start()
+    try:
+        for p in primes:
+            trinomial_witnesses(p, 3, 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 << 20
+
+
 @st.composite
 def _prime_and_pairs(draw):
     # exponent pairs drawn from a small pool, so pairs share exponents, and the
@@ -439,8 +456,6 @@ def test_root_route():
     primes = np.array([3, 5, 83, 89, 10007], dtype=np.int64)
     assert density._root_route(primes, cubic).tolist() == [False, False, False, True, True]
     assert not density._root_route(np.array([401]), ((0, -1), (1, 1), (6, 1)))[0]
-    # a leading coefficient that vanishes mod p
-    assert not density._root_route(np.array([10007]), ((0, 1), (3, 10007)))[0]
     # only the degree is read: a fold of degree about 5 * 2^62 routes every prime to the scan
     huge = _folded_coeffs(*(ExpExpr(*e) for e in _FAMILIES["huge"]))
     assert not density._root_route(np.array(oracles.simple_sieve(10**4)), huge).any()

@@ -280,6 +280,19 @@ def test_log_table_inverts_powers():
             assert field_pow(f, alpha, i) == [r for r, t in enumerate(table) if t == i][0]
 
 
+def test_table_cache_contract():
+    # field_tables keeps one field's pair, read-only; the kernels behind it
+    # keep nothing and return a fresh array per call.
+    f = make_field(3, 2)
+    exp, logs = field_tables(f)
+    again = field_tables(f)
+    assert again[0] is exp and again[1] is logs
+    assert not exp.flags.writeable and not logs.flags.writeable
+    for make in (lambda: power_table(f, 4), lambda: discrete_logs(f, 4), lambda: primitive_exponents(8)):
+        a, b = make(), make()
+        assert a.flags.writeable and not np.shares_memory(a, b)
+
+
 def test_sqrt_mod_p_matches_brute():
     # The primes 3 mod 4 (3, 7, 11, 19, 23, 31, 43, 47) run Tonelli-Shanks with e = 1.
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 43, 47, 97]:
@@ -415,5 +428,5 @@ def test_primitive_exponents_match_gcd_definition():
     for n in [*range(1, 4097), *orders]:
         js = np.arange(n, dtype=np.int64)
         got = primitive_exponents(n)
-        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.dtype == np.int64
         assert np.array_equal(got, js[np.gcd(js, n) == 1]), n

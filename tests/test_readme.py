@@ -1,5 +1,5 @@
-"""README's work-cap table names every cap constant with its enforced value,
-and every module attribute README names exists."""
+"""README's work-cap and cache tables name every cap constant and every
+`lru_cache` with its value, and every module attribute README names exists."""
 
 from __future__ import annotations
 
@@ -54,3 +54,17 @@ def test_readme_dotted_names_resolve():
     names = set(re.findall(rf"`({'|'.join(MODULES)})\.(\w+)", README))
     assert names
     assert sorted(f"{m}.{n}" for m, n in names if not hasattr(MODULES[m], n)) == []
+
+
+def test_cache_table_matches_the_code():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in Path(ff.__file__).parent.glob("*.py")}
+    caches = {
+        f"{module}.{name}": size
+        for module, text in sources.items()
+        for size, name in re.findall(r"^@lru_cache\(maxsize=(\w+)\)\ndef (\w+)", text, re.M)
+    }
+    # every cache decorator in the package has an explicit maxsize
+    assert sum(len(re.findall(r"^@(?:functools\.)?(?:lru_)?cache\b", t, re.M)) for t in sources.values()) == len(caches)
+    caches["density._SEGMENT_SLOTS"] = str(density._SEGMENT_SLOTS)
+    table = README.partition("## Caches")[2].partition("\n## ")[0]
+    assert dict(re.findall(r"^\| `(\w+\.\w+)` *\| (\w+) *\|", table, re.M)) == caches
