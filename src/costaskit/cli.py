@@ -6,9 +6,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence, TextIO
-
-import numpy as np
+from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 from .constructions import (
     ConstructionFailed,
@@ -24,17 +22,9 @@ from .constructions import (
     find_spec,
 )
 from .costas import first_collision, is_costas
-from .density import (
-    _FIB_COEFFS,
-    CensusRow,
-    _closed_form_roots,
-    _prime_blocks,
-    census_g4,
-    census_t4,
-    trinomial_census,
-)
+from .density import CensusRow, census_g4, census_t4, trinomial_census
 from .ff import DegreeOutOfRange, NotPrimitive, ZeroElement, make_field, prime_power
-from .fpr import fpr_report
+from .fpr import fpr_report, fpr_reports
 
 _INAPPLICABLE_REASONS = {
     "w1": "no primitive root for this q (need prime p >= 3)",
@@ -167,56 +157,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3
 
 
-def _fpr_row(p: int, candidates: list[int], fprs: list[int], g4: bool) -> dict:
-    return {
-        "p": p,
-        "candidates": candidates,
-        "fprs": fprs,
-        "t4_root": (fprs[0] - 1) % p if fprs else None,
-        "t4_applicable": bool(fprs),
-        "g4_applicable": g4,
-    }
-
-
-def _fpr_table_rows(blocks: Iterable[np.ndarray]) -> Iterator[dict]:
-    """`fpr` report rows for every odd prime of the sieve blocks, from one
-    closed-form table of x^2 - x - 1 per block; `fpr_report` is the scalar
-    oracle. g4 holds where an FPR exists and p = 1 (mod 4), the rule of
-    fpr._g4_fprs."""
-    for p in blocks:
-        roots, primitive = _closed_form_roots(p, _FIB_COEFFS)
-        for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):
-            flags = {r0: f0, r1: f1}
-            candidates = sorted(r for r in flags if r)
-            fprs = [r for r in candidates if flags[r]]
-            yield _fpr_row(q, candidates, fprs, bool(fprs) and q % 4 == 1)
-
-
 def cmd_fpr(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.range is None):
         raise ValueError("pass exactly one of P or --range A B")
-    if args.p is not None:
-        r = fpr_report(args.p)
-        rows = [_fpr_row(args.p, list(r.candidates), list(r.fprs), r.g4_applicable)]
-    else:
-        # Streamed: _prime_blocks checks the cap now and sieves one segment at a time.
-        lo, hi = args.range
-        rows = _fpr_table_rows(_prime_blocks(hi, max(lo, 3)))
+    # One P stays on the scalar report, which also answers p >= 2^31; a
+    # range is streamed, and fpr_reports checks the sieve cap before it.
+    reports = [fpr_report(args.p)] if args.p is not None else fpr_reports(*args.range)
 
     if args.format == "json":
-        for row in rows:
-            print(json.dumps(row, separators=(",", ":")))
+        for r in reports:
+            row = {
+                "p": r.p,
+                "candidates": r.candidates,
+                "fprs": r.fprs,
+                "t4_root": r.t4_root,
+                "t4_applicable": bool(r.fprs),
+                "g4_applicable": r.g4_applicable,
+            }
+            sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
         return 0
 
-    print("# format=1")
-    print("p,candidates,fprs,t4_root,t4_applicable,g4_applicable")
-    for row in rows:
-        cand = ";".join(str(c) for c in row["candidates"])
-        fprs = ";".join(str(g) for g in row["fprs"])
-        root = "" if row["t4_root"] is None else str(row["t4_root"])
-        t4 = "true" if row["t4_applicable"] else "false"
-        g4 = "true" if row["g4_applicable"] else "false"
-        print(f"{row['p']},{cand},{fprs},{root},{t4},{g4}")
+    sys.stdout.write("# format=1\np,candidates,fprs,t4_root,t4_applicable,g4_applicable\n")
+    for r in reports:
+        cand = ";".join(map(str, r.candidates))
+        fprs = ";".join(map(str, r.fprs))
+        root = "" if r.t4_root is None else str(r.t4_root)
+        t4 = "true" if r.fprs else "false"
+        g4 = "true" if r.g4_applicable else "false"
+        sys.stdout.write(f"{r.p},{cand},{fprs},{root},{t4},{g4}\n")
     return 0
 
 

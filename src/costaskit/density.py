@@ -20,12 +20,13 @@ import numpy as np
 
 from .ff import (
     SIEVE_CAP,
+    FieldDescriptor,
     LimitTooLarge,
     _least_root,
-    _make_field_cached,
     _monic,
     _poly_gcd,
     _poly_powmod,
+    factorize,
     make_field,
     pow_mod_array,
     power_table,
@@ -192,11 +193,11 @@ def _fib_census_predicate(primes: np.ndarray, lo: int, hi: int, modulus: int) ->
 
     Modulus 10 is the t4 census. Modulus 20 is the g4 census, which is the
     same question: both classes 1 and 9 mod 20 are 1 mod 4, where every
-    FPR is a g4 witness (the proof is at fpr._g4_fprs). For odd p != 5 the
-    t4 classes are where x^2 - x - 1 has roots at all, so t4 decides every
-    odd prime at no extra cost and keeps the segment's mask; the g4
-    classes also halve the primitive-root tests, so a g4 census without a
-    kept mask decides only its own primes.
+    FPR is a g4 witness (the proof is at fpr._fprs_are_g4). For odd
+    p != 5 the t4 classes are where x^2 - x - 1 has roots at all, so t4
+    decides every odd prime at no extra cost and keeps the segment's mask;
+    the g4 classes also halve the primitive-root tests, so a g4 census
+    without a kept mask decides only its own primes.
     """
     r = primes % modulus
     gate = (r == 1) | (r == 9)
@@ -302,7 +303,8 @@ def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
     """
     if not exps:
         return []
-    field = _make_field_cached(p, 1)
+    # Built here, not by make_field, whose cache keeps every field it is asked for.
+    field = FieldDescriptor(p, 1, p, None, factorize(p - 1))
     table = power_table(field, _least_root(p, field.q1_factors))
     n, m = p - 1, (p - 1) // 2
     js = primitive_exponents(n)
@@ -436,15 +438,13 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     return roots, primitive
 
 
-def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> Optional[np.ndarray]:
-    """Mask of odd primes where the folded polynomial has a primitive root.
+def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Mask of odd primes where a fold of degree <= 2 has a primitive root.
 
-    None when the degree is above 2. A polynomial that vanishes mod p is
-    satisfied by every primitive root; otherwise one of the at most two
-    roots from `_closed_form_roots` must be primitive.
+    A polynomial that vanishes mod p is satisfied by every primitive root;
+    otherwise one of the at most two roots from `_closed_form_roots` must
+    be primitive.
     """
-    if coeffs and max(k for k, _ in coeffs) > 2:
-        return None
     p = np.asarray(primes, dtype=np.int64).reshape(-1)
     hit = _closed_form_roots(p, coeffs)[1].any(axis=0)
     hit |= math.gcd(*(v for _, v in coeffs)) % p == 0

@@ -284,17 +284,6 @@ def _check_log_table(q: int) -> None:
         raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
 
 
-def discrete_logs(field: FieldDescriptor, base: int) -> np.ndarray:
-    """logs[code] = i where code = base^i, 0 <= i <= q-2, for a primitive base.
-
-    Slot 0 holds -1. Capped at order 10^6.
-    """
-    _check_log_table(field.q)
-    logs = np.full(field.q, -1, dtype=np.int64)
-    logs[power_table(field, base)] = np.arange(field.q - 1)
-    return logs
-
-
 @lru_cache(maxsize=1)
 def field_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """(exp, logs) of the least primitive element g: exp[i] = g^i, logs[g^i] = i
@@ -371,25 +360,9 @@ def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:
     return tuple(sorted((x, p - x)))
 
 
-def is_primitive_root(a: int, p: int) -> bool:
-    """True iff a generates the units mod prime p."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return _is_primitive_root_unchecked(a, p, factorize(p - 1))
-
-
 def _is_primitive_root_unchecked(a: int, p: int, p1_factors: tuple[tuple[int, int], ...]) -> bool:
     # For loops over candidates whose caller has already proved p prime.
     return a % p != 0 and all(pow(a, (p - 1) // f, p) != 1 for f, _ in p1_factors)
-
-
-def smallest_primitive_root(p: int) -> int:
-    """Least primitive root modulo prime p (1 for p = 2)."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p == 2:
-        return 1
-    return _least_root(p, factorize(p - 1))
 
 
 def _least_root(p: int, p1_factors: tuple[tuple[int, int], ...]) -> int:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 
+from .density import _FIB_COEFFS, _closed_form_roots, _prime_blocks
 from .ff import (
     _check_log_table,
     _is_primitive_root_unchecked,
@@ -72,11 +74,12 @@ def _fpr_data(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return candidates, fprs
 
 
-def _g4_fprs(p: int) -> tuple[int, ...]:
-    """FPRs g mod an odd prime p with 1 - g primitive: all iff p = 1 (mod 4). As
-    g(1 - g) = -1, 1 - g = -1/g = g^(m-1) for p - 1 = 2m, and gcd(m - 1, 2m)
-    = gcd(m - 1, 2) is 1 exactly when m is even."""
-    return _fpr_data(p)[1] if p % 4 == 1 else ()
+def _fprs_are_g4(p: int) -> bool:
+    """Whether the FPRs g mod an odd prime p have 1 - g primitive: all do iff
+    p = 1 (mod 4), and none otherwise. As g(1 - g) = -1, 1 - g = -1/g =
+    g^(m-1) for p - 1 = 2m, and gcd(m - 1, 2m) = gcd(m - 1, 2) is 1 exactly
+    when m is even."""
+    return p % 4 == 1
 
 
 def fpr_candidates(p: int) -> list[int]:
@@ -89,16 +92,40 @@ def fpr_set(p: int) -> list[int]:
     return list(_fpr_data(p)[1])
 
 
-def fpr_report(p: int) -> FprReport:
-    candidates, fprs = _fpr_data(p)
+def _report(p: int, candidates: tuple[int, ...], fprs: tuple[int, ...]) -> FprReport:
+    # The one place a report's rules are written; both tuples are ascending.
     return FprReport(
         p=p,
         residue_class_ok=p == 5 or p % 10 in (1, 9),
         candidates=candidates,
         fprs=fprs,
-        t4_root=(min(fprs) - 1) % p if fprs else None,
-        g4_applicable=bool(_g4_fprs(p)),
+        t4_root=(fprs[0] - 1) % p if fprs else None,
+        g4_applicable=bool(fprs) and _fprs_are_g4(p),
     )
+
+
+def fpr_report(p: int) -> FprReport:
+    """The report for one odd prime p, by scalar arithmetic, which also answers p >= 2^31."""
+    return _report(p, *_fpr_data(p))
+
+
+def _segment_reports(p: np.ndarray) -> Iterator[FprReport]:
+    roots, primitive = _closed_form_roots(p, _FIB_COEFFS)
+    for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):
+        flags = {r0: f0, r1: f1}
+        candidates = tuple(sorted(r for r in flags if r))
+        yield _report(q, candidates, tuple(r for r in candidates if flags[r]))
+
+
+def fpr_reports(lo: int, hi: int) -> Iterator[FprReport]:
+    """Reports for the odd primes lo <= p <= hi, in order, as `fpr_report` gives them.
+
+    One closed-form table of x^2 - x - 1 per sieve segment gives both roots
+    at every prime and which are primitive; the candidates are the distinct
+    nonzero roots, so p = 5 has the one candidate 3. Segments are sieved as
+    the reports are read, and the sieve cap is checked now.
+    """
+    return chain.from_iterable(map(_segment_reports, _prime_blocks(hi, max(lo, 3))))
 
 
 def fpr_to_t4_root(p: int, g: int) -> int:
@@ -170,7 +197,7 @@ def g4_witness(q: int) -> Optional[int]:
     """
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
-        return next(iter(_g4_fprs(p)), None)
+        return next(iter(_fpr_data(p)[1]), None) if _fprs_are_g4(p) else None
     return next((a for a, co in _table_roots(p, k, -1) if co), None)
 
 

@@ -25,7 +25,7 @@ from costaskit.density import (
     trinomial_census,
     verify_zero_density_claims,
 )
-from costaskit.ff import is_primitive_root, make_field, prime_power
+from costaskit.ff import make_field, prime_power
 from costaskit.fpr import fpr_set, g4_applicable, t4_admissible, t4_applicable
 
 import oracles
@@ -101,7 +101,7 @@ def test_criterion_03_root_shift_bijection():
         if p == 2:
             continue
         shifted = {a + 1 for a in range(1, p)
-                   if (a * a + a - 1) % p == 0 and is_primitive_root(a, p)}
+                   if (a * a + a - 1) % p == 0 and oracles.is_primitive(make_field(p), a)}
         if shifted != set(fpr_set(p)):
             mismatches.append(p)
     ok = not mismatches

@@ -187,6 +187,13 @@ def test_fpr_csv_pinned(capsys):
     code, out, _ = run(capsys, "fpr", "41")
     assert out.splitlines()[-1] == "41,7;35,7;35,6,true,true"
 
+    # Above 2^31 the batched kernels raise, so one prime takes the scalar
+    # report: both roots of x^2 - x - 1, and p - 1 = 2 * 3 * 149 * 2402107
+    # leaves neither primitive.
+    code, out, _ = run(capsys, "fpr", "2147483659")
+    assert code == 0
+    assert out.splitlines()[-1] == "2147483659,647544499;1499939161,,,false,false"
+
 
 def test_fpr_range(capsys):
     code, out, _ = run(capsys, "fpr", "--range", "3", "31")

@@ -24,7 +24,7 @@ from costaskit.costas import (
     is_costas,
     remove_leading,
 )
-from costaskit.ff import LimitTooLarge, smallest_primitive_root
+from costaskit.ff import LimitTooLarge, least_primitive, make_field
 
 KNOWN_COSTAS = [
     [],
@@ -142,7 +142,7 @@ def _small_costas(n):
 @lru_cache(maxsize=None)
 def _welch(method, p):
     build = welch_w1 if method == "w1" else welch_w2
-    return build(p, smallest_primitive_root(p))
+    return build(p, least_primitive(make_field(p)))
 
 
 def _with_swaps(perm, swaps):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import costaskit
 import costaskit.density as density
+import costaskit.ff as ff
 import oracles
 from costaskit.density import (
     CensusRow,
@@ -468,8 +469,6 @@ def test_folded_coeffs():
     assert _folded_coeffs(ExpExpr(2), ExpExpr(1, 1)) == ((0, -1), (1, -1), (2, 1))
     assert _folded_coeffs(ExpExpr(1), ExpExpr(-1, 2)) == ((0, 1), (1, -1), (2, 1))
     assert _folded_coeffs(ExpExpr(1), ExpExpr(1)) == ((0, -1), (1, 2))
-    # degree above 2 defers to the exhaustive scan
-    assert _fast_exists(11, _folded_coeffs(ExpExpr(3), ExpExpr(1, 1))) is None
 
 
 @settings(deadline=None, max_examples=200)
@@ -480,12 +479,11 @@ def test_folded_coeffs():
 )
 def test_fast_path_matches_bruteforce(p, c1, h1, c2, h2):
     e1, e2 = ExpExpr(c1, h1), ExpExpr(c2, h2)
-    if not (e1.in_range(p) and e2.in_range(p)):
+    coeffs = _folded_coeffs(e1, e2)
+    # folds of degree above 2 take the fold-root kernel or the scan
+    if not (e1.in_range(p) and e2.in_range(p)) or coeffs and coeffs[-1][0] > 2:
         return
-    fast = _fast_exists(p, _folded_coeffs(e1, e2))
-    if fast is None:
-        return
-    assert fast == exists_primitive_trinomial(p, e1, e2), (p, e1, e2)
+    assert _fast_exists(p, coeffs) == exists_primitive_trinomial(p, e1, e2), (p, e1, e2)
 
 
 def test_trinomial_census_artin_shape():
@@ -552,6 +550,14 @@ def test_zero_density_family_b_sharp_at_six_i_plus_one():
     b_entries = [e for e in report.exceptions if e[0] == "b"]
     assert b_entries == [("b", 7, 1, 3)]
     assert (3 + pow(3, 5, 7)) % 7 == 1
+
+
+def test_verifier_leaves_the_field_cache_alone():
+    # The scan builds each GF(p) descriptor itself; make_field's unbounded
+    # cache is for the fields callers ask for, not for every scanned prime.
+    before = ff._make_field_cached.cache_info()
+    verify_zero_density_claims(2000, 3)
+    assert ff._make_field_cached.cache_info() == before
 
 
 def test_zero_density_validation():

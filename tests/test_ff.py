@@ -16,11 +16,9 @@ from costaskit.ff import (
     FieldTooLarge,
     LimitTooLarge,
     affine_map,
-    discrete_logs,
     factorize,
     field_tables,
     is_prime,
-    is_primitive_root,
     least_primitive,
     make_field,
     pow_mod_array,
@@ -28,7 +26,6 @@ from costaskit.ff import (
     prime_power,
     primitive_exponents,
     primitive_root_mask,
-    smallest_primitive_root,
     sqrt_mod_array,
     sqrt_mod_p,
 )
@@ -263,7 +260,8 @@ def test_primitive_elements_cap():
 
 
 def test_log_table_gf11():
-    table = discrete_logs(make_field(11), 2).tolist()
+    # 2 is the least primitive root mod 11
+    table = field_tables(make_field(11))[1].tolist()
     assert table[0] == -1
     assert table[1] == 0
     assert table[2] == 1
@@ -273,11 +271,11 @@ def test_log_table_gf11():
 
 def test_log_table_inverts_powers():
     f = make_field(3, 2)
-    for alpha in primitive_elements(f):
-        table = discrete_logs(f, alpha).tolist()
-        assert table[0] == -1
-        for i in range(f.q - 1):
-            assert field_pow(f, alpha, i) == [r for r, t in enumerate(table) if t == i][0]
+    g = oracles.least_primitive_bruteforce(f)
+    exp, logs = (t.tolist() for t in field_tables(f))
+    assert logs[0] == -1
+    for i in range(f.q - 1):
+        assert exp[i] == field_pow(f, g, i) == [r for r, t in enumerate(logs) if t == i][0]
 
 
 def test_table_cache_contract():
@@ -288,7 +286,7 @@ def test_table_cache_contract():
     again = field_tables(f)
     assert again[0] is exp and again[1] is logs
     assert not exp.flags.writeable and not logs.flags.writeable
-    for make in (lambda: power_table(f, 4), lambda: discrete_logs(f, 4), lambda: primitive_exponents(8)):
+    for make in (lambda: power_table(f, 4), lambda: primitive_exponents(8)):
         a, b = make(), make()
         assert a.flags.writeable and not np.shares_memory(a, b)
 
@@ -318,24 +316,16 @@ def test_sqrt_mod_p_pinned_and_errors():
 
 
 def test_primitive_roots_mod_p():
+    # the scalar test behind fpr_set and least_primitive, multiples of p included
     for p in [2, 3, 5, 7, 11, 13, 29, 41]:
         roots = oracles.brute_primitive_roots(p)
-        for a in range(1, p):
-            assert is_primitive_root(a, p) == (a in roots)
-        assert smallest_primitive_root(p) == min(roots)
+        for a in range(2 * p):
+            assert ff._is_primitive_root_unchecked(a, p, factorize(p - 1)) == (a % p in roots)
         assert least_primitive(make_field(p)) == min(roots)
-    assert not is_primitive_root(0, 5)
-    assert not is_primitive_root(10, 5)
-    with pytest.raises(ValueError):
-        is_primitive_root(2, 10)
-    with pytest.raises(ValueError):
-        smallest_primitive_root(1)
 
 
-def test_smallest_primitive_root_pinned():
-    assert smallest_primitive_root(2) == 1
-    assert smallest_primitive_root(7) == 3
-    assert smallest_primitive_root(41) == 6
+def test_least_primitive_root_pinned():
+    assert [least_primitive(make_field(p)) for p in (2, 7, 41)] == [1, 3, 6]
 
 
 def _prime_at_least(n: int) -> int:
@@ -395,19 +385,19 @@ def test_sqrt_mod_array_every_small_residue():
     st.tuples(st.integers(2, 10**7).map(_prime_at_least), st.integers(0, 2**40)),
     min_size=1, max_size=30,
 ))
-def test_primitive_root_mask_matches_is_primitive_root(cases):
+def test_primitive_root_mask_matches_oracle(cases):
     p = np.array([q for q, _ in cases], dtype=np.int64)
     a = np.array([x for _, x in cases], dtype=np.int64)
     got = primitive_root_mask(np.stack((a, a + 1)), p)
-    assert got[0].tolist() == [is_primitive_root(x, q) for q, x in cases]
-    assert got[1].tolist() == [is_primitive_root(x + 1, q) for q, x in cases]
+    assert got[0].tolist() == [oracles.is_primitive(make_field(q), x % q) for q, x in cases]
+    assert got[1].tolist() == [oracles.is_primitive(make_field(q), (x + 1) % q) for q, x in cases]
 
 
 def test_primitive_root_mask_small_primes():
     # 19 - 1 = 2 * 3^2 and 101 - 1 = 2^2 * 5^2 leave a square for the trial loop
     for p in (2, 3, 5, 7, 11, 13, 19, 29, 41, 101):
         a = np.arange(2 * p)
-        want = [is_primitive_root(int(x), p) for x in a]
+        want = [oracles.is_primitive(make_field(p), int(x) % p) for x in a]
         assert primitive_root_mask(a, np.full(a.size, p)).tolist() == want
     assert primitive_root_mask(np.empty((2, 0), dtype=np.int64), []).shape == (2, 0)
 
