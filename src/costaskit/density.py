@@ -28,7 +28,6 @@ from .ff import (
     _poly_powmod,
     factorize,
     make_field,
-    pow_mod_array,
     power_table,
     primes_in_range,
     primitive_exponents,
@@ -288,46 +287,40 @@ def census_g4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
     return rows
 
 
-def _witness_rows(p: int, exps: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Primitive a mod p with a^e1 + a^e2 = 1, ascending, for each pair (e1, e2).
+def _witness_rows(p: int, e1: int, e2: int) -> np.ndarray:
+    """Primitive a mod p with a^e1 + a^e2 = 1, ascending.
 
     An exhaustive scan over the primitive elements alpha^j (gcd(j, p - 1) = 1)
-    of one power table. The caller has proved p prime and every exponent in
-    [1, p - 2]; nothing is checked again. With m = (p - 1)/2, every unit j
-    is odd, so j(e + m) = je + m mod p - 1 and the row of powers for e + m is
-    p minus the row for e. The units are symmetric under j -> n - j, so the
-    row for m - k is p minus the row for k read backwards. Each row is
-    gathered once, as min(k, m - k) for k = e mod m, and pairs share rows.
-    Powers lie in [1, p - 1], so x + y = 1 mod p exactly when x + y = p + 1;
-    with one row flipped that reads y - x = 1, with both flipped x + y = p - 1.
+    of one power table, O(p): `trinomial_witnesses`, the census primes that
+    neither the closed form nor the fold-root kernel decides, and the
+    verifier's hit primes, where it finds the least witness. The caller
+    has proved p prime and both exponents in [1, p - 2]; nothing is checked
+    again. With m = (p - 1)/2, every unit j is odd, so j(e + m) = je + m
+    mod p - 1 and the row of powers for e + m is p minus the row for e.
+    The units are symmetric under j -> n - j, so the row for m - k is p
+    minus the row for k read backwards, and each exponent gathers the row
+    for min(k, m - k), k = e mod m. Powers lie in [1, p - 1], so
+    x + y = 1 mod p exactly when x + y = p + 1; with one row flipped that
+    reads y - x = 1, with both flipped x + y = p - 1.
     """
-    if not exps:
-        return []
     # Built here, not by make_field, whose cache keeps every field it is asked for.
     field = FieldDescriptor(p, 1, p, None, factorize(p - 1))
     table = power_table(field, _least_root(p, field.q1_factors))
     n, m = p - 1, (p - 1) // 2
     js = primitive_exponents(n)
-    rows: dict[int, np.ndarray] = {}
 
     def powers(e: int) -> tuple[np.ndarray, bool]:
         k = e % m
         r = min(k, m - k)
-        if r not in rows:
-            rows[r] = table[js * r % n]
-        if r == k:
-            return rows[r], e >= m
-        return rows[r][::-1], e < m
+        row = table[js * r % n]
+        return (row, e >= m) if r == k else (row[::-1], e < m)
 
-    out = []
-    for a, b in exps:
-        (x, fx), (y, fy) = powers(a), powers(b)
-        if fx == fy:
-            hit = x + y == (p - 1 if fx else p + 1)
-        else:
-            hit = (y - x if fx else x - y) == 1
-        out.append(np.sort(table[js[hit]]) if hit.any() else table[:0])
-    return out
+    (x, fx), (y, fy) = powers(e1), powers(e2)
+    if fx == fy:
+        hit = x + y == (p - 1 if fx else p + 1)
+    else:
+        hit = (y - x if fx else x - y) == 1
+    return np.sort(table[js[hit]])
 
 
 def trinomial_witnesses(p: int, e1: ExprLike, e2: ExprLike) -> list[int]:
@@ -342,7 +335,7 @@ def trinomial_witnesses(p: int, e1: ExprLike, e2: ExprLike) -> list[int]:
     make_field(p)
     if not (x1.in_range(p) and x2.in_range(p)):
         raise ExponentOutOfRange(f"exponents {x1}, {x2} leave [1, {p - 2}] at p={p}")
-    return _witness_rows(p, [(x1.evaluate(p), x2.evaluate(p))])[0].tolist()
+    return _witness_rows(p, x1.evaluate(p), x2.evaluate(p)).tolist()
 
 
 def exists_primitive_trinomial(p: int, e1: ExprLike, e2: ExprLike) -> bool:
@@ -354,7 +347,10 @@ def _folded_coeffs(e1: ExpExpr, e2: ExpExpr) -> tuple[tuple[int, int], ...]:
 
     For primitive a, a^((p-1)/2) is -1, so each term folds to a signed
     power of a with a p-independent exponent. Exponents are shifted to be
-    nonnegative, which is harmless since a is a unit.
+    nonnegative, which is harmless since a is a unit, and the signs are
+    chosen so the leading coefficient is positive: a fold and its negation
+    have the same roots, so families that differ only by sign, such as
+    a^2 - a - 1 and its negation, get one fold.
     """
     coeffs: dict[int, int] = {}
     for e in (e1, e2):
@@ -364,16 +360,46 @@ def _folded_coeffs(e1: ExpExpr, e2: ExpExpr) -> tuple[tuple[int, int], ...]:
     coeffs = {k: v for k, v in coeffs.items() if v}
     if not coeffs:
         return ()
-    shift = -min(coeffs)
-    if shift < 0:
-        shift = 0
-    return tuple(sorted((k + shift, v) for k, v in coeffs.items()))
+    shift = max(0, -min(coeffs))
+    sign = 1 if coeffs[max(coeffs)] > 0 else -1
+    return tuple(sorted((k + shift, sign * v) for k, v in coeffs.items()))
+
+
+def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
+    """The g with every exponent of the fold in {0, g, 2g}, or None if there is none.
+
+    Such a fold is G(x^g) for a G of degree at most 2, which
+    `_closed_form_roots` solves; a fold with no positive exponent has g = 1.
+    The order test takes g in int64, so a larger g gets None, and the fold
+    goes the way of every other.
+    """
+    g = math.gcd(*(k for k, _ in coeffs)) or 1
+    return g if g <= _I64_MAX and all(k in (0, g, 2 * g) for k, _ in coeffs) else None
+
+
+def _small_inverse(d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Inverse mod the odd primes p of small integers d that are nonzero mod p.
+
+    With r the residue of d of least absolute value, 1/|r| is (k p + 1)/|r|
+    for the one k in [0, |r|) that makes the division exact, so |r| exact
+    divisions replace a modular power.
+    """
+    r = d % p
+    r = np.where(2 * r > p, r - p, r)
+    a = np.abs(r)
+    inv = np.zeros_like(p)
+    for k in range(int(a.max(initial=0))):
+        t = k * p + 1
+        exact = (k < a) & (t % a == 0)
+        inv[exact] = t[exact] // a[exact]
+    return np.where(r < 0, p - inv, inv)
 
 
 def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
     """Roots mod p of c2 x^2 + c1 x + c0 as a (2, N) array, 0 where there is none.
 
-    The coefficients broadcast against the 1-D odd primes p, and c2 and c1
+    The coefficients are small integers (fold coefficients, or 1 for a
+    monic piece) that broadcast against the 1-D odd primes p, and c2 and c1
     must not both vanish mod p. Where c2 = 0 both rows hold -c0/c1;
     otherwise they hold (-c1 +- sqrt(disc))/(2 c2), and a non-residue
     discriminant leaves them 0. A root 0 is never primitive either, so
@@ -388,7 +414,7 @@ def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
     solve = np.flatnonzero(r >= 0)
     ps, r, sq = p[solve], r[solve], quad[solve]
     num = np.where(sq, -c1[solve], -c0[solve]) % ps
-    inv = pow_mod_array(np.where(sq, 2 * c2[solve], c1[solve]) % ps, ps - 2, ps)
+    inv = _small_inverse(np.where(sq, 2 * c2[solve], c1[solve]), ps)
     roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
     return roots
 
@@ -417,15 +443,19 @@ def _residue_classes(d: int) -> np.ndarray:
 
 
 def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of a fold of degree <= 2 mod the odd primes p, and which are primitive.
+    """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
 
-    Both are (2, N): the roots from `_quadratic_roots`, 0 where there is
-    none and where the fold vanishes mod p, and their primitive_root_mask.
-    The discriminant d is the same integer at every p, so a prime where d
-    is a non-residue is turned away by a table lookup on p mod 4|d|, not
-    by a square root.
+    The fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G has
+    degree at most 2. Both results are (2, N): the roots from
+    `_quadratic_roots`, 0 where there is none and where G vanishes mod p,
+    and their primitive_root_mask with this g, which tests each root for
+    order (p - 1)/gcd(g, p - 1). For g = 1 the roots are the fold's own
+    and the mask says which are primitive. The discriminant d is the same
+    integer at every p, so a prime where d is a non-residue is turned away
+    by a table lookup on p mod 4|d|, not by a square root.
     """
-    c0, c1, c2 = (dict(coeffs).get(k, 0) for k in range(3))
+    g = _fold_stride(coeffs)
+    c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
     d = c1 * c1 - 4 * c0 * c2
     solve = math.gcd(c1, c2) % p != 0
     if d:
@@ -434,16 +464,16 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     roots = np.zeros((2, p.size), dtype=np.int64)
     roots[:, solve] = _quadratic_roots(c0, c1, c2, p[solve])
     primitive = np.zeros(roots.shape, dtype=bool)
-    primitive[:, solve] = primitive_root_mask(roots[:, solve], p[solve])
+    primitive[:, solve] = primitive_root_mask(roots[:, solve], p[solve], g)
     return roots, primitive
 
 
 def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Mask of odd primes where a fold of degree <= 2 has a primitive root.
+    """Mask of odd primes where a fold G(x^g) has a primitive root.
 
     A polynomial that vanishes mod p is satisfied by every primitive root;
-    otherwise one of the at most two roots from `_closed_form_roots` must
-    be primitive.
+    otherwise one of the at most two roots y of G from `_closed_form_roots`
+    must be the g-th power of a primitive root.
     """
     p = np.asarray(primes, dtype=np.int64).reshape(-1)
     hit = _closed_form_roots(p, coeffs)[1].any(axis=0)
@@ -483,7 +513,7 @@ def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.n
 
     The kernel pays O(d^2 log p) per prime against the scan's O(p). Its
     needs follow: p > 1.5 d^2 log2 p gives p > 2d, and a fold's leading
-    coefficient, +-1 or +-2, is a unit mod every odd prime. Only the degree
+    coefficient, 1 or 2, is a unit mod every odd prime. Only the degree
     is read, so a fold of any degree is routed before anything of size d
     is allocated.
     """
@@ -545,15 +575,16 @@ def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -
 def _trinomial_predicate(primes: np.ndarray, lo: int, hi: int, e1: ExpExpr, e2: ExpExpr) -> tuple[np.ndarray, np.ndarray]:
     """Hit and skipped masks; a prime where an exponent leaves [1, p - 2] is skipped.
 
-    Folds of degree at most 2 take the closed form, whose mask the segment
-    shares with the t4 census when the fold is x^2 - x - 1. Higher folds
-    take the fold-root kernel where `_root_route` finds it cheaper than
-    the exhaustive scan, and the scan elsewhere. No exponent is in range
-    at p = 2.
+    Folds G(x^g) with exponents in {0, g, 2g} take the closed form at
+    every prime, whose mask the segment keeps: the t4 census shares it
+    when the fold is x^2 - x - 1, and folds equal up to sign share one.
+    Other folds take the fold-root kernel where `_root_route` finds it
+    cheaper than the exhaustive scan, and the scan elsewhere. No exponent
+    is in range at p = 2.
     """
     skip = ~(e1.in_range(primes) & e2.in_range(primes))
     coeffs = _folded_coeffs(e1, e2)
-    if not coeffs or coeffs[-1][0] <= 2:
+    if _fold_stride(coeffs):
         return _segment_hits(primes, lo, hi, coeffs) & ~skip, skip
     live = primes[~skip]
     kernel = _root_route(live, coeffs)
@@ -561,7 +592,7 @@ def _trinomial_predicate(primes: np.ndarray, lo: int, hi: int, e1: ExpExpr, e2: 
     if kernel.any():
         fast[kernel] = _fold_roots_exist(live[kernel], coeffs)
     fast[~kernel] = [
-        _witness_rows(p, [(e1.evaluate(p), e2.evaluate(p))])[0].size > 0
+        _witness_rows(p, e1.evaluate(p), e2.evaluate(p)).size > 0
         for p in live[~kernel].tolist()
     ]
     hit = np.zeros(primes.shape, dtype=bool)
@@ -594,10 +625,10 @@ def trinomial_census(
 
     Primes where either exponent leaves [1, p - 2] are skipped and
     reported in the skipped field rather than wrapped into range. Families
-    that fold to degree at most 2 are decided by a closed form, higher
-    folds by batched root-finding mod p, at O(d^2 log p) per prime; the
-    primes where that costs more than the O(p) exhaustive scan take the
-    scan.
+    that fold to G(x^g) with G of degree at most 2 are decided by a closed
+    form, other folds by batched root-finding mod p, at O(d^2 log p) per
+    prime; the primes where that costs more than the O(p) exhaustive scan
+    take the scan.
     """
     x1, x2 = _as_expr(e1), _as_expr(e2)
     predicate = partial(_trinomial_predicate, e1=x1, e2=x2)
@@ -618,16 +649,19 @@ def _claim_families(i: int):
 
 
 def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
-    """Scan three trinomial families whose witnesses provably stop.
+    """Check three trinomial families whose witnesses provably stop.
 
-    Family a folds to an order-3 condition on a^i and its exponents only
-    fit in range for p >= 4i + 3, so it can never have a witness. Families
-    b and c fold to an order-6 condition, which forces p <= 6i + 1, and
-    the bound is attained whenever 6i + 1 is prime. Witnesses at or below
-    the threshold are recorded as exceptions; any beyond it would be a
-    violation of the claim. Each sieved prime is scanned once, exhaustively
-    over its primitive elements, for all of its in-range (i, family) pairs;
-    an entry records the least witness.
+    Family a folds to y^2 + y + 1 = 0 with y = a^i, an order-3 condition,
+    and its exponents only fit in range for p >= 4i + 3, so it can never
+    have a witness. Families b and c fold to y^2 - y + 1 = 0, an order-6
+    condition, which forces p <= 6i + 1, and the bound is attained whenever
+    6i + 1 is prime. Witnesses at or below the threshold are recorded as
+    exceptions; any beyond it would be a violation of the claim. Each
+    (i, family) pair reads its hit and skipped masks from the census
+    predicate one sieve segment at a time, so the closed form for G(x^g)
+    decides every prime. Only the hit primes are scanned exhaustively, by
+    `_witness_rows`, for the least witness an entry records. Entries are
+    in (p, i, family) order.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -636,22 +670,18 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     if not 1 <= i_max <= _I_MAX_CAP:
         raise ValueError(f"i_max must be in 1..{_I_MAX_CAP}")
 
-    violations = []
-    exceptions = []
+    entries = []
     skipped = {"a": 0, "b": 0, "c": 0}
-    families = [(i, *f) for i in range(1, i_max + 1) for f in _claim_families(i)]
-    for p in prime_sieve(limit):
-        live, exps = [], []
-        for i, name, e1, e2, threshold in families:
-            if e1.in_range(p) and e2.in_range(p):
-                live.append((name, i, threshold))
-                exps.append((e1.evaluate(p), e2.evaluate(p)))
-            else:
-                skipped[name] += 1
-        for (name, i, threshold), found in zip(live, _witness_rows(p, exps)):
-            if found.size:
-                entry = (name, p, i, int(found[0]))
-                (violations if p > threshold else exceptions).append(entry)
+    for lo, hi in _segments(limit):
+        primes = primes_in_range(lo, hi)
+        for i in range(1, i_max + 1):
+            for name, e1, e2, threshold in _claim_families(i):
+                hit, skip = _trinomial_predicate(primes, lo, hi, e1, e2)
+                skipped[name] += int(skip.sum())
+                for p in primes[hit].tolist():
+                    least = _witness_rows(p, e1.evaluate(p), e2.evaluate(p))[0]
+                    entries.append((p, i, name, threshold, int(least)))
+    entries.sort()
 
     thresholds = {
         name: tuple(_claim_families(i)[idx][3] for i in range(1, i_max + 1))
@@ -661,7 +691,7 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
         limit=limit,
         i_max=i_max,
         thresholds=thresholds,
-        violations=tuple(violations),
-        exceptions=tuple(exceptions),
+        violations=tuple((name, p, i, w) for p, i, name, t, w in entries if p > t),
+        exceptions=tuple((name, p, i, w) for p, i, name, t, w in entries if p <= t),
         skipped=skipped,
     )

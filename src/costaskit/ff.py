@@ -482,24 +482,28 @@ def sqrt_mod_array(a, p) -> np.ndarray:
     return out
 
 
-def primitive_root_mask(a, p) -> np.ndarray:
-    """Whether a[..., i] generates the units mod p[i], for a 1-D array of primes p.
+def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
+    """Whether a[..., i] is the g-th power of a primitive root mod p[i], for a 1-D array of primes p.
 
-    p - 1 is factored by trial division with the primes up to sqrt(max p):
-    every (index, prime factor) pair is collected first, what is left of
-    p - 1 afterwards is 1 or a single prime, and one batched exponentiation
-    tests a^((p-1)/q) != 1 for all pairs at once. a = 0 mod p is not
-    primitive; leading axes of a are tested against the same p.
+    The units mod p are cyclic, so the g-th powers of the primitive roots
+    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
+    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
+    asks whether a is primitive. N is factored by trial division with the
+    primes up to sqrt(max N): every (index, prime factor) pair is collected
+    first, what is left of N afterwards is 1 or a single prime, and one
+    batched exponentiation tests a^(N/q) != 1 for all pairs at once, and
+    a^N = 1 where N < p - 1 (Fermat gives it where N = p - 1). a = 0 mod p
+    never qualifies; leading axes of a are tested against the same p.
     """
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
     if not p.size:
         return np.zeros(a.shape, dtype=bool)
-    n = p - 1
+    n = (p - 1) // np.gcd(g, p - 1)
     rem = n.copy()
     idx_parts, q_parts = [], []
     live = np.arange(p.size)
-    for q in primes_in_range(2, math.isqrt(int(p.max())) + 1).tolist():
+    for q in primes_in_range(2, math.isqrt(int(n.max())) + 1).tolist():
         # A cofactor below q^2 with no prime factor below q is 1 or prime.
         live = live[rem[live] >= q * q]
         if not live.size:
@@ -516,13 +520,16 @@ def primitive_root_mask(a, p) -> np.ndarray:
             again = sub % q == 0
         rem[hit] = sub
     big = np.flatnonzero(rem > 1)
-    idx = np.concatenate([*idx_parts, big])
-    q = np.concatenate([*q_parts, rem[big]])
+    short = np.flatnonzero(n < p - 1)
+    idx = np.concatenate([*idx_parts, big, short])
+    q = np.concatenate([*q_parts, rem[big], np.ones(short.size, dtype=np.int64)])
+    # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
+    fails_at_one = q > 1
 
     ok = a != 0
     exps, mods = n[idx] // q, p[idx]
     for row_a, row_ok in zip(a.reshape(-1, p.size), ok.reshape(-1, p.size)):
-        row_ok[idx[pow_mod_array(row_a[idx], exps, mods) == 1]] = False
+        row_ok[idx[(pow_mod_array(row_a[idx], exps, mods) == 1) == fails_at_one]] = False
     return ok
 
 

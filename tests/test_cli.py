@@ -304,6 +304,14 @@ def test_census_negative_exponent_flag(capsys):
     assert out.splitlines()[-1].startswith("100,2,")
 
 
+def test_census_negated_fibonacci_fold(capsys):
+    # a^-2 + a^-1 = 1 is a^2 - a - 1 = 0: the same counts and the same t4 heading
+    fib = run(capsys, "census", "trinomial", "100000", "--e1", "2", "--e2", "1,1", "--workers", "1")
+    negated = run(capsys, "census", "trinomial", "100000", "--e1=-2,2", "--e2=-1,2", "--workers", "1")
+    assert negated == fib
+    assert fib[1].splitlines()[-1].endswith(",0.265705")
+
+
 def test_census_usage(capsys):
     assert run(capsys, "census", "t4", "1")[0] == 1
     assert run(capsys, "census", "trinomial", "100")[0] == 1

@@ -8,6 +8,7 @@ import os
 from functools import lru_cache
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,15 @@ _FAMILIES = {
     # degree 16: the exhaustive scan below the routing crossover near 4700,
     # the kernel above it
     "16/1": ((16, 0), (1, 0)),
+    # folds G(x^g) of degrees 4 and 6, G = y^2 - y + 1: the closed form with
+    # an order test at every prime (the verifier's family b at i = 2 and 3)
+    "2/4,1": ((2, 0), (4, 1)),
+    "3/6,1": ((3, 0), (6, 1)),
+    # the Fibonacci fold negated: a^-2 + a^-1 = 1
+    "-2,2/-1,2": ((-2, 2), (-1, 2)),
+    # y^2 + y + 1 at y = a^(2^63), a stride beyond int64: in range only at
+    # p = 11 (exponents 3 and 1), which the scan decides
+    "stride 2^63": ((2**63, -(2**63 - 3) // 5), (2**64, -(2**64 - 1) // 5)),
 }
 
 
@@ -365,8 +375,9 @@ def test_exhaustive_scan_keeps_no_tables():
 
 @st.composite
 def _prime_and_pairs(draw):
-    # exponent pairs drawn from a small pool, so pairs share exponents, and the
-    # pool holds e + (p - 1)/2 beside e, so pairs share folded rows as well
+    # exponent pairs drawn from a small pool that holds e + (p - 1)/2 beside e,
+    # so the two exponents of a pair often read the same row of powers, one
+    # of them flipped
     p = draw(st.sampled_from([q for q in oracles.simple_sieve(128) if q > 2]))
     m = (p - 1) // 2
     pool = draw(st.lists(st.integers(1, p - 2), min_size=1, max_size=3))
@@ -382,13 +393,13 @@ def _prime_and_pairs(draw):
 def test_witness_rows_match_bruteforce(case):
     p, pairs = case
     expected = [oracles.brute_trinomial_witnesses(p, a, b) for a, b in pairs]
-    assert [r.tolist() for r in density._witness_rows(p, pairs)] == expected, case
+    assert [density._witness_rows(p, a, b).tolist() for a, b in pairs] == expected, case
     assert [trinomial_witnesses(p, a, b) for a, b in pairs] == expected, case
 
 
 def test_zero_density_matches_scalar_loop():
-    # i_max at its cap: one batched scan per prime against one public call
-    # per (prime, i, family)
+    # i_max at its cap: the closed form at every prime, and a scan at the hit
+    # primes, against one exhaustive public call per (prime, i, family)
     limit, i_max = 3000, 10
     violations, exceptions, skipped = [], [], {"a": 0, "b": 0, "c": 0}
     for p in prime_sieve(limit):
@@ -469,6 +480,78 @@ def test_folded_coeffs():
     assert _folded_coeffs(ExpExpr(2), ExpExpr(1, 1)) == ((0, -1), (1, -1), (2, 1))
     assert _folded_coeffs(ExpExpr(1), ExpExpr(-1, 2)) == ((0, 1), (1, -1), (2, 1))
     assert _folded_coeffs(ExpExpr(1), ExpExpr(1)) == ((0, -1), (1, 2))
+    # the leading coefficient is positive, so a fold and its negation are one
+    assert _folded_coeffs(ExpExpr(-2, 2), ExpExpr(-1, 2)) == density._FIB_COEFFS
+    assert _folded_coeffs(ExpExpr(3, 1), ExpExpr(1, 1)) == ((0, 1), (1, 1), (3, 1))
+    for i in range(1, 11):
+        (_, *a), (_, *b), (_, *c) = (f[:3] for f in density._claim_families(i))
+        assert _folded_coeffs(*a) == ((0, 1), (i, 1), (2 * i, 1))
+        assert _folded_coeffs(*b) == _folded_coeffs(*c) == ((0, 1), (i, -1), (2 * i, 1))
+
+
+def test_fold_stride():
+    assert density._fold_stride(density._FIB_COEFFS) == 1
+    assert density._fold_stride(((0, 1), (3, -1), (6, 1))) == 3
+    assert density._fold_stride(((0, 1), (4, 1))) == 4
+    assert density._fold_stride(((0, -3),)) == density._fold_stride(()) == 1
+    assert density._fold_stride(((0, 1), (1, 1), (3, 1))) is None
+    assert density._fold_stride(((0, 1), (2, 1), (6, 1))) is None
+    assert density._fold_stride(((0, 1), (2**63, 1), (2**64, 1))) is None
+
+
+def test_small_inverse_matches_pow():
+    p = np.array([q for q in oracles.simple_sieve(3000) if q > 2], dtype=np.int64)
+    for d in range(-13, 14):
+        live = d % p != 0
+        want = [pow(d, -1, int(q)) for q in p[live]]
+        assert density._small_inverse(np.full(p.size, d)[live], p[live]).tolist() == want, d
+    # the quadratic formula's denominators after reduction mod p, mixed in one call
+    d = np.array([2, 1, 2 * (7 - 1), 3 - 11, 4], dtype=np.int64)
+    q = np.array([3, 5, 7, 11, 13], dtype=np.int64)
+    assert density._small_inverse(d, q).tolist() == [pow(int(x), -1, int(m)) for x, m in zip(d, q)]
+
+
+_ODD_PRIMES_2000 = [q for q in oracles.simple_sieve(2000) if q > 2]
+
+
+@st.composite
+def _stride_fold_and_prime(draw):
+    # G(x^g) with G = c2 y^2 + c1 y + c0; the prime is sometimes an odd prime
+    # factor of the discriminant, where G has a double root or degenerates
+    g = draw(st.integers(1, 8))
+    c0, c1, c2 = (draw(st.integers(-2, 2)) for _ in range(3))
+    coeffs = tuple((k * g, v) for k, v in enumerate((c0, c1, c2)) if v)
+    disc = abs(c1 * c1 - 4 * c0 * c2)
+    at_disc = [q for q in _ODD_PRIMES_2000 if disc % q == 0]
+    if at_disc and draw(st.booleans()):
+        return g, coeffs, draw(st.sampled_from(at_disc))
+    return g, coeffs, draw(st.sampled_from(_ODD_PRIMES_2000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stride_fold_and_prime())
+# y^2 - y + 1 at p = 3, a double root of order 2 (the verifier's family c at i = 1)
+@example((1, ((0, 1), (1, -1), (2, 1)), 3))
+# (y - 1)^2: the root 1 is a^g for a primitive a exactly when p - 1 divides g
+@example((6, ((0, 1), (6, -2), (12, 1)), 7))
+@example((4, ((0, 1), (4, -2), (8, 1)), 7))
+# 2y^2 + y + 2 has discriminant -15: a double root at p = 5
+@example((3, ((0, 2), (3, 1), (6, 2)), 5))
+# G = 2y: only the root 0, never a power of a unit
+@example((2, ((2, 2),), 11))
+# nothing left: every primitive root is a witness
+@example((5, (), 3))
+def test_stride_closed_form_matches_bruteforce(case):
+    g, coeffs, p = case
+    assert density._fold_stride(coeffs) in (g, 2 * g, 1)
+    witnesses = oracles.brute_fold_primitive_roots(p, coeffs)
+    primes = np.array([p], dtype=np.int64)
+    assert _fast_exists(primes, coeffs).tolist() == [bool(witnesses)], case
+    if math.gcd(*(v for _, v in coeffs)) % p:
+        # the roots of G that pass are the g-th powers of the witnesses
+        roots, ok = density._closed_form_roots(primes, coeffs)
+        stride = density._fold_stride(coeffs)
+        assert set(roots[ok].tolist()) == {pow(a, stride, p) for a in witnesses}, case
 
 
 @settings(deadline=None, max_examples=200)
@@ -480,8 +563,8 @@ def test_folded_coeffs():
 def test_fast_path_matches_bruteforce(p, c1, h1, c2, h2):
     e1, e2 = ExpExpr(c1, h1), ExpExpr(c2, h2)
     coeffs = _folded_coeffs(e1, e2)
-    # folds of degree above 2 take the fold-root kernel or the scan
-    if not (e1.in_range(p) and e2.in_range(p)) or coeffs and coeffs[-1][0] > 2:
+    # folds that are not G(x^g) take the fold-root kernel or the scan
+    if not (e1.in_range(p) and e2.in_range(p)) or not density._fold_stride(coeffs):
         return
     assert _fast_exists(p, coeffs) == exists_primitive_trinomial(p, e1, e2), (p, e1, e2)
 
@@ -522,6 +605,7 @@ def test_trinomial_predicted():
     assert trinomial_predicted((1, 0), (1, 0)) == c.artin
     assert trinomial_predicted((2, 0), (1, 1)) == c.t4_density
     assert trinomial_predicted((1, 1), (2, 0)) == c.t4_density
+    assert trinomial_predicted((-2, 2), (-1, 2)) == c.t4_density
     assert trinomial_predicted((1, 0), (-1, 2)) == 0.0
 
 
@@ -558,6 +642,17 @@ def test_verifier_leaves_the_field_cache_alone():
     before = ff._make_field_cached.cache_info()
     verify_zero_density_claims(2000, 3)
     assert ff._make_field_cached.cache_info() == before
+
+
+def test_zero_density_at_the_cap():
+    # the verifier's largest input, within a stated budget; its exceptions all
+    # lie below 6 * 10 + 1, so they equal those at 3000 (held to the scalar
+    # loop above)
+    start = time.perf_counter()
+    report = verify_zero_density_claims(10**5, 10)
+    assert time.perf_counter() - start < 5.0
+    assert report.violations == ()
+    assert report.exceptions == verify_zero_density_claims(3000, 10).exceptions
 
 
 def test_zero_density_validation():

@@ -399,6 +399,12 @@ def test_primitive_root_mask_small_primes():
         a = np.arange(2 * p)
         want = [oracles.is_primitive(make_field(p), int(x) % p) for x in a]
         assert primitive_root_mask(a, np.full(a.size, p)).tolist() == want
+        # g-th powers of primitive roots: order (p - 1)/gcd(g, p - 1), down to
+        # order 1 where p - 1 divides g
+        for g in range(2, 13):
+            powers = {pow(r, g, p) for r in range(1, p) if oracles.is_primitive(make_field(p), r)}
+            want = [int(x) % p in powers for x in a]
+            assert primitive_root_mask(a, np.full(a.size, p), g).tolist() == want, (p, g)
     assert primitive_root_mask(np.empty((2, 0), dtype=np.int64), []).shape == (2, 0)
 
 
