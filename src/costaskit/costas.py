@@ -8,6 +8,8 @@ difference table the entries are distinct; that is the form checked here.
 
 from __future__ import annotations
 
+import mmap
+import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,11 +40,22 @@ COSTAS_CAP = 100_000
 _TABLE_CAP = 2048
 
 # A row of m cells has distinct entries iff scattering them into a zeroed
-# byte table marks m bins. Up to n = 1024 the kernel keys blocks of
-# _BLOCK_BINS // (2n) >= 16 rows into one table of at most 2 * _BLOCK_BINS
-# bytes; beyond that it scatters and counts one row at a time into 2n bytes.
+# byte table marks m bins. The kernel keys blocks of
+# max(_BLOCK_BINS // (2n), 16) rows into one table while a block spans at
+# most _BLOCK_CELLS rows x n (up to n = 2048); beyond that it scatters and
+# counts one row at a time into 2n bytes. On Welch arrays 16-row blocks
+# beat single rows up to about n = 1900 and are within 5 % of them to 2150.
 _BLOCK_BINS = 1 << 15
 _MIN_BLOCK_ROWS = 16
+_BLOCK_CELLS = 1 << 15
+
+# Above the block switch, a check asked to use several processes runs rows
+# 1.._PARENT_ROWS itself (a swapped or random permutation collides there, so
+# nothing forks), then cuts the rest of the half triangle into chunks of
+# about _CHUNK_CELLS cells, in row order, for forked processes to share.
+_PARENT_ROWS = 64
+_CHUNK_CELLS = 1 << 20
+_CLEAN = -1  # a chunk's slot: its first colliding row, _CLEAN, or 0 if unknown
 
 
 def _permutation(
@@ -80,10 +93,11 @@ def _drop_corner(a: np.ndarray, t: int) -> np.ndarray:
     return a[t:] - t
 
 
-def _first_colliding_row(a: np.ndarray) -> int:
+def _first_colliding_row(a: np.ndarray, workers: int = 1) -> int:
     """Smallest k whose difference row f(x+k) - f(x) repeats an entry, or 0 if none.
 
-    a is an int64 array already known to be a permutation of 1..n.
+    a is an int64 array already known to be a permutation of 1..n. Above the
+    block switch, workers > 1 lets up to that many processes share the rows.
     """
     # Only rows k <= (n-1)//2 need checking. If row k collides at columns
     # x < y, then f(y) - f(x) = f(y+k) - f(x+k), so row y - x collides at
@@ -95,14 +109,17 @@ def _first_colliding_row(a: np.ndarray) -> int:
     half = (n - 1) // 2
     width = 2 * n  # hi[x+k] - a[x] = d + n lies in 1..2n-1
     hi = a + n
-    if _BLOCK_BINS // width < _MIN_BLOCK_ROWS:
+    step = max(_BLOCK_BINS // width, _MIN_BLOCK_ROWS)
+    if step * n > _BLOCK_CELLS:
+        if workers > 1:
+            return _first_row_forked(hi, a, half, workers)
         return _first_row_scatter(hi, a, 1, half)
     # Rows k0..k0+rows-1 share one table, row r keyed into bins
     # [r * width, (r+1) * width). The rectangle (rows, n - k0) overhangs the
     # shorter rows; the pad value sends those cells past rows * width, each
     # to a bin of its own (below 2 * step * width), as a[x] differs for the
     # cells of one row.
-    step = min(_BLOCK_BINS // width, half)
+    step = min(step, half)
     hi = np.concatenate((hi, np.full(step, (step - 1) * width + n, dtype=np.int64)))
     offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
     seen = np.zeros(2 * step * width, dtype=np.uint8)
@@ -140,6 +157,76 @@ def _first_row_scatter(hi: np.ndarray, a: np.ndarray, k_lo: int, k_hi: int) -> i
     return 0
 
 
+def _first_row_forked(hi: np.ndarray, a: np.ndarray, half: int, workers: int) -> int:
+    """_first_row_scatter(hi, a, 1, half), shared among up to `workers` processes.
+
+    The caller's process checks rows 1.._PARENT_ROWS alone. The indices of
+    the chunks after them go into one pipe before any fork, and the parent
+    and its children take them until the pipe is empty, each writing a
+    chunk's answer into a shared slot. Once every child is reaped, the
+    answer is read from the slots in row order; a chunk left without one
+    (its process died, or skipped it) is checked then by the parent.
+    """
+    n = len(a)
+    k = _first_row_scatter(hi, a, 1, min(_PARENT_ROWS, half))
+    if k or half <= _PARENT_ROWS:
+        return k
+    rows = np.arange(_PARENT_ROWS + 1, half + 1)
+    before = np.cumsum(n - rows) - (n - rows)  # cells in the rows ahead of each row
+    starts = rows[np.flatnonzero(np.diff(before // _CHUNK_CELLS, prepend=-1))].tolist()
+    ends = [s - 1 for s in starts[1:]] + [half]
+    processes = min(workers, os.cpu_count() or 1, len(starts))
+    # slots[0] is the least colliding row found so far, which lets a process
+    # skip the chunks that start above it; slots[1 + c] is chunk c's answer.
+    slots = np.frombuffer(mmap.mmap(-1, 8 * (len(starts) + 1)), dtype=np.int64)
+    slots[0] = half + 1
+    r, w = os.pipe()
+    children = []
+    try:
+        try:
+            # Tokens that do not fit the pipe stay unqueued: the parent's
+            # last pass checks their chunks.
+            os.set_blocking(w, False)
+            os.write(w, np.arange(len(starts), dtype="<u4").tobytes())
+        except BlockingIOError:
+            pass
+        finally:
+            os.close(w)
+        for _ in range(processes - 1):
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                try:
+                    _drain_chunks(r, hi, a, starts, ends, slots)
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        _drain_chunks(r, hi, a, starts, ends, slots)
+    finally:
+        os.close(r)
+        for pid in children:
+            os.waitpid(pid, 0)
+    for c, (lo, top) in enumerate(zip(starts, ends)):
+        k = int(slots[1 + c]) or _first_row_scatter(hi, a, lo, top) or _CLEAN
+        if k != _CLEAN:
+            return k
+    return 0
+
+
+def _drain_chunks(r: int, hi: np.ndarray, a: np.ndarray, starts: list[int],
+                  ends: list[int], slots: np.ndarray) -> None:
+    """Check each chunk whose index this process reads from pipe r, until it is empty."""
+    while token := os.read(r, 4):
+        c = int.from_bytes(token, "little")
+        if starts[c] <= slots[0]:
+            k = _first_row_scatter(hi, a, starts[c], ends[c])
+            slots[1 + c] = k or _CLEAN
+            if k and k < slots[0]:
+                slots[0] = k
+
+
 def is_costas(perm: Sequence[int]) -> bool:
     """True iff perm is a Costas permutation. Permutations of size <= 2 always are.
 
@@ -159,13 +246,17 @@ def difference_table(perm: Sequence[int]) -> list[list[int]]:
     return [(a[k:] - a[:-k]).tolist() for k in range(1, len(a))]
 
 
-def first_collision(perm: Sequence[int]) -> Optional[tuple[int, int, int]]:
+def first_collision(
+    perm: Sequence[int], workers: int = 1
+) -> Optional[tuple[int, int, int]]:
     """Lexicographically first (k, x, y) with f(x+k) - f(x) = f(y+k) - f(y), or None.
 
     x and y are 1-based column indices with x < y. Same limits as is_costas.
+    With workers > 1, a check above n = 2048 may fork up to workers - 1
+    processes (no more than the CPUs allow); the answer does not depend on it.
     """
     a = _permutation(perm, COSTAS_CAP)
-    k = _first_colliding_row(a)
+    k = _first_colliding_row(a, workers)
     if k == 0:
         return None
     # In a stable sort, equal entries keep column order, so each adjacent

@@ -367,6 +367,7 @@ ONE_LINE_ERRORS = [
     (["build", "w1", "2147483647"], "build: log table capped at order 1000000"),
     (["build", "w1", "7", "--out", "{tmp}/missing/x.json"], "build: [Errno 2] No such file or directory: '{tmp}/missing/x.json'"),
     (["verify", "--perm", "-1,2"], "verify: expected a permutation of 1..2"),
+    (["verify", "--perm", "1,2", "--workers", "-1"], "verify: --workers must not be negative, got -1"),
 ]
 
 
@@ -545,6 +546,30 @@ def test_census_negative_workers(capsys):
     assert code == 0 and out.endswith("100,8,25,0.320000,0.265705\n") and err == ""
     assert worker_count(None) == worker_count(0) == worker_default()
     assert worker_count(2) == 2
+
+
+def test_verify_negative_workers_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("COSTAS_THREADS", "-1")
+    assert run(capsys, "verify", "--perm", "1,2") == (
+        1, "", "verify: COSTAS_THREADS must not be negative, got -1\n")
+
+
+def test_verify_same_answer_for_any_worker_count(capsys, tmp_path):
+    # n = 2052 is above the block switch, so with 2 CPUs or more the clean
+    # array forks; the swapped copy collides in row 2, checked by the parent.
+    path = tmp_path / "w1.json"
+    assert run(capsys, "build", "w1", "2053", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    perm = doc["perm"]
+    perm[240], perm[611] = perm[611], perm[240]
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(doc))
+    cases = ((path, (0, "costas\n", "")), (swapped, (3, "not-costas k=2 x=239 y=248\n", "")))
+    for file, want in cases:
+        for workers in ("1", "2", "3"):
+            assert run(capsys, "verify", str(file), "--workers", workers) == want
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 def test_help_and_missing_command(capsys):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import time
+from contextlib import contextmanager
 from enum import IntEnum
 from functools import lru_cache
 from itertools import permutations
@@ -12,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from costaskit import costas
-from costaskit.constructions import welch_w1, welch_w2
+from costaskit.cli import main
+from costaskit.constructions import lempel_l2, welch_w1, welch_w2
 from costaskit.costas import (
     COSTAS_CAP,
     BlockNotClosed,
@@ -24,7 +29,7 @@ from costaskit.costas import (
     is_costas,
     remove_leading,
 )
-from costaskit.ff import LimitTooLarge, least_primitive, make_field
+from costaskit.ff import LimitTooLarge, least_primitive, make_field, prime_power
 
 KNOWN_COSTAS = [
     [],
@@ -176,6 +181,7 @@ def test_matches_naive_oracle(perm):
 
 # (bins, min rows): blocks of 2 rows for n <= 8 with partial last blocks;
 # blocks for n <= 32 and one scatter per row above; one scatter per row.
+# A block cap of bins // 2 cells keeps blocks of at least min rows.
 _TINY_BLOCKS = [(32, 2), (256, 4), (1, 1)]
 
 
@@ -183,6 +189,7 @@ _TINY_BLOCKS = [(32, 2), (256, 4), (1, 1)]
 def test_kernel_exhaustive_with_tiny_blocks(bins, min_rows, monkeypatch):
     monkeypatch.setattr(costas, "_BLOCK_BINS", bins)
     monkeypatch.setattr(costas, "_MIN_BLOCK_ROWS", min_rows)
+    monkeypatch.setattr(costas, "_BLOCK_CELLS", bins // 2)
     for n in range(8):
         for perm in permutations(range(1, n + 1)):
             assert first_collision(perm) == oracles.naive_first_collision(list(perm))
@@ -195,22 +202,23 @@ def test_kernel_with_tiny_blocks_matches_naive(bins, min_rows, perm):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(costas, "_BLOCK_BINS", bins)
         mp.setattr(costas, "_MIN_BLOCK_ROWS", min_rows)
+        mp.setattr(costas, "_BLOCK_CELLS", bins // 2)
         assert first_collision(perm) == oracles.naive_first_collision(perm)
 
 
 def test_kernel_across_the_block_switch():
-    # n <= 1024 runs row blocks of 16 or more rows, and the last block is
-    # partial (n = 1018: 508 rows, 1024: 511); n > 1024 runs one scatter
+    # n <= 2048 runs row blocks of 16 or more rows, and the last block is
+    # partial (n = 2038: 1018 rows, 2048: 1023); n > 2048 runs one scatter
     # per row.
     assert costas._BLOCK_BINS // (2 * 1024) == costas._MIN_BLOCK_ROWS
-    assert costas._BLOCK_BINS // (2 * 1025) < costas._MIN_BLOCK_ROWS
-    for method, p in (("w1", 1019), ("w1", 1031), ("w2", 1031)):
+    assert costas._MIN_BLOCK_ROWS * 2048 == costas._BLOCK_CELLS
+    for method, p in (("w1", 2039), ("w1", 2053), ("w2", 2053)):
         perm = _welch(method, p)
         assert is_costas(perm) and first_collision(perm) is None
-        for swaps in ([(0, 1)], [(5, 700)], [(3, 900), (17, 400)]):
+        for swaps in ([(0, 1)], [(5, 1400)], [(3, 1800), (17, 800)]):
             bad = _with_swaps(perm, swaps)
             assert first_collision(bad) == oracles.naive_first_collision(bad)
-    for n in (1023, 1024, 1025, 1026):
+    for n in (2047, 2048, 2049, 2050):
         perm = list(range(n, 0, -1))
         assert first_collision(perm) == (1, 1, 2)
         perm = [*range(2, n + 1, 2), *range(1, n + 1, 2)]
@@ -218,8 +226,9 @@ def test_kernel_across_the_block_switch():
 
 
 @pytest.mark.parametrize("p,swap,hit", [
-    (1019, (49, 418), (2, 242, 417)),  # n = 1018, row blocks
-    (1031, (440, 550), (2, 441, 539)),  # n = 1030, one row at a time
+    (1019, (49, 418), (2, 242, 417)),  # n = 1018, blocks of 16 rows or more
+    (1031, (440, 550), (2, 441, 539)),  # n = 1030, blocks of 16 rows
+    (2053, (240, 611), (2, 239, 248)),  # n = 2052, one row at a time
 ])
 def test_collision_past_row_one_with_default_blocks(p, swap, hit):
     # Row 1 of these swapped Welch arrays is clean, so a kernel that kept
@@ -227,6 +236,149 @@ def test_collision_past_row_one_with_default_blocks(p, swap, hit):
     bad = _with_swaps(_welch("w1", p), [swap])
     assert first_collision(bad) == oracles.naive_first_collision(bad) == hit
     assert not is_costas(bad)
+
+
+@contextmanager
+def _forked_rows(parent_rows=2, chunk_cells=256):
+    """Send every n >= 3 down the per-row path, with the given parent prefix
+    and chunk size, on up to 3 processes however many CPUs there are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(costas, "_BLOCK_CELLS", 0)
+        mp.setattr(costas, "_PARENT_ROWS", parent_rows)
+        mp.setattr(costas, "_CHUNK_CELLS", chunk_cells)
+        mp.setattr(os, "cpu_count", lambda: 3)
+        yield mp
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@lru_cache(maxsize=None)
+def _lempel(q):
+    field = make_field(*prime_power(q))
+    return lempel_l2(field, least_primitive(field))
+
+
+# n = 51..305: with 2 parent rows and chunks of 256 cells, 4 to 133 chunks.
+_CHUNKED_ST = st.one_of(
+    st.sampled_from([("w2", 53), ("w1", 101), ("w1", 211), ("w2", 307)]).map(
+        lambda mp: _welch(*mp)),
+    st.sampled_from([64, 81, 125, 169, 243, 289]).map(_lempel),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(perm=_CHUNKED_ST, swap=st.none() | st.tuples(st.integers(0, 400), st.integers(0, 400)))
+@example(perm=_welch("w2", 53), swap=(0, 21))  # first collision in row 2, the parent's last
+def test_forked_check_matches_naive(perm, swap):
+    perm = _with_swaps(perm, [swap] if swap else [])
+    want = oracles.naive_first_collision(perm)
+    with _forked_rows():
+        for workers in (1, 2, 3):
+            assert first_collision(perm, workers) == want
+            _assert_no_child_left()
+
+
+# Rows 1..5 are clean and row 6 = (n-1)/2 collides.
+_LAST_ROW_ONLY = [1, 2, 7, 9, 4, 13, 3, 11, 8, 12, 10, 6, 5]
+
+
+@pytest.mark.parametrize("perm_of, chunk", [
+    (lambda: _with_swaps(_welch("w1", 53), [(2, 27)]), 1),  # row 3
+    (lambda: _LAST_ROW_ONLY, -1),  # row 6
+])
+def test_forked_check_pinned_chunks(perm_of, chunk):
+    # With one parent row and chunks of one cell, each chunk is one row from 2.
+    perm = perm_of()
+    want = oracles.naive_first_collision(perm)
+    drained = []
+    drain = costas._drain_chunks
+
+    def record(r, hi, a, starts, ends, slots):
+        drained.append(list(zip(starts, ends)))
+        drain(r, hi, a, starts, ends, slots)
+
+    with _forked_rows(parent_rows=1, chunk_cells=1) as mp:
+        mp.setattr(costas, "_drain_chunks", record)
+        for workers in (2, 3):
+            assert first_collision(perm, workers) == want
+            _assert_no_child_left()
+    assert len(drained) == 2 and drained[0][chunk] == (want[0], want[0])
+
+
+def test_forked_check_smaller_row_wins():
+    # Rows 3 and 4 both collide, in chunks 1 and 2. Row 3 is held back, so
+    # another process answers row 4 first and lowers the shared hint to 4.
+    perm = _with_swaps(_welch("w1", 61), [(0, 30)])
+    want = oracles.naive_first_collision(perm)
+    d = np.subtract(perm[4:], perm[:-4])
+    assert want[0] == 3 and len(set(d.tolist())) < len(d)
+    scatter = costas._first_row_scatter
+
+    def hold_row_3(hi, a, lo, top):
+        if lo == 3:
+            time.sleep(0.05)
+        return scatter(hi, a, lo, top)
+
+    with _forked_rows(parent_rows=1, chunk_cells=1) as mp:
+        mp.setattr(costas, "_first_row_scatter", hold_row_3)
+        for workers in (2, 3):
+            assert first_collision(perm, workers) == want
+            _assert_no_child_left()
+
+
+def test_forked_check_survives_dead_children():
+    # Each child takes one chunk and exits 7 without answering it; the parent
+    # waits on its first chunk so that every child gets one. The parent must
+    # check those chunks itself.
+    parent = os.getpid()
+    scatter = costas._first_row_scatter
+    waited = []
+    statuses = []
+    waitpid = os.waitpid
+
+    def die_in_child(hi, a, lo, top):
+        if os.getpid() != parent:
+            os._exit(7)
+        if lo > 1 and not waited:
+            waited.append(lo)
+            time.sleep(0.2)
+        return scatter(hi, a, lo, top)
+
+    def record_status(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    cases = [_welch("w1", 53), _with_swaps(_welch("w1", 61), [(0, 30)]), _LAST_ROW_ONLY]
+    with _forked_rows(parent_rows=1, chunk_cells=1) as mp:
+        mp.setattr(costas, "_first_row_scatter", die_in_child)
+        mp.setattr(os, "waitpid", record_status)
+        for perm in cases:
+            for workers in (2, 3):
+                waited.clear()
+                assert first_collision(perm, workers) == oracles.naive_first_collision(perm)
+    _assert_no_child_left()
+    assert len(statuses) == 3 * (1 + 2)
+    assert {os.waitstatus_to_exitcode(s) for s in statuses} == {7}
+
+
+def test_forked_check_when_fork_fails(capsys, tmp_path):
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    clean = _welch("w1", 61)
+    bad = _with_swaps(clean, [(0, 30)])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with _forked_rows(parent_rows=1, chunk_cells=1) as mp:
+        mp.setattr(os, "fork", no_fork)
+        assert first_collision(clean, 3) is None
+        assert first_collision(bad, 3) == oracles.naive_first_collision(bad)
+        assert main(["verify", str(path), "--workers", "3"]) == 3
+    k, x, y = oracles.naive_first_collision(bad)
+    assert capsys.readouterr() == (f"not-costas k={k} x={x} y={y}\n", "")
 
 
 def _half_triangle_lemma_holds(perm):
