@@ -65,7 +65,7 @@ def worker_default() -> int:
 
 
 def worker_count(flag: Optional[int]) -> int:
-    """Worker count for a --workers value; None or 0 means worker_default()."""
+    """Census worker count for a --workers value; None or 0 means worker_default()."""
     if flag is not None and flag < 0:
         raise ValueError(f"--workers must not be negative, got {flag}")
     return flag or worker_default()
@@ -148,8 +148,7 @@ def _load_perm(args: argparse.Namespace) -> list[int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = worker_count(args.workers)
-    hit = first_collision(_load_perm(args), workers)
+    hit = first_collision(_load_perm(args), worker_default())
     if hit is None:
         print("costas")
         return 0
@@ -306,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a permutation for the property")
     p.add_argument("file", nargs="?")
     p.add_argument("--perm")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fpr", help="Fibonacci primitive root report")

@@ -49,10 +49,10 @@ _BLOCK_BINS = 1 << 15
 _MIN_BLOCK_ROWS = 16
 _BLOCK_CELLS = 1 << 15
 
-# Above the block switch, a check asked to use several processes runs rows
-# 1.._PARENT_ROWS itself (a swapped or random permutation collides there, so
-# nothing forks), then cuts the rest of the half triangle into chunks of
-# about _CHUNK_CELLS cells, in row order, for forked processes to share.
+# Above the block switch, the check runs rows 1.._PARENT_ROWS in the calling
+# process (a swapped or random permutation collides there, so nothing
+# forks), then cuts the rest of the half triangle into chunks of about
+# _CHUNK_CELLS cells, in row order, for up to `workers` processes to share.
 _PARENT_ROWS = 64
 _CHUNK_CELLS = 1 << 20
 _CLEAN = -1  # a chunk's slot: its first colliding row, _CLEAN, or 0 if unknown
@@ -111,9 +111,7 @@ def _first_colliding_row(a: np.ndarray, workers: int = 1) -> int:
     hi = a + n
     step = max(_BLOCK_BINS // width, _MIN_BLOCK_ROWS)
     if step * n > _BLOCK_CELLS:
-        if workers > 1:
-            return _first_row_forked(hi, a, half, workers)
-        return _first_row_scatter(hi, a, 1, half)
+        return _first_row_forked(hi, a, half, workers)
     # Rows k0..k0+rows-1 share one table, row r keyed into bins
     # [r * width, (r+1) * width). The rectangle (rows, n - k0) overhangs the
     # shorter rows; the pad value sends those cells past rows * width, each
@@ -160,7 +158,8 @@ def _first_row_scatter(hi: np.ndarray, a: np.ndarray, k_lo: int, k_hi: int) -> i
 def _first_row_forked(hi: np.ndarray, a: np.ndarray, half: int, workers: int) -> int:
     """_first_row_scatter(hi, a, 1, half), shared among up to `workers` processes.
 
-    The caller's process checks rows 1.._PARENT_ROWS alone. The indices of
+    With workers = 1 nothing forks. The caller's process checks rows
+    1.._PARENT_ROWS alone. The indices of
     the chunks after them go into one pipe before any fork, and the parent
     and its children take them until the pipe is empty, each writing a
     chunk's answer into a shared slot. Once every child is reaped, the

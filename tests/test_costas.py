@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import time
 from contextlib import contextmanager
@@ -330,21 +331,27 @@ def test_forked_check_smaller_row_wins():
 
 
 def test_forked_check_survives_dead_children():
-    # Each child takes one chunk and exits 7 without answering it; the parent
-    # waits on its first chunk so that every child gets one. The parent must
-    # check those chunks itself.
+    # Each child takes one chunk, marks its first row in shared memory and
+    # exits 7 without answering it. The parent holds its first chunk until
+    # every child has marked one, so each child takes a token. The parent
+    # must then check those chunks itself.
     parent = os.getpid()
     scatter = costas._first_row_scatter
-    waited = []
+    taken = np.frombuffer(mmap.mmap(-1, 64), dtype=np.uint8)
+    children = []
     statuses = []
     waitpid = os.waitpid
 
     def die_in_child(hi, a, lo, top):
         if os.getpid() != parent:
+            taken[lo] = 1
             os._exit(7)
-        if lo > 1 and not waited:
-            waited.append(lo)
-            time.sleep(0.2)
+        if lo > 1 and children:
+            want = children.pop()
+            deadline = time.monotonic() + 30
+            while np.count_nonzero(taken) < want:
+                assert time.monotonic() < deadline, "a child never took a chunk"
+                time.sleep(0.001)
         return scatter(hi, a, lo, top)
 
     def record_status(pid, options):
@@ -357,7 +364,8 @@ def test_forked_check_survives_dead_children():
         mp.setattr(os, "waitpid", record_status)
         for perm in cases:
             for workers in (2, 3):
-                waited.clear()
+                taken.fill(0)
+                children[:] = [workers - 1]
                 assert first_collision(perm, workers) == oracles.naive_first_collision(perm)
     _assert_no_child_left()
     assert len(statuses) == 3 * (1 + 2)
@@ -376,7 +384,8 @@ def test_forked_check_when_fork_fails(capsys, tmp_path):
         mp.setattr(os, "fork", no_fork)
         assert first_collision(clean, 3) is None
         assert first_collision(bad, 3) == oracles.naive_first_collision(bad)
-        assert main(["verify", str(path), "--workers", "3"]) == 3
+        mp.setenv("COSTAS_THREADS", "3")
+        assert main(["verify", str(path)]) == 3
     k, x, y = oracles.naive_first_collision(bad)
     assert capsys.readouterr() == (f"not-costas k={k} x={x} y={y}\n", "")
 
