@@ -203,6 +203,8 @@ def cmd_census(args: argparse.Namespace) -> int:
         checkpoints = [int(t) for t in args.checkpoints.split(",")]
     workers = worker_count(args.workers)
     skipped = 0
+    if args.kind != "trinomial" and (args.e1 is not None or args.e2 is not None):
+        raise ValueError(f"{args.kind} takes no --e1 or --e2")
     if args.kind == "t4":
         rows = census_t4(args.limit, checkpoints, workers)
     elif args.kind == "g4":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import mmap
 import os
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -55,7 +55,6 @@ _BLOCK_CELLS = 1 << 15
 # _CHUNK_CELLS cells, in row order, for up to `workers` processes to share.
 _PARENT_ROWS = 64
 _CHUNK_CELLS = 1 << 20
-_CLEAN = -1  # a chunk's slot: its first colliding row, _CLEAN, or 0 if unknown
 
 
 def _permutation(
@@ -155,38 +154,36 @@ def _first_row_scatter(hi: np.ndarray, a: np.ndarray, k_lo: int, k_hi: int) -> i
     return 0
 
 
-def _first_row_forked(hi: np.ndarray, a: np.ndarray, half: int, workers: int) -> int:
-    """_first_row_scatter(hi, a, 1, half), shared among up to `workers` processes.
+def _fork_map(task: Callable[[int], Sequence[int]], count: int, width: int,
+              workers: int) -> Iterator[np.ndarray]:
+    """Yield task(0), ..., task(count - 1) in order, as int64 rows of `width` entries.
 
-    With workers = 1 nothing forks. The caller's process checks rows
-    1.._PARENT_ROWS alone. The indices of
-    the chunks after them go into one pipe before any fork, and the parent
-    and its children take them until the pipe is empty, each writing a
-    chunk's answer into a shared slot. Once every child is reaped, the
-    answer is read from the slots in row order; a chunk left without one
-    (its process died, or skipped it) is checked then by the parent.
+    Up to min(workers, CPUs, count) processes share the tasks; with one,
+    nothing forks. Every index goes into one pipe before any fork, and the
+    calling process and its children take indices until the pipe is empty,
+    each writing task i's row into a shared anonymous mmap with its first
+    entry last. The rows are read once every child is reaped. A row whose
+    first entry is still -1 (its process died or raised, its index did not
+    fit the pipe, or the task returned -1) is computed by the caller only
+    when it is reached, so a task's exception reaches the caller as itself.
     """
-    n = len(a)
-    k = _first_row_scatter(hi, a, 1, min(_PARENT_ROWS, half))
-    if k or half <= _PARENT_ROWS:
-        return k
-    rows = np.arange(_PARENT_ROWS + 1, half + 1)
-    before = np.cumsum(n - rows) - (n - rows)  # cells in the rows ahead of each row
-    starts = rows[np.flatnonzero(np.diff(before // _CHUNK_CELLS, prepend=-1))].tolist()
-    ends = [s - 1 for s in starts[1:]] + [half]
-    processes = min(workers, os.cpu_count() or 1, len(starts))
-    # slots[0] is the least colliding row found so far, which lets a process
-    # skip the chunks that start above it; slots[1 + c] is chunk c's answer.
-    slots = np.frombuffer(mmap.mmap(-1, 8 * (len(starts) + 1)), dtype=np.int64)
-    slots[0] = half + 1
+    processes = min(workers, os.cpu_count() or 1, count)
+    out = np.frombuffer(mmap.mmap(-1, 8 * count * width), dtype=np.int64).reshape(count, width)
+    out[:, 0] = -1
     r, w = os.pipe()
+
+    def drain() -> None:
+        while token := os.read(r, 4):
+            i = int.from_bytes(token, "little")
+            row = np.asarray(task(i), dtype=np.int64)
+            out[i, 1:] = row[1:]
+            out[i, 0] = row[0]
+
     children = []
     try:
         try:
-            # Tokens that do not fit the pipe stay unqueued: the parent's
-            # last pass checks their chunks.
             os.set_blocking(w, False)
-            os.write(w, np.arange(len(starts), dtype="<u4").tobytes())
+            os.write(w, np.arange(count, dtype="<u4").tobytes())
         except BlockingIOError:
             pass
         finally:
@@ -198,32 +195,49 @@ def _first_row_forked(hi: np.ndarray, a: np.ndarray, half: int, workers: int) ->
                 break
             if pid == 0:
                 try:
-                    _drain_chunks(r, hi, a, starts, ends, slots)
+                    drain()
                 finally:
                     os._exit(0)
             children.append(pid)
-        _drain_chunks(r, hi, a, starts, ends, slots)
+        drain()
     finally:
+        # On an error here, empty the queue so the children stop soon.
+        while os.read(r, 1 << 16):
+            pass
         os.close(r)
         for pid in children:
             os.waitpid(pid, 0)
-    for c, (lo, top) in enumerate(zip(starts, ends)):
-        k = int(slots[1 + c]) or _first_row_scatter(hi, a, lo, top) or _CLEAN
-        if k != _CLEAN:
-            return k
-    return 0
+    for i in range(count):
+        yield out[i] if out[i, 0] != -1 else np.asarray(task(i), dtype=np.int64)
 
 
-def _drain_chunks(r: int, hi: np.ndarray, a: np.ndarray, starts: list[int],
-                  ends: list[int], slots: np.ndarray) -> None:
-    """Check each chunk whose index this process reads from pipe r, until it is empty."""
-    while token := os.read(r, 4):
-        c = int.from_bytes(token, "little")
-        if starts[c] <= slots[0]:
-            k = _first_row_scatter(hi, a, starts[c], ends[c])
-            slots[1 + c] = k or _CLEAN
-            if k and k < slots[0]:
-                slots[0] = k
+def _first_row_forked(hi: np.ndarray, a: np.ndarray, half: int, workers: int) -> int:
+    """_first_row_scatter(hi, a, 1, half), shared among up to `workers` processes.
+
+    The caller's process checks rows 1.._PARENT_ROWS alone; `_fork_map`
+    shares the chunks after them. A chunk that starts above the least
+    colliding row found so far returns -1 unchecked. It lies after the first
+    colliding row's chunk, where the reading stops, so it is never redone.
+    """
+    n = len(a)
+    k = _first_row_scatter(hi, a, 1, min(_PARENT_ROWS, half))
+    if k or half <= _PARENT_ROWS:
+        return k
+    rows = np.arange(_PARENT_ROWS + 1, half + 1)
+    before = np.cumsum(n - rows) - (n - rows)  # cells in the rows ahead of each row
+    starts = rows[np.flatnonzero(np.diff(before // _CHUNK_CELLS, prepend=-1))].tolist() + [half + 1]
+    least = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    least[0] = half + 1
+
+    def chunk(c: int) -> tuple[int]:
+        if starts[c] > least[0]:
+            return (-1,)
+        k = _first_row_scatter(hi, a, starts[c], starts[c + 1] - 1)
+        if k and k < least[0]:
+            least[0] = k
+        return (k,)
+
+    return next((int(k) for (k,) in _fork_map(chunk, len(starts) - 1, 1, workers) if k), 0)
 
 
 def is_costas(perm: Sequence[int]) -> bool:

@@ -9,15 +9,14 @@ families of trinomials that provably stop having primitive solutions.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from .costas import _fork_map
 from .ff import (
     SIEVE_CAP,
     FieldDescriptor,
@@ -225,48 +224,34 @@ def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> 
     return cps
 
 
-def _census_chunk(predicate, lo: int, hi: int, cps: np.ndarray):
-    """Per-checkpoint hit and prime counts, and the skipped count, for [lo, hi).
-
-    The predicate takes the segment's primes as one array, and the bounds,
-    and returns a hit mask and a skipped mask; a prime counts in the first
-    checkpoint >= p.
-    """
-    primes = primes_in_range(lo, hi)
-    hit, skip = predicate(primes, lo, hi)
-    slot = np.searchsorted(cps, primes)
-    hits = np.bincount(slot[hit], minlength=cps.size)
-    pis = np.bincount(slot, minlength=cps.size)
-    return hits, pis, int(skip.sum())
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes worth starting: no more than requested, CPUs, or tasks."""
-    return min(workers, os.cpu_count() or 1, tasks)
-
-
 def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
+    """Census rows and the skipped count from one `_fork_map` row per sieve segment.
+
+    A row is the segment's skipped count, then its hits and its primes per
+    checkpoint, a prime counting at the first checkpoint >= p.
+    """
     if limit < 2:
         raise ValueError("census limit must be at least 2")
     if limit > cap:
         raise LimitTooLarge(f"census limit {limit} above cap {cap}")
     cps = np.array(_normalize_checkpoints(checkpoints, limit), dtype=np.int64)
-    tasks = [(predicate, lo, hi, cps) for lo, hi in _segments(limit)]
-    processes = _pool_size(workers, len(tasks))
-    if processes > 1:
-        with Pool(processes=processes) as pool:
-            parts = pool.starmap(_census_chunk, tasks)
-    else:
-        parts = [_census_chunk(*t) for t in tasks]
+    m, segments = cps.size, _segments(limit)
 
-    hits = np.cumsum(sum(h for h, _, _ in parts)).tolist()
-    pis = np.cumsum(sum(q for _, q, _ in parts)).tolist()
-    skipped = sum(s for _, _, s in parts)
+    def segment_row(i: int) -> np.ndarray:
+        lo, hi = segments[i]
+        primes = primes_in_range(lo, hi)
+        hit, skip = predicate(primes, lo, hi)
+        slot = np.searchsorted(cps, primes)
+        return np.r_[skip.sum(), np.bincount(slot[hit], minlength=m), np.bincount(slot, minlength=m)]
+
+    total = sum(_fork_map(segment_row, len(segments), 1 + 2 * m, workers))
+    hits = np.cumsum(total[1 : 1 + m]).tolist()
+    pis = np.cumsum(total[1 + m :]).tolist()
     rows = [
         CensusRow(x=x, count=ch, pi_x=cpi, ratio=ch / cpi if cpi else 0.0, predicted=predicted)
         for x, ch, cpi in zip(cps.tolist(), hits, pis)
     ]
-    return rows, skipped
+    return rows, int(total[0])
 
 
 def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:

@@ -317,6 +317,8 @@ def test_census_usage(capsys):
     assert run(capsys, "census", "trinomial", "100")[0] == 1
     assert run(capsys, "census", "t4", str(10**8 + 1))[0] == 1
     assert run(capsys, "census", "t4", "100", "--checkpoints", "300")[0] == 1
+    assert run(capsys, "census", "g4", "100", "--e1", "5") == (1, "", "census: g4 takes no --e1 or --e2\n")
+    assert run(capsys, "census", "t4", "100", "--e2", "1,1")[0] == 1
 
 
 def _one_line(err: str) -> bool:
@@ -400,7 +402,7 @@ _EXPR_TEXT = st.one_of(
 @example("trinomial", 100, "-1" + "0" * 25 + ",1", "1", None, 1)
 @example("trinomial", 100, str(3 - 5 * 2**62) + "," + str(2**62), "1", None, 1)
 def test_census_argv_never_raises(kind, limit, e1, e2, checkpoints, workers):
-    # Limits up to 1e4 fit one census chunk, so no worker pool starts.
+    # Limits up to 1e4 fit one census segment, so nothing forks.
     argv = ["census", kind, str(limit)]
     for flag, value in (("--e1", e1), ("--e2", e2), ("--checkpoints", checkpoints), ("--workers", workers)):
         if value is not None:

@@ -291,22 +291,41 @@ _LAST_ROW_ONLY = [1, 2, 7, 9, 4, 13, 3, 11, 8, 12, 10, 6, 5]
     (lambda: _LAST_ROW_ONLY, -1),  # row 6
 ])
 def test_forked_check_pinned_chunks(perm_of, chunk):
-    # With one parent row and chunks of one cell, each chunk is one row from 2.
+    # With one parent row and chunks of one cell, each chunk is one row from
+    # 2. Every process records in shared memory the bounds it checks for
+    # each chunk index it takes from the queue.
     perm = perm_of()
     want = oracles.naive_first_collision(perm)
-    drained = []
-    drain = costas._drain_chunks
+    given = np.frombuffer(mmap.mmap(-1, 16 * len(perm)), dtype=np.int64).reshape(-1, 2)
+    counts = []
+    taking = {}
+    fork_map, scatter = costas._fork_map, costas._first_row_scatter
 
-    def record(r, hi, a, starts, ends, slots):
-        drained.append(list(zip(starts, ends)))
-        drain(r, hi, a, starts, ends, slots)
+    def record_map(task, count, width, workers):
+        counts.append(count)
+
+        def traced(c):
+            taking["c"] = c
+            return task(c)
+        return fork_map(traced, count, width, workers)
+
+    def record_scatter(hi, a, lo, top):
+        if taking:
+            given[taking["c"]] = lo, top
+        return scatter(hi, a, lo, top)
 
     with _forked_rows(parent_rows=1, chunk_cells=1) as mp:
-        mp.setattr(costas, "_drain_chunks", record)
+        mp.setattr(costas, "_fork_map", record_map)
+        mp.setattr(costas, "_first_row_scatter", record_scatter)
         for workers in (2, 3):
+            given.fill(0)
+            taking.clear()
             assert first_collision(perm, workers) == want
             _assert_no_child_left()
-    assert len(drained) == 2 and drained[0][chunk] == (want[0], want[0])
+            assert tuple(given[chunk % counts[-1]]) == (want[0], want[0])
+            taken = np.flatnonzero(given[:, 0])
+            assert (given[taken] == (taken + 2)[:, None]).all()
+    assert counts == [(len(perm) - 1) // 2 - 1] * 2
 
 
 def test_forked_check_smaller_row_wins():

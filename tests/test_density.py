@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
+import mmap
 import os
 from functools import lru_cache
 import subprocess
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import costaskit
 import costaskit.density as density
+from costaskit import costas
 import costaskit.ff as ff
 import oracles
 from costaskit.density import (
@@ -26,7 +27,6 @@ from costaskit.density import (
     LimitTooLarge,
     _fast_exists,
     _folded_coeffs,
-    _pool_size,
     artin_constant,
     census_g4,
     census_t4,
@@ -149,7 +149,7 @@ def test_census_caps():
 
 
 def test_census_sharding_deterministic(monkeypatch):
-    # Eight segments, so workers=2 starts a pool wherever there are two
+    # Eight segments, so workers=2 forks a worker wherever there are two
     # CPUs. The memo is cleared before each parallel run, so the workers
     # decide every segment themselves rather than read the serial run's masks.
     monkeypatch.setattr(density, "_CHUNK", 1 << 12)
@@ -173,24 +173,23 @@ def _fib_censuses(limit, workers):
 
 
 def test_fib_censuses_share_segment_masks(monkeypatch):
-    # Seven segments, so workers=2 starts a pool; the forked workers inherit
-    # the patched kernel, the warm memo and the shared counter.
+    # Seven segments, so workers=2 forks a worker; it inherits the patched
+    # kernel, the warm memo and the shared counter.
     monkeypatch.setattr(density, "_CHUNK", 1 << 14)
-    calls = multiprocessing.Value("i", 0)
+    calls = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     kernel = density._closed_form_roots
 
     def counted(p, coeffs):
-        with calls.get_lock():
-            calls.value += 1
+        calls[0] += 1
         return kernel(p, coeffs)
 
     monkeypatch.setattr(density, "_closed_form_roots", counted)
     cold = _fib_censuses(10**5, 1)
-    assert calls.value == len(density._segments(10**5))
-    calls.value = 0
+    assert calls[0] == len(density._segments(10**5))
+    calls[0] = 0
     assert _fib_censuses(10**5, 1) == cold
     assert _fib_censuses(10**5, 2) == cold
-    assert calls.value == 0
+    assert calls[0] == 0
 
 
 def test_cold_g4_keeps_no_mask():
@@ -294,7 +293,7 @@ def _scalar_expected(kind):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["t4", "g4", *_FAMILIES])
 def test_census_matches_scalar_loop(monkeypatch, kind, workers):
-    # Small chunks, so the segment merge and the pool both run.
+    # Small segments, so the segment merge and the forked worker both run.
     monkeypatch.setattr(density, "_CHUNK", 997)
     if kind in _SCALAR_PREDICATES:
         census = census_t4 if kind == "t4" else census_g4
@@ -306,16 +305,109 @@ def test_census_matches_scalar_loop(monkeypatch, kind, workers):
     assert ([(r.x, r.count, r.pi_x) for r in got], got_skipped) == _scalar_expected(kind)
 
 
+def _processes(workers, count):
+    """Processes `_fork_map` runs for count tasks: the caller and the children
+    it forks. The fork is faked, so no process starts however many are asked for."""
+    forks, reaped = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", lambda: forks.append(1) or len(forks))
+        mp.setattr(os, "waitpid", lambda pid, options: reaped.append(pid) or (pid, 0))
+        rows = costas._fork_map(lambda i: (i,), count, 1, workers)
+        assert next(rows).tolist() == [0]
+        rows.close()
+    assert reaped == list(range(1, len(forks) + 1))
+    return 1 + len(forks)
+
+
 def test_pool_size_clamp(monkeypatch):
+    # The one clamp on processes, shared by censuses and the Costas check.
     cpus = os.cpu_count() or 1
-    assert _pool_size(10**6, 10**6) == cpus
-    assert _pool_size(10**6, 1) == 1
-    assert _pool_size(1, 10**6) == 1
+    assert _processes(10**6, 10**6) == cpus
+    assert _processes(10**6, 1) == 1
+    assert _processes(1, 10**6) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(10**6, 10**6) == 1
+    assert _processes(10**6, 10**6) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert _pool_size(10**6, 7) == 7
-    assert _pool_size(3, 7) == 3
+    assert _processes(10**6, 7) == 7
+    assert _processes(3, 7) == 3
+
+
+# Runs in a fresh interpreter under a timeout, so a census that waits for
+# good on a dead worker fails the test instead of stalling the suite. The
+# child takes the second segment, as the parent holds its first one until
+# the child has taken one; with "exit" the child dies there, with "raise"
+# that segment's task raises in any process, and with "raise-parent" the
+# parent's first segment raises.
+_FAULTY_CENSUS = """
+import mmap, os, sys, time
+import numpy as np
+from costaskit import density
+
+class Boom(Exception):
+    pass
+
+mode = sys.argv[1]
+density._CHUNK = 1 << 14  # seven segments to 1e5
+os.cpu_count = lambda: 2
+censuses = (lambda w: density.census_t4(10**5, workers=w),
+            lambda w: density.trinomial_census(10**5, (3, 0), (1, 0), workers=w))
+want = [census(1) for census in censuses]
+parent = os.getpid()
+bad = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+sieve, waitpid = density.primes_in_range, os.waitpid
+statuses = []
+
+def faulty(lo, hi):
+    if os.getpid() != parent:
+        bad[0] = lo
+        if mode == "exit":
+            os._exit(7)
+    elif not bad[0]:
+        deadline = time.monotonic() + 30
+        while not bad[0]:
+            assert time.monotonic() < deadline, "the child never took a segment"
+            time.sleep(0.001)
+        if mode == "raise-parent":
+            raise Boom(lo)
+    if lo == bad[0] and mode == "raise":
+        raise Boom(lo)
+    return sieve(lo, hi)
+
+def record_status(pid, options):
+    got = waitpid(pid, options)
+    if got[0]:
+        statuses.append(got[1])
+    return got
+
+density.primes_in_range = faulty
+os.waitpid = record_status
+for census, rows in zip(censuses, want):
+    bad[0] = 0
+    density._SEGMENT_MASKS.clear()
+    try:
+        got = census(2)
+    except Boom:
+        got = "Boom"
+    print(got == rows if mode == "exit" else got)
+try:
+    waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(*sorted({os.waitstatus_to_exitcode(s) for s in statuses}), len(statuses))
+"""
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ("exit", "True\nTrue\n7 2\n"),
+    ("raise", "Boom\nBoom\n0 2\n"),
+    ("raise-parent", "Boom\nBoom\n0 2\n"),
+])
+def test_census_survives_faulty_worker(mode, lines):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(costaskit.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _FAULTY_CENSUS, mode], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (r.returncode, r.stdout) == (0, lines), r.stderr
 
 
 def test_expexpr():
