@@ -9,49 +9,30 @@ import sys
 from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 from .constructions import (
+    _METHODS,
+    ConditionFailed,
     ConstructionFailed,
     ConstructionSpec,
-    CornerConditionFailed,
-    DegenerateSize,
-    G4ConditionFailed,
     METHODS,
-    T4ConditionFailed,
-    WrongCharacteristic,
     build,
     expected_size,
     find_spec,
 )
 from .costas import first_collision, is_costas
 from .density import CensusRow, census_g4, census_t4, trinomial_census
-from .ff import DegreeOutOfRange, NotPrimitive, ZeroElement, make_field, prime_power
+from .ff import DegreeOutOfRange, make_field, prime_power
 from .fpr import fpr_report, fpr_reports
-
-_INAPPLICABLE_REASONS = {
-    "w1": "no primitive root for this q (need prime p >= 3)",
-    "w2": "no primitive root for this q (need prime p >= 5)",
-    "l2": "no primitive element for this q (need q >= 4)",
-    "g2": "no primitive pair for this q (need q >= 3)",
-    "g3": "no primitive pair with a+b=1",
-    "g4c2": "no primitive pair with a+b=1 (need q = 2^k, k >= 3)",
-    "t4": "no primitive root with a^2+a=1",
-    "g4": "no primitive pair with a+b=1 and a^2+1/b=1",
-}
-
-_CONDITION_ERRORS = (
-    CornerConditionFailed,
-    DegenerateSize,
-    G4ConditionFailed,
-    NotPrimitive,
-    T4ConditionFailed,
-    WrongCharacteristic,
-    ZeroElement,
-)
 
 _SWEEP_CAP = 4096
 
 
-def worker_default() -> int:
-    """Worker count for census and verify: COSTAS_THREADS if set (0 means 1), else the CPU count."""
+def worker_count(flag: Optional[int] = None) -> int:
+    """Worker count for census and verify: a nonzero --workers value, else
+    COSTAS_THREADS if set (0 means 1), else the CPU count."""
+    if flag is not None and flag < 0:
+        raise ValueError(f"--workers must not be negative, got {flag}")
+    if flag:
+        return flag
     env = os.environ.get("COSTAS_THREADS")
     if env is None:
         return os.cpu_count() or 1
@@ -62,13 +43,6 @@ def worker_default() -> int:
     if n < 0:
         raise ValueError(f"COSTAS_THREADS must not be negative, got {n}")
     return max(1, n)
-
-
-def worker_count(flag: Optional[int]) -> int:
-    """Census worker count for a --workers value; None or 0 means worker_default()."""
-    if flag is not None and flag < 0:
-        raise ValueError(f"--workers must not be negative, got {flag}")
-    return flag or worker_default()
 
 
 def write_census_csv(fh: TextIO, rows: Iterable[CensusRow]) -> None:
@@ -102,22 +76,18 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.q} is not a prime power")
     field = make_field(*pk)
 
-    if args.alpha is not None:
-        needs_beta = args.method in ("g2", "g3", "g4c2", "g4")
-        if needs_beta and args.beta is None:
-            raise ValueError(f"method {args.method} requires --beta")
-        spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
-    elif args.beta is not None:
+    if args.alpha is None and args.beta is not None:
         raise ValueError("--beta without --alpha")
-
     try:
         if args.alpha is None:
             spec = find_spec(args.method, field)
             if spec is None:
-                _err(f"{args.method}: {_INAPPLICABLE_REASONS[args.method]}")
+                _err(f"{args.method}: {_METHODS[args.method].none_reason}")
                 return 2
+        else:
+            spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
         perm = build(spec)
-    except _CONDITION_ERRORS as e:
+    except ConditionFailed as e:
         _err(f"{args.method}: {e}")
         return 2
 
@@ -148,7 +118,7 @@ def _load_perm(args: argparse.Namespace) -> list[int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    hit = first_collision(_load_perm(args), worker_default())
+    hit = first_collision(_load_perm(args), worker_count())
     if hit is None:
         print("costas")
         return 0
@@ -250,7 +220,7 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
                 continue
             try:
                 perm = build(spec)
-            except (ConstructionFailed, *_CONDITION_ERRORS) as e:
+            except (ConstructionFailed, ConditionFailed) as e:
                 failures.append(f"{method} q={q}: {e}")
                 continue
             if len(perm) != expected_size(method, q):

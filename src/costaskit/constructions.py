@@ -24,60 +24,76 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .costas import _drop_corner
-from .ff import (
-    FieldDescriptor,
-    NotPrimitive,
-    ZeroElement,
-    affine_map,
-    field_tables,
-    least_primitive,
-    make_field,
-    primitive_exponents,
-)
-from .fpr import g4_witness, t4_witness
+from .ff import FieldDescriptor, affine_map, field_tables, least_primitive, make_field
+from .fpr import _primitive_codes, g4_witness, t4_witness
 
 
-class DegenerateSize(ValueError):
+class ConditionFailed(ValueError):
+    """The construction does not apply to this field or these parameters."""
+
+
+class DegenerateSize(ConditionFailed):
     """The field is too small for this construction to produce anything."""
 
 
-class CornerConditionFailed(ValueError):
+class CornerConditionFailed(ConditionFailed):
     """alpha + beta = 1 is required to force the corner dots."""
 
 
-class WrongCharacteristic(ValueError):
+class WrongCharacteristic(ConditionFailed):
     """The construction is restricted to a specific characteristic or degree."""
 
 
-class T4ConditionFailed(ValueError):
+class T4ConditionFailed(ConditionFailed):
     """alpha^2 + alpha = 1 is required for the two-corner Lempel removal."""
 
 
-class G4ConditionFailed(ValueError):
+class G4ConditionFailed(ConditionFailed):
     """The Golomb corner and edge dot equations do not hold."""
+
+
+class NotPrimitive(ConditionFailed):
+    """An element required to generate the unit group does not."""
+
+
+class ZeroElement(ConditionFailed):
+    """A multiplicative-only operation received the zero element."""
 
 
 class ConstructionFailed(RuntimeError):
     """Internal consistency check failed; indicates a bug, not bad input."""
 
 
-METHODS = ("w1", "w2", "l2", "g2", "g3", "g4c2", "t4", "g4")
+class _Method(NamedTuple):
+    offset: int  # the array has size q - offset
+    min_q: int  # least q find_spec offers it at; w1 and w2 also need k = 1, g4c2 p = 2
+    beta: bool  # whether the spec carries beta
+    none_reason: str  # why find_spec found no parameters
 
-_SIZE_OFFSETS = {"w1": 1, "w2": 2, "l2": 2, "g2": 2, "g3": 3, "g4c2": 4, "t4": 4, "g4": 4}
 
-# Least field order find_spec offers each method at; w1 and w2 also need a
-# prime field, and g4c2 characteristic 2.
-_MIN_ORDER = {"w1": 3, "w2": 5, "l2": 4, "g2": 3, "g3": 3, "g4c2": 8}
+# The one table of per-method rules.
+_METHODS = {
+    "w1": _Method(1, 3, False, "no primitive root for this q (need prime p >= 3)"),
+    "w2": _Method(2, 5, False, "no primitive root for this q (need prime p >= 5)"),
+    "l2": _Method(2, 4, False, "no primitive element for this q (need q >= 4)"),
+    "g2": _Method(2, 3, True, "no primitive pair for this q (need q >= 3)"),
+    "g3": _Method(3, 3, True, "no primitive pair with a+b=1"),
+    "g4c2": _Method(4, 8, True, "no primitive pair with a+b=1 (need q = 2^k, k >= 3)"),
+    "t4": _Method(4, 2, False, "no primitive root with a^2+a=1"),
+    "g4": _Method(4, 2, True, "no primitive pair with a+b=1 and a^2+1/b=1"),
+}
+
+METHODS = tuple(_METHODS)
 
 
 def expected_size(method: str, q: int) -> int:
     """Array size the method produces from a field of order q."""
-    return q - _SIZE_OFFSETS[method]
+    return q - _METHODS[method].offset
 
 
 @dataclass(frozen=True)
@@ -136,11 +152,12 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
 
 def _welch_powers(p: int, g: int) -> np.ndarray:
     """g^i mod p for i = 1..p-1, read from the tables of GF(p)."""
-    exp, logs = field_tables(make_field(p))
+    field = make_field(p)
+    exp, logs = field_tables(field)
     n = p - 1
-    lg = int(logs[g % p])
+    lg = int(logs[_code(field, g)])
     # g = r^lg for the least primitive root r, so g generates iff gcd(lg, n) = 1.
-    if g % p == 0 or math.gcd(lg, n) != 1:
+    if g == 0 or math.gcd(lg, n) != 1:
         raise NotPrimitive(f"{g} is not a primitive root mod {p}")
     i = np.arange(1, p) * lg
     i %= n
@@ -231,29 +248,31 @@ def golomb_g4(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
 
 
 def build(spec: ConstructionSpec) -> list[int]:
-    """Build the array a ConstructionSpec describes."""
-    method, field = spec.method, spec.field
-    if method not in METHODS:
+    """Build the array a ConstructionSpec describes.
+
+    beta must be given exactly for the methods that take one; each builder
+    checks that every code lies in [0, q), after the log-table cap.
+    """
+    method, field, alpha, beta = spec.method, spec.field, spec.alpha, spec.beta
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if _METHODS[method].beta != (beta is not None):
+        raise ValueError(f"method {method} {'requires' if beta is None else 'takes no'} --beta")
     if method in ("w1", "w2"):
         if field.k != 1:
             raise WrongCharacteristic("Welch constructions need a prime field")
-        if method == "w1":
-            return welch_w1(field.p, spec.alpha)
-        return welch_w2(field.p, spec.alpha)
+        return welch_w1(field.p, alpha) if method == "w1" else welch_w2(field.p, alpha)
     if method == "l2":
-        return lempel_l2(field, spec.alpha)
+        return lempel_l2(field, alpha)
     if method == "t4":
-        return taylor_t4(field, spec.alpha)
-    if spec.beta is None:
-        raise ValueError(f"method {method!r} requires beta")
+        return taylor_t4(field, alpha)
     if method == "g2":
-        return golomb_g2(field, spec.alpha, spec.beta)
+        return golomb_g2(field, alpha, beta)
     if method == "g3":
-        return golomb_g3(field, spec.alpha, spec.beta)
+        return golomb_g3(field, alpha, beta)
     if method == "g4c2":
-        return golomb_g4_char2(field, spec.alpha, spec.beta)
-    return golomb_g4(field, spec.alpha, spec.beta)
+        return golomb_g4_char2(field, alpha, beta)
+    return golomb_g4(field, alpha, beta)
 
 
 def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:
@@ -262,27 +281,22 @@ def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]
     Candidates are scanned in ascending element-code order, so the result
     is deterministic and rebuilds reproducibly.
     """
-    if method not in METHODS:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     p, k, q = field.p, field.k, field.q
-    if q < _MIN_ORDER.get(method, 0) or (k > 1 and method in ("w1", "w2")) or (p != 2 and method == "g4c2"):
+    if q < _METHODS[method].min_q or (k > 1 and method in ("w1", "w2")) or (p != 2 and method == "g4c2"):
         return None
     if method in ("w1", "w2", "l2", "g2"):
         a = least_primitive(field)
-        return ConstructionSpec(method, field, a, a if method == "g2" else None)
+        return ConstructionSpec(method, field, a, a if _METHODS[method].beta else None)
     if method == "t4":
         a = t4_witness(q)
         return None if a is None else ConstructionSpec("t4", field, a)
     if method == "g4":
         # alpha^2 = alpha + 1 with alpha and 1 - alpha both primitive.
         a = g4_witness(q)
-        return None if a is None else ConstructionSpec("g4", field, a, _one_minus(field, a))
-    # g3 and g4c2: the least primitive a with 1 - a primitive (0 is not
-    # primitive, so 1 - a is then a unit).
-    exp, _ = field_tables(field)
-    primitive = np.zeros(q, dtype=bool)
-    primitive[exp[primitive_exponents(q - 1)]] = True
-    one_minus = affine_map(field, np.arange(q), -1, 1)
-    ok = primitive & primitive[one_minus]
-    a = int(np.argmax(ok))
-    return ConstructionSpec(method, field, a, int(one_minus[a])) if ok[a] else None
+    else:
+        # g3 and g4c2: the least primitive a with 1 - a primitive.
+        codes, co = _primitive_codes(field)
+        a = int(codes[co.argmax()]) if co.any() else None
+    return None if a is None else ConstructionSpec(method, field, a, _one_minus(field, a))

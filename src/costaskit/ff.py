@@ -9,6 +9,7 @@ canonical representation and all results are reproducible without seeds.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,14 +33,6 @@ class DegreeOutOfRange(ValueError):
 
 class FieldTooLarge(ValueError):
     """The field order exceeds the cap for this operation."""
-
-
-class ZeroElement(ValueError):
-    """A multiplicative-only operation received the zero element."""
-
-
-class NotPrimitive(ValueError):
-    """An element required to generate the unit group does not."""
 
 
 class EvenModulus(ValueError):
@@ -80,11 +73,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _plain_sieve(n: int) -> list[int]:
+    flags = np.ones(n, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags).tolist()
+
+
+# The one table of small primes. Trial division by these proves any
+# cofactor below 2^32 prime, and every sieve and batched kernel below takes
+# its base primes from it: their bounds are square roots of numbers below 2^31.
+_TRIAL_PRIMES = _plain_sieve(1 << 16)
+
+
+def _primes_to(x: int) -> list[int]:
+    """The primes p <= x, for x < 2^16."""
+    return _TRIAL_PRIMES[: bisect.bisect_right(_TRIAL_PRIMES, x)]
+
+
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in the half-open interval [lo, hi), ascending, as int64.
 
-    Sieves the segment with the primes up to sqrt(hi), found the same way;
-    hi - 1 is capped at SIEVE_CAP.
+    Sieves the segment with the primes up to sqrt(hi); hi - 1 is capped at
+    SIEVE_CAP.
     """
     if hi - 1 > SIEVE_CAP:
         raise LimitTooLarge(f"sieve limit {hi - 1} above cap {SIEVE_CAP}")
@@ -92,14 +105,10 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(hi - lo, dtype=bool)
-    for q in primes_in_range(2, math.isqrt(hi - 1) + 1).tolist():
+    for q in _primes_to(math.isqrt(hi - 1)):
         start = max(q * q, -(-lo // q) * q)
         flags[start - lo :: q] = False
     return np.flatnonzero(flags) + lo
-
-
-# Trial division by these proves any cofactor below 2^32 prime.
-_TRIAL_PRIMES = primes_in_range(2, 1 << 16).tolist()
 
 
 @lru_cache(maxsize=4096)
@@ -279,17 +288,13 @@ def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
     return out
 
 
-def _check_log_table(q: int) -> None:
-    if q > _PRIMITIVE_SCAN_CAP:
-        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
-
-
 @lru_cache(maxsize=1)
 def field_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """(exp, logs) of the least primitive element g: exp[i] = g^i, logs[g^i] = i
     and logs[0] = -1, read-only and kept for the last field asked for (README
     "Caches"). The 10^6 log-table cap is checked before either is built."""
-    _check_log_table(field.q)
+    if field.q > _PRIMITIVE_SCAN_CAP:
+        raise FieldTooLarge(f"log table capped at order {_PRIMITIVE_SCAN_CAP}")
     exp = power_table(field, least_primitive(field))
     logs = np.full(field.q, -1, dtype=np.int64)
     logs[exp] = np.arange(field.q - 1)
@@ -450,7 +455,7 @@ def sqrt_mod_array(a, p) -> np.ndarray:
     act = np.flatnonzero(residue & (b != 1))
     z = np.zeros_like(p)
     pending = act
-    for c in primes_in_range(2, math.isqrt(int(p.max(initial=0))) + 2).tolist():
+    for c in _primes_to(math.isqrt(int(p.max(initial=0))) + 1):
         if not pending.size:
             break
         if c == 2:
@@ -503,7 +508,7 @@ def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
     rem = n.copy()
     idx_parts, q_parts = [], []
     live = np.arange(p.size)
-    for q in primes_in_range(2, math.isqrt(int(n.max())) + 1).tolist():
+    for q in _primes_to(math.isqrt(int(n.max()))):
         # A cofactor below q^2 with no prime factor below q is 1 or prime.
         live = live[rem[live] >= q * q]
         if not live.size:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .density import _FIB_COEFFS, _closed_form_roots, _prime_blocks
 from .ff import (
-    _check_log_table,
+    FieldDescriptor,
     _is_primitive_root_unchecked,
     affine_map,
     factorize,
@@ -25,6 +25,7 @@ from .ff import (
     is_prime,
     make_field,
     prime_power,
+    primitive_exponents,
     sqrt_mod_p,
 )
 
@@ -154,23 +155,22 @@ def t4_admissible(q: int) -> bool:
     return k == 1 and q % 10 in (1, 9)
 
 
-def _table_roots(p: int, k: int, b: int) -> list[tuple[int, bool]]:
-    """Primitive roots a of x^2 + b x - 1 in GF(p^k) for b = +-1, by ascending
-    code, each with whether 1 - a is primitive too.
+def _primitive_codes(field: FieldDescriptor, b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The primitive codes a of the field, ascending, and whether 1 - a is
+    primitive for each; with b = +-1, only the roots of x^2 + b x - 1.
 
-    Read from the power and log tables of the least primitive element g; the
-    order cap is checked before make_field.
+    Read from the power and log tables of the least primitive element g:
+    g^i is primitive iff gcd(i, q - 1) = 1, and a root iff g^(2i) = 1 - b g^i.
     """
-    _check_log_table(p**k)
-    f = make_field(p, k)
-    exp, logs = field_tables(f)
-    n = f.q - 1
-    # a = g^i is a root iff g^(2i) = 1 - b g^i, and primitive iff gcd(i, n) = 1.
-    # Neither a nor 1 - a is 0, as the constant term is -1 and b = +-1.
-    i = np.flatnonzero(exp[2 * np.arange(n) % n] == affine_map(f, exp, -b, 1))
-    roots = exp[i[np.gcd(i, n) == 1]]
-    co = np.gcd(logs[affine_map(f, roots, -1, 1)], n) == 1
-    return sorted(zip(roots.tolist(), co.tolist()))
+    exp, _ = field_tables(field)
+    n = field.q - 1
+    i = primitive_exponents(n)
+    primitive = np.zeros(field.q, dtype=bool)
+    primitive[exp[i]] = True
+    if b is not None:
+        i = i[exp[2 * i % n] == affine_map(field, exp[i], -b, 1)]
+    codes = np.sort(exp[i])
+    return codes, primitive[affine_map(field, codes, -1, 1)]
 
 
 def t4_witness(q: int) -> Optional[int]:
@@ -182,7 +182,8 @@ def t4_witness(q: int) -> Optional[int]:
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
         return next((g - 1 for g in _fpr_data(p)[1]), None)
-    return next((a for a, _ in _table_roots(p, k, 1)), None)
+    codes, _ = _primitive_codes(make_field(p, k), 1)
+    return int(codes[0]) if codes.size else None
 
 
 def t4_applicable(q: int) -> bool:
@@ -198,7 +199,8 @@ def g4_witness(q: int) -> Optional[int]:
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
         return next(iter(_fpr_data(p)[1]), None) if _fprs_are_g4(p) else None
-    return next((a for a, co in _table_roots(p, k, -1) if co), None)
+    codes, co = _primitive_codes(make_field(p, k), -1)
+    return int(codes[co.argmax()]) if co.any() else None
 
 
 def g4_applicable(q: int) -> bool:

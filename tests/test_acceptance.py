@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from costaskit.cli import run_sweep, worker_default
+from costaskit.cli import run_sweep, worker_count
 from costaskit.constructions import METHODS, build, find_spec
 from costaskit.costas import enumerate_costas, is_costas
 from costaskit.density import (
@@ -40,7 +40,7 @@ def _line(n: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def workers() -> int:
-    return worker_default()
+    return worker_count()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from costaskit import density
-from costaskit.cli import main, run_sweep, worker_count, worker_default
+from costaskit.cli import main, run_sweep, worker_count
 from costaskit.costas import COSTAS_CAP
 from costaskit.fpr import fpr_report
 
@@ -369,6 +369,10 @@ ONE_LINE_ERRORS = [
     (["build", "w1", "2147483647"], "build: log table capped at order 1000000"),
     (["build", "w1", "7", "--out", "{tmp}/missing/x.json"], "build: [Errno 2] No such file or directory: '{tmp}/missing/x.json'"),
     (["verify", "--perm", "-1,2"], "verify: expected a permutation of 1..2"),
+    (["build", "w1", "7", "--alpha", "10"], "build: element code 10 outside [0, 7)"),
+    (["build", "w2", "7", "--alpha=-4"], "build: element code -4 outside [0, 7)"),
+    (["build", "t4", "11", "--alpha", "7", "--beta", "99"], "build: method t4 takes no --beta"),
+    (["build", "w1", "5", "--alpha", "2", "--beta", "3"], "build: method w1 takes no --beta"),
 ]
 
 
@@ -520,10 +524,10 @@ def test_run_sweep_structure():
 
 def test_worker_default(monkeypatch, capsys):
     monkeypatch.setenv("COSTAS_THREADS", "3")
-    assert worker_default() == 3
+    assert worker_count() == 3
     monkeypatch.setenv("COSTAS_THREADS", "abc")
     with pytest.raises(ValueError):
-        worker_default()
+        worker_count()
     code, out, err = run(capsys, "census", "t4", "100")
     assert code == 1 and out == ""
     assert err.startswith("census:") and err.count("\n") == 1
@@ -533,9 +537,9 @@ def test_worker_default(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err == "census: COSTAS_THREADS must not be negative, got -3\n"
     monkeypatch.setenv("COSTAS_THREADS", "0")
-    assert worker_default() == 1
+    assert worker_count() == 1
     monkeypatch.delenv("COSTAS_THREADS")
-    assert worker_default() == (os.cpu_count() or 1)
+    assert worker_count() == (os.cpu_count() or 1)
 
 
 def test_census_negative_workers(capsys):
@@ -545,7 +549,7 @@ def test_census_negative_workers(capsys):
     # 0, like an absent flag, means the default
     code, out, err = run(capsys, "census", "t4", "100", "--workers", "0")
     assert code == 0 and out.endswith("100,8,25,0.320000,0.265705\n") and err == ""
-    assert worker_count(None) == worker_count(0) == worker_default()
+    assert worker_count(None) == worker_count(0) == worker_count()
     assert worker_count(2) == 2
 
 

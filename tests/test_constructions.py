@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import field_add, field_mul, field_pow, field_sub, primitive_elements
 from costaskit.constructions import (
+    ConditionFailed,
     ConstructionSpec,
     CornerConditionFailed,
     DegenerateSize,
     G4ConditionFailed,
     METHODS,
+    NotPrimitive,
     T4ConditionFailed,
     WrongCharacteristic,
+    ZeroElement,
     build,
     expected_size,
     find_spec,
@@ -32,8 +35,6 @@ from costaskit import constructions, costas
 from costaskit.ff import (
     FieldTooLarge,
     LimitTooLarge,
-    NotPrimitive,
-    ZeroElement,
     affine_map,
     field_tables,
     make_field,
@@ -57,6 +58,28 @@ def test_welch_validation():
         welch_w1(7, 2)
     with pytest.raises(ValueError):
         welch_w1(9, 2)
+    # Welch reads codes as every other builder does, not modulo p
+    for g in (10, -4):
+        with pytest.raises(ValueError, match=rf"^element code {g} outside \[0, 7\)$"):
+            welch_w1(7, g)
+
+
+def test_build_checks_codes_and_beta():
+    for spec in (
+        ConstructionSpec("w1", make_field(7), 10),
+        ConstructionSpec("t4", make_field(11), 7, 99),
+        ConstructionSpec("w1", make_field(5), 2, 3),
+        ConstructionSpec("g2", make_field(11), 2),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build(spec)
+        assert not isinstance(exc.value, ConditionFailed), spec
+
+
+def test_condition_failures_share_one_class():
+    for cls in (DegenerateSize, CornerConditionFailed, WrongCharacteristic, T4ConditionFailed,
+                G4ConditionFailed, NotPrimitive, ZeroElement):
+        assert issubclass(cls, ConditionFailed)
 
 
 def test_welch_all_small_primes():

@@ -1,5 +1,6 @@
 """README's work-cap and cache tables name every cap constant and every
-`lru_cache` with its value, and every module attribute README names exists."""
+`lru_cache` with its value, its method table lists every construction with
+its size, and every module attribute README names exists."""
 
 from __future__ import annotations
 
@@ -68,3 +69,10 @@ def test_cache_table_matches_the_code():
     caches["density._SEGMENT_SLOTS"] = str(density._SEGMENT_SLOTS)
     table = README.partition("## Caches")[2].partition("\n## ")[0]
     assert dict(re.findall(r"^\| `(\w+\.\w+)` *\| (\w+) *\|", table, re.M)) == caches
+
+
+def test_method_table_matches_the_code():
+    table = README.partition("## Construction methods")[2].partition("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` *\| q - (\d+) *\|", table, re.M)
+    assert [m for m, _ in rows] == list(constructions.METHODS)
+    assert all(100 - constructions.expected_size(m, 100) == int(n) for m, n in rows)
