@@ -100,11 +100,22 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_list(tokens: Iterable[str], flag: str) -> list[int]:
+    """The integers of a flag's comma-separated tokens; a bad token is named with its flag."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise ValueError(f"{flag} expects comma-separated integers, got {t!r}") from None
+    return out
+
+
 def _load_perm(args: argparse.Namespace) -> list[int]:
     if (args.file is None) == (args.perm is None):
         raise ValueError("pass exactly one of FILE or --perm")
     if args.perm is not None:
-        return [int(t) for t in args.perm.split(",") if t.strip()]
+        return _int_list([t for t in args.perm.split(",") if t.strip()], "--perm")
     with open(args.file, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
@@ -158,19 +169,19 @@ def cmd_fpr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_expr(text: str) -> tuple[int, int]:
-    parts = [int(t) for t in text.split(",")]
+def _parse_expr(text: str, flag: str) -> tuple[int, int]:
+    parts = _int_list(text.split(","), flag)
     if len(parts) == 1:
         return parts[0], 0
     if len(parts) == 2:
         return parts[0], parts[1]
-    raise ValueError(f"expected C or C,H, got {text!r}")
+    raise ValueError(f"{flag} expects C or C,H, got {text!r}")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
     checkpoints = None
     if args.checkpoints:
-        checkpoints = [int(t) for t in args.checkpoints.split(",")]
+        checkpoints = _int_list(args.checkpoints.split(","), "--checkpoints")
     workers = worker_count(args.workers)
     skipped = 0
     if args.kind != "trinomial" and (args.e1 is not None or args.e2 is not None):
@@ -183,7 +194,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         if args.e1 is None or args.e2 is None:
             raise ValueError("trinomial needs --e1 and --e2")
         result = trinomial_census(
-            args.limit, _parse_expr(args.e1), _parse_expr(args.e2),
+            args.limit, _parse_expr(args.e1, "--e1"), _parse_expr(args.e2, "--e2"),
             checkpoints, workers,
         )
         rows = list(result.rows)

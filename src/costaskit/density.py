@@ -23,6 +23,7 @@ from .ff import (
     LimitTooLarge,
     _least_root,
     _monic,
+    _order_tests,
     _poly_gcd,
     _poly_powmod,
     factorize,
@@ -433,11 +434,18 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     The fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G has
     degree at most 2. Both results are (2, N): the roots from
     `_quadratic_roots`, 0 where there is none and where G vanishes mod p,
-    and their primitive_root_mask with this g, which tests each root for
-    order (p - 1)/gcd(g, p - 1). For g = 1 the roots are the fold's own
-    and the mask says which are primitive. The discriminant d is the same
-    integer at every p, so a prime where d is a non-residue is turned away
-    by a table lookup on p mod 4|d|, not by a square root.
+    and per root whether it has order (p - 1)/gcd(g, p - 1), the test of
+    primitive_root_mask with this g. For g = 1 the roots are the fold's
+    own and the mask says which are primitive. The discriminant d is the
+    same integer at every p, so a prime where d is a non-residue is turned
+    away by a table lookup on p mod 4|d|, not by a square root.
+
+    Where c0 = +-c2 = +-1 the roots multiply to +-1, and the first root's
+    order tests decide both for product +1 at any g and for product -1 at
+    g = 1: the verdicts agree, except that at p = 3 (mod 4) with product -1
+    the odd-prime tests pass for both roots or neither, and of a passing
+    pair only the non-residue is primitive (proof in README, "Design
+    notes"). Every other fold tests both roots.
     """
     g = _fold_stride(coeffs)
     c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
@@ -446,10 +454,17 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     if d:
         solve &= _residue_classes(d)[p % (4 * abs(d))]
     solve = np.flatnonzero(solve)
+    ps = p[solve]
     roots = np.zeros((2, p.size), dtype=np.int64)
-    roots[:, solve] = _quadratic_roots(c0, c1, c2, p[solve])
+    roots[:, solve] = _quadratic_roots(c0, c1, c2, ps)
     primitive = np.zeros(roots.shape, dtype=bool)
-    primitive[:, solve] = primitive_root_mask(roots[:, solve], p[solve], g)
+    if abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
+        passes, half = _order_tests(roots[0, solve], ps, g)
+        first = passes & ~half
+        primitive[0, solve] = first
+        primitive[1, solve] = first if c0 == c2 else np.where(ps % 4 == 3, passes & half, first)
+    else:
+        primitive[:, solve] = primitive_root_mask(roots[:, solve], ps, g)
     return roots, primitive
 
 

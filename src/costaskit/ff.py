@@ -487,23 +487,23 @@ def sqrt_mod_array(a, p) -> np.ndarray:
     return out
 
 
-def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
-    """Whether a[..., i] is the g-th power of a primitive root mod p[i], for a 1-D array of primes p.
+def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order tests of `primitive_root_mask`, with the test at q = 2 kept apart.
 
-    The units mod p are cyclic, so the g-th powers of the primitive roots
-    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
-    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
-    asks whether a is primitive. N is factored by trial division with the
-    primes up to sqrt(max N): every (index, prime factor) pair is collected
-    first, what is left of N afterwards is 1 or a single prime, and one
-    batched exponentiation tests a^(N/q) != 1 for all pairs at once, and
-    a^N = 1 where N < p - 1 (Fermat gives it where N = p - 1). a = 0 mod p
-    never qualifies; leading axes of a are tested against the same p.
+    Returns two masks shaped like a: whether a != 0 mod p and a passes
+    every test but a^(N/2) != 1, and whether a^(N/2) = 1 (False where N
+    is odd). N is factored by trial division with the primes up to
+    sqrt(max N): every (index, prime factor) pair is collected first, what
+    is left of N afterwards is 1 or a single prime, and one batched
+    exponentiation per row of a tests a^(N/q) != 1 for all pairs at once,
+    and a^N = 1 where N < p - 1 (Fermat gives it where N = p - 1).
     """
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
+    passes = a != 0
+    half = np.zeros(a.shape, dtype=bool)
     if not p.size:
-        return np.zeros(a.shape, dtype=bool)
+        return passes, half
     n = (p - 1) // np.gcd(g, p - 1)
     rem = n.copy()
     idx_parts, q_parts = [], []
@@ -530,12 +530,30 @@ def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
     q = np.concatenate([*q_parts, rem[big], np.ones(short.size, dtype=np.int64)])
     # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
     fails_at_one = q > 1
-
-    ok = a != 0
+    two = q == 2
     exps, mods = n[idx] // q, p[idx]
-    for row_a, row_ok in zip(a.reshape(-1, p.size), ok.reshape(-1, p.size)):
-        row_ok[idx[(pow_mod_array(row_a[idx], exps, mods) == 1) == fails_at_one]] = False
-    return ok
+    rows = zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size))
+    for row_a, row_passes, row_half in rows:
+        one = pow_mod_array(row_a[idx], exps, mods) == 1
+        row_passes[idx[(one == fails_at_one) & ~two]] = False
+        row_half[idx[one & two]] = True
+    return passes, half
+
+
+def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
+    """Whether a[..., i] is the g-th power of a primitive root mod p[i], for a 1-D array of primes p.
+
+    The units mod p are cyclic, so the g-th powers of the primitive roots
+    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
+    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
+    asks whether a is primitive. a qualifies iff a^(N/q) != 1 for every
+    prime q dividing N, and a^N = 1: `_order_tests` runs every test in one
+    pass and keeps q = 2 apart, for callers that read both roots of a
+    quadratic off one of them. a = 0 mod p never qualifies; leading axes of
+    a are tested against the same p.
+    """
+    passes, half = _order_tests(a, p, g)
+    return passes & ~half
 
 
 # Batched polynomial arithmetic mod p: row i of each (N, w) array holds the

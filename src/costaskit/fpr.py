@@ -111,6 +111,13 @@ def fpr_report(p: int) -> FprReport:
 
 
 def _segment_reports(p: np.ndarray) -> Iterator[FprReport]:
+    """Reports for the odd primes of one sieve segment, from one table of x^2 - x - 1.
+
+    `_closed_form_roots` gives both roots at every prime and a flag per
+    root. It runs the order tests on the first root only: the roots
+    multiply to -1, so the first root's odd-prime tests and its q = 2 test
+    decide the second's flag too, exactly, at p = 3 (mod 4) as well.
+    """
     roots, primitive = _closed_form_roots(p, _FIB_COEFFS)
     for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):
         flags = {r0: f0, r1: f1}

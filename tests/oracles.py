@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from typing import Iterator, Optional
 
 import numpy as np
@@ -118,6 +119,16 @@ def brute_fold_primitive_roots(p: int, coeffs: tuple[tuple[int, int], ...]) -> l
     roots by exhaustive evaluation, then their order by repeated multiplication."""
     roots = [g for g in range(1, p) if sum(v * pow(g, k, p) for k, v in coeffs) % p == 0]
     return [g for g in roots if brute_order(g, p) == p - 1]
+
+
+def brute_stride_roots(p: int, g: int, coeffs: tuple[tuple[int, int], ...]) -> dict[int, bool]:
+    """For a fold G(x^g) with exponents in {0, g, 2g}: each root y != 0 of G
+    mod p, by exhaustive evaluation, and whether y = a^g for a primitive a,
+    that is, whether y has order (p - 1)/gcd(g, p - 1) by repeated
+    multiplication."""
+    order = (p - 1) // gcd(g, p - 1)
+    roots = [y for y in range(1, p) if sum(v * y ** (k // g) for k, v in coeffs) % p == 0]
+    return {y: brute_order(y, p) == order for y in roots}
 
 
 def brute_trinomial_witnesses(p: int, a: int, b: int) -> list[int]:

@@ -337,7 +337,8 @@ def _check_exit(argv):
 
 # Each argv exits 1 with empty stdout and one stderr line starting with the
 # text given. Argparse errors come first, then each cap at its least rejected
-# input, then two inputs that once ended in a traceback and a negative --perm.
+# input, then two inputs that once ended in a traceback and a negative --perm,
+# then malformed integer lists, which name their flag and bad token.
 ONE_LINE_ERRORS = [
     ([], "costaskit: error: the following arguments are required: command"),
     (["build", "w1"], "costaskit build: error: the following arguments are required: q"),
@@ -373,6 +374,12 @@ ONE_LINE_ERRORS = [
     (["build", "w2", "7", "--alpha=-4"], "build: element code -4 outside [0, 7)"),
     (["build", "t4", "11", "--alpha", "7", "--beta", "99"], "build: method t4 takes no --beta"),
     (["build", "w1", "5", "--alpha", "2", "--beta", "3"], "build: method w1 takes no --beta"),
+    (["census", "t4", "1000", "--checkpoints", "1e5"], "census: --checkpoints expects comma-separated integers, got '1e5'"),
+    (["census", "g4", "1000", "--checkpoints", "10,,20"], "census: --checkpoints expects comma-separated integers, got ''"),
+    (["verify", "--perm", "1,x,3"], "verify: --perm expects comma-separated integers, got 'x'"),
+    (["census", "trinomial", "1000", "--e1", "a", "--e2", "1"], "census: --e1 expects comma-separated integers, got 'a'"),
+    (["census", "trinomial", "1000", "--e1", "1", "--e2", "1,0x2"], "census: --e2 expects comma-separated integers, got '0x2'"),
+    (["census", "trinomial", "1000", "--e1", "1,2,3", "--e2", "1"], "census: --e1 expects C or C,H, got '1,2,3'"),
 ]
 
 

@@ -354,6 +354,7 @@ censuses = (lambda w: density.census_t4(10**5, workers=w),
 want = [census(1) for census in censuses]
 parent = os.getpid()
 bad = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+held = [False]
 sieve, waitpid = density.primes_in_range, os.waitpid
 statuses = []
 
@@ -362,7 +363,8 @@ def faulty(lo, hi):
         bad[0] = lo
         if mode == "exit":
             os._exit(7)
-    elif not bad[0]:
+    elif not held[0]:
+        held[0] = True
         deadline = time.monotonic() + 30
         while not bad[0]:
             assert time.monotonic() < deadline, "the child never took a segment"
@@ -382,7 +384,7 @@ def record_status(pid, options):
 density.primes_in_range = faulty
 os.waitpid = record_status
 for census, rows in zip(censuses, want):
-    bad[0] = 0
+    bad[0], held[0] = 0, False
     density._SEGMENT_MASKS.clear()
     try:
         got = census(2)
@@ -644,6 +646,55 @@ def test_stride_closed_form_matches_bruteforce(case):
         roots, ok = density._closed_form_roots(primes, coeffs)
         stride = density._fold_stride(coeffs)
         assert set(roots[ok].tolist()) == {pow(a, stride, p) for a in witnesses}, case
+
+
+_ODD_PRIMES_BY_CLASS = {
+    r: [q for q in oracles.simple_sieve(20000) if q % 4 == r] for r in (1, 3)
+}
+
+
+@st.composite
+def _unit_product_fold_and_prime(draw):
+    # x^2 - x - 1 (root product -1) or y^2 +- y + 1 at y = x^g (product +1);
+    # the prime's class mod 4 is drawn first, so both classes come up alike
+    if draw(st.booleans()):
+        g, coeffs = 1, density._FIB_COEFFS
+    else:
+        g = draw(st.integers(1, 10))
+        coeffs = ((0, 1), (g, draw(st.sampled_from((1, -1)))), (2 * g, 1))
+    return g, coeffs, draw(st.sampled_from(_ODD_PRIMES_BY_CLASS[draw(st.sampled_from((1, 3)))]))
+
+
+def _assert_root_rows_match_oracle(g, coeffs, p):
+    roots, ok = density._closed_form_roots(np.array([p], dtype=np.int64), coeffs)
+    want = oracles.brute_stride_roots(p, g, coeffs)
+    assert {r for r in roots[:, 0].tolist() if r} == set(want), (g, coeffs, p)
+    # position by position: each row's flag belongs to that row's root
+    for r, flag in zip(roots[:, 0].tolist(), ok[:, 0].tolist()):
+        assert flag == (bool(r) and want[r]), (g, coeffs, p, r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_unit_product_fold_and_prime())
+# a double root 3 of x^2 - x - 1
+@example((1, density._FIB_COEFFS, 5))
+# p = 3 (mod 4): of the roots 4 and 8, only 8 is primitive
+@example((1, density._FIB_COEFFS, 11))
+@example((1, density._FIB_COEFFS, 29))
+# y^2 - y + 1 has the double root 2 mod 3
+@example((1, ((0, 1), (1, -1), (2, 1)), 3))
+def test_unit_product_root_flags_match_oracle(case):
+    _assert_root_rows_match_oracle(*case)
+
+
+def test_unit_product_root_flags_pinned():
+    roots, ok = density._closed_form_roots(np.array([5, 11, 29], dtype=np.int64), density._FIB_COEFFS)
+    assert roots.T.tolist() == [[3, 3], [8, 4], [6, 24]]
+    assert ok.T.tolist() == [[True, True], [True, False], [False, False]]
+    for g in range(1, 11):
+        for s in (1, -1):
+            for p in (7, 13, 19, 31, 37, 43, 61, 67, 73):
+                _assert_root_rows_match_oracle(g, ((0, 1), (g, s), (2 * g, 1)), p)
 
 
 @settings(deadline=None, max_examples=200)

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from costaskit.constructions import find_spec
-from costaskit.ff import FieldTooLarge, make_field, prime_power
+from costaskit.density import _segments
+from costaskit.ff import SIEVE_CAP, FieldTooLarge, make_field, prime_power
 from costaskit.fpr import (
     EvenPrime,
     NotAnFpr,
@@ -14,6 +15,7 @@ from costaskit.fpr import (
     PreconditionNotMet,
     fpr_candidates,
     fpr_report,
+    fpr_reports,
     fpr_set,
     fpr_to_t4_root,
     g4_applicable,
@@ -65,6 +67,19 @@ def test_fpr_matches_bruteforce():
         g4 = [g for g in fprs if oracles.brute_order((1 - g) % p, p) == p - 1]
         assert g4_witness(p) == (g4[0] if g4 else None), p
         assert fpr_report(p).g4_applicable == bool(g4), p
+
+
+def test_range_reports_match_scalar_at_the_sieve_cap():
+    # The census's last segment, the highest primes the batched kernels
+    # decide, against the scalar path (sqrt_mod_p, factorize, pow), which
+    # shares none of them, at every prime.
+    lo, hi = _segments(SIEVE_CAP)[-1]
+    reports = list(fpr_reports(lo, hi - 1))
+    assert len(reports) > 6000
+    for r in reports:
+        assert r == fpr_report(r.p), r.p
+    # both classes mod 4 carry FPRs, so both branches of the one-root rule run
+    assert {r.p % 4 for r in reports if r.fprs} == {1, 3}
 
 
 def test_candidates_exist_iff_residue_class_fits():
