@@ -82,8 +82,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.alpha is None:
             spec = find_spec(args.method, field)
             if spec is None:
-                _err(f"{args.method}: {_METHODS[args.method].none_reason}")
-                return 2
+                raise ConditionFailed(_METHODS[args.method].none_reason)
         else:
             spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
         perm = build(spec)

@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .costas import _drop_corner
-from .ff import FieldDescriptor, affine_map, field_tables, least_primitive, make_field
-from .fpr import _primitive_codes, g4_witness, t4_witness
+from .ff import FieldDescriptor, affine_map, field_tables, least_primitive, make_field, primitive_exponents
+from .fpr import g4_witness, t4_witness
 
 
 class ConditionFailed(ValueError):
@@ -245,6 +245,17 @@ def golomb_g4(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     if trimmed[0] != field.q - 3:
         raise ConstructionFailed("edge dot missing from the top of column 1")
     return trimmed[1:].tolist()
+
+
+def _primitive_codes(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The primitive codes a of the field, ascending, and whether 1 - a is
+    primitive for each, read from the tables: g^i is primitive iff
+    gcd(i, q - 1) = 1."""
+    exp, _ = field_tables(field)
+    codes = np.sort(exp[primitive_exponents(field.q - 1)])
+    primitive = np.zeros(field.q, dtype=bool)
+    primitive[codes] = True
+    return codes, primitive[affine_map(field, codes, -1, 1)]
 
 
 def build(spec: ConstructionSpec) -> list[int]:

@@ -73,21 +73,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _plain_sieve(n: int) -> list[int]:
-    flags = np.ones(n, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(n - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return np.flatnonzero(flags).tolist()
-
-
-# The one table of small primes. Trial division by these proves any
-# cofactor below 2^32 prime, and every sieve and batched kernel below takes
-# its base primes from it: their bounds are square roots of numbers below 2^31.
-_TRIAL_PRIMES = _plain_sieve(1 << 16)
-
-
 def _primes_to(x: int) -> list[int]:
     """The primes p <= x, for x < 2^16."""
     return _TRIAL_PRIMES[: bisect.bisect_right(_TRIAL_PRIMES, x)]
@@ -109,6 +94,15 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
         start = max(q * q, -(-lo // q) * q)
         flags[start - lo :: q] = False
     return np.flatnonzero(flags) + lo
+
+
+# The one table of small primes. Trial division by these proves any
+# cofactor below 2^32 prime, and every sieve and batched kernel takes its
+# base primes from it: their bounds are square roots of numbers below 2^31.
+# Each pass sieves with the primes of the pass before, from [2, 3] up.
+_TRIAL_PRIMES = [2, 3]
+for _top in (16, 1 << 8, 1 << 16):
+    _TRIAL_PRIMES = primes_in_range(2, _top).tolist()
 
 
 @lru_cache(maxsize=4096)

@@ -16,18 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .density import _FIB_COEFFS, _closed_form_roots, _prime_blocks
-from .ff import (
-    FieldDescriptor,
-    _is_primitive_root_unchecked,
-    affine_map,
-    factorize,
-    field_tables,
-    is_prime,
-    make_field,
-    prime_power,
-    primitive_exponents,
-    sqrt_mod_p,
-)
+from .ff import _is_primitive_root_unchecked, factorize, is_prime, prime_power, sqrt_mod_p
 
 
 class EvenPrime(ValueError):
@@ -162,35 +151,25 @@ def t4_admissible(q: int) -> bool:
     return k == 1 and q % 10 in (1, 9)
 
 
-def _primitive_codes(field: FieldDescriptor, b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    """The primitive codes a of the field, ascending, and whether 1 - a is
-    primitive for each; with b = +-1, only the roots of x^2 + b x - 1.
-
-    Read from the power and log tables of the least primitive element g:
-    g^i is primitive iff gcd(i, q - 1) = 1, and a root iff g^(2i) = 1 - b g^i.
-    """
-    exp, _ = field_tables(field)
-    n = field.q - 1
-    i = primitive_exponents(n)
-    primitive = np.zeros(field.q, dtype=bool)
-    primitive[exp[i]] = True
-    if b is not None:
-        i = i[exp[2 * i % n] == affine_map(field, exp[i], -b, 1)]
-    codes = np.sort(exp[i])
-    return codes, primitive[affine_map(field, codes, -1, 1)]
+# The least witnesses over the two non-prime fields where any exist, as
+# (t4, g4) codes in the canonical coding; see t4_witness.
+_SUBFIELD_WITNESSES = {4: (2, 2), 9: (4, 5)}
 
 
 def t4_witness(q: int) -> Optional[int]:
     """Least a with a^2 + a = 1 and a primitive, or None.
 
     Over GF(p) these a are g - 1 = 1/g for the FPRs g, so the least is the
-    least FPR minus 1.
+    least FPR minus 1. Any other q is 2 or p^k with k >= 2, and a root of
+    x^2 +- x - 1 lies in GF(p^2): for k >= 3 its order divides
+    p^2 - 1 < q - 1, and at k = 2 a root outside GF(p) has norm -1, so its
+    order divides 2(p + 1), a multiple of p^2 - 1 only for p <= 3. So only
+    GF(4) and GF(9) have witnesses.
     """
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
         return next((g - 1 for g in _fpr_data(p)[1]), None)
-    codes, _ = _primitive_codes(make_field(p, k), 1)
-    return int(codes[0]) if codes.size else None
+    return _SUBFIELD_WITNESSES.get(q, (None, None))[0]
 
 
 def t4_applicable(q: int) -> bool:
@@ -202,20 +181,20 @@ def g4_witness(q: int) -> Optional[int]:
     """Least a with a^2 = a + 1 and both a and 1 - a primitive, or None.
 
     Over GF(p) these a are the FPRs when p = 1 (mod 4) and none otherwise.
+    Over any other q, only GF(4) and GF(9) have one, by the subfield
+    argument of `t4_witness`.
     """
     p, k = _as_prime_power(q)
     if k == 1 and p > 2:
         return next(iter(_fpr_data(p)[1]), None) if _fprs_are_g4(p) else None
-    codes, co = _primitive_codes(make_field(p, k), -1)
-    return int(codes[co.argmax()]) if co.any() else None
+    return _SUBFIELD_WITNESSES.get(q, (None, None))[1]
 
 
 def g4_applicable(q: int) -> bool:
     """True when GF(q) admits the doubly-periodic corner construction.
 
-    The witness search agrees with the residue-class characterization
-    (q in {4, 5, 9}, or q prime, 1 or 9 mod 20, with an FPR); the tests
-    hold the two against each other.
+    That is q in {4, 5, 9}, or q prime, 1 or 9 mod 20, with an FPR; the
+    tests hold the witness against a scan of every field's tables.
     """
     return g4_witness(q) is not None
 

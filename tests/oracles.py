@@ -6,7 +6,8 @@ as in the package, but their arithmetic here is scalar polynomial
 arithmetic reduced by `field.modulus`. Tests compare package output
 against these on small inputs and freeze the values they certify. The
 last two sections are the exception: helpers only the tests use, moved
-out of the package, the element-by-element parameter search that
+out of the package, the table scan for the t4 and g4 witnesses that the
+subfield argument replaced, the element-by-element parameter search that
 find_spec's table lookups replaced, and the list-based permutation
 validator that the numpy one replaced, kept as their reference.
 """
@@ -27,8 +28,12 @@ from costaskit.ff import (
     FieldDescriptor,
     FieldTooLarge,
     LimitTooLarge,
+    affine_map,
+    field_tables,
     least_primitive,
+    make_field,
     power_table,
+    prime_power,
     primitive_exponents,
 )
 
@@ -257,7 +262,8 @@ def _quadratic_roots(field: FieldDescriptor, b: int, c: int) -> list[int]:
     ]
 
 
-# Built on the package: a helper moved out of it and the former find_spec search.
+# Built on the package: a helper moved out of it, the former witness scan and
+# the former find_spec search.
 
 
 def primitive_elements(field: FieldDescriptor) -> list[int]:
@@ -266,6 +272,29 @@ def primitive_elements(field: FieldDescriptor) -> list[int]:
         raise FieldTooLarge(f"primitive element scan capped at order {_PRIMITIVE_SCAN_CAP}")
     exp = power_table(field, least_primitive(field))
     return np.sort(exp[primitive_exponents(field.q - 1)]).tolist()
+
+
+def _table_roots(field: FieldDescriptor, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primitive roots a of x^2 + b x - 1 (b = +-1), ascending, and
+    whether 1 - a is primitive for each, read from the power and log tables:
+    g^i is primitive iff gcd(i, q - 1) = 1, and a root iff g^(2i) = 1 - b g^i."""
+    exp, _ = field_tables(field)
+    n = field.q - 1
+    i = primitive_exponents(n)
+    primitive = np.zeros(field.q, dtype=bool)
+    primitive[exp[i]] = True
+    i = i[exp[2 * i % n] == affine_map(field, exp[i], -b, 1)]
+    codes = np.sort(exp[i])
+    return codes, primitive[affine_map(field, codes, -1, 1)]
+
+
+def reference_witnesses(q: int) -> tuple[Optional[int], Optional[int]]:
+    """The t4 and g4 witnesses of GF(q) by the table scan that fpr ran
+    before the subfield argument replaced it for non-prime q."""
+    field = make_field(*prime_power(q))
+    t4, _ = _table_roots(field, 1)
+    g4, co = _table_roots(field, -1)
+    return (int(t4[0]) if t4.size else None), (int(g4[co.argmax()]) if co.any() else None)
 
 
 def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:

@@ -100,10 +100,26 @@ def test_build_log_cap_before_parameters(capsys):
 def test_build_refuses_large_extension_field_fast(capsys, method, q):
     # Building the field, and for l2 and g2 finding its least primitive
     # element, come before the cap, so both must be quick near order 2^31.
+    # t4 needs no table there: no extension field above GF(9) has a witness.
     start = time.perf_counter()
     code, out, err = run(capsys, "build", method, str(q))
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n")
+    if method == "t4":
+        assert (code, out, err) == (2, "", "t4: no primitive root with a^2+a=1\n")
+    else:
+        assert (code, out, err) == (1, "", "build: log table capped at order 1000000\n")
+
+
+@pytest.mark.parametrize("method, reason", [
+    ("t4", "no primitive root with a^2+a=1"),
+    ("g4", "no primitive pair with a+b=1 and a^2+1/b=1"),
+])
+def test_build_no_witness_over_extension_field(capsys, method, reason):
+    # GF(1009^2) is above the log-table cap, but the answer needs no table.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", method, "1018081")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"{method}: {reason}\n")
 
 
 def test_build_explicit_pair(capsys):
@@ -357,7 +373,7 @@ ONE_LINE_ERRORS = [
     (["sweep"], "costaskit sweep: error: the following arguments are required: qmax"),
     (["sweep", "1e3"], "costaskit sweep: error: argument qmax: invalid int value: '1e3'"),
     (["build", "l2", "1000003"], "build: log table capped at order 1000000"),
-    (["build", "t4", "1018081"], "build: log table capped at order 1000000"),
+    (["build", "t4", "1018081", "--alpha", "4"], "build: log table capped at order 1000000"),
     (["build", "w1", "128"], "build: degree 7 outside 1..6"),
     (["build", "w1", "2147483659"], "build: field order 2147483659 exceeds 2147483648"),
     (["build", "w1", str(65537**2)], "build: cofactor 4295098369 has no prime factor below 2^16"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import oracles
@@ -23,6 +25,7 @@ from costaskit.fpr import (
     phong_check,
     t4_admissible,
     t4_applicable,
+    t4_witness,
 )
 
 ODD_PRIMES_2K = [p for p in oracles.simple_sieve(2000) if p > 2]
@@ -175,8 +178,34 @@ def test_applicable_implies_admissible():
 
 
 def test_t4_extension_scan_cap():
+    # The witnesses over GF(101^3) need no field; the g3 scan still reads
+    # the tables and meets their cap.
+    assert not t4_applicable(101**3) and not g4_applicable(101**3)
     with pytest.raises(FieldTooLarge):
-        t4_applicable(101**3)
+        find_spec("g3", make_field(101, 3))
+
+
+def _powers_below_2_16(degrees: range) -> list[int]:
+    return sorted(p**k for p in oracles.simple_sieve(256) for k in degrees if p**k < 1 << 16)
+
+
+def test_witnesses_match_the_table_scan():
+    # Every prime power below 2^16 with 2 <= k <= 6, and the primes below
+    # 2^12, against the scan of the field's tables.
+    extensions = _powers_below_2_16(range(2, 7))
+    assert len(extensions) == 79
+    for q in extensions + oracles.simple_sieve(1 << 12):
+        assert (t4_witness(q), g4_witness(q)) == oracles.reference_witnesses(q), q
+
+
+def test_extension_witnesses_need_no_field():
+    # Above the degree and log-table caps the answer is still None, at once.
+    big = _powers_below_2_16(range(7, 16))
+    assert len(big) == 13 and (big[0], big[-1]) == (128, 59049)
+    start = time.perf_counter()
+    for q in big + [101**3, 1009**2, 46337**2, 2**30, 3**19]:
+        assert t4_witness(q) is None and g4_witness(q) is None, q
+    assert time.perf_counter() - start < 0.05
 
 
 def test_g4_pinned():
