@@ -9,7 +9,6 @@ families of trinomials that provably stop having primitive solutions.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, Optional, Union
@@ -19,6 +18,7 @@ import numpy as np
 from .costas import _fork_map
 from .ff import (
     SIEVE_CAP,
+    CompositeCharacteristic,
     FieldDescriptor,
     LimitTooLarge,
     _least_root,
@@ -27,7 +27,7 @@ from .ff import (
     _poly_gcd,
     _poly_powmod,
     factorize,
-    make_field,
+    is_prime,
     power_table,
     primes_in_range,
     primitive_exponents,
@@ -47,11 +47,10 @@ _CHUNK = 1 << 17
 _ROOT_COST = 1.5
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
-# Closed-form hit masks, packed by np.packbits over the odd primes of one
-# census segment [lo, hi), keyed by (coeffs, lo, hi), least recently used
-# first. The slots outnumber the 763 segments of a census at SIEVE_CAP.
-_SEGMENT_MASKS: OrderedDict = OrderedDict()
-_SEGMENT_SLOTS = 1024
+# Closed-form hit masks of one fold, packed by np.packbits over the odd
+# primes of one census segment [lo, hi), keyed by (coeffs, lo, hi), one per
+# lo: at most the 763 segments of a census at SIEVE_CAP.
+_SEGMENT_MASKS: dict = {}
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
@@ -281,31 +280,15 @@ def _witness_rows(p: int, e1: int, e2: int) -> np.ndarray:
     neither the closed form nor the fold-root kernel decides, and the
     verifier's hit primes, where it finds the least witness. The caller
     has proved p prime and both exponents in [1, p - 2]; nothing is checked
-    again. With m = (p - 1)/2, every unit j is odd, so j(e + m) = je + m
-    mod p - 1 and the row of powers for e + m is p minus the row for e.
-    The units are symmetric under j -> n - j, so the row for m - k is p
-    minus the row for k read backwards, and each exponent gathers the row
-    for min(k, m - k), k = e mod m. Powers lie in [1, p - 1], so
-    x + y = 1 mod p exactly when x + y = p + 1; with one row flipped that
-    reads y - x = 1, with both flipped x + y = p - 1.
+    again. Powers lie in [1, p - 1], so x + y = 1 mod p exactly when
+    x + y = p + 1. Below the 1e6 cap, j * e < 1e12 is exact in int64.
     """
     # Built here, not by make_field, whose cache keeps every field it is asked for.
     field = FieldDescriptor(p, 1, p, None, factorize(p - 1))
     table = power_table(field, _least_root(p, field.q1_factors))
-    n, m = p - 1, (p - 1) // 2
+    n = p - 1
     js = primitive_exponents(n)
-
-    def powers(e: int) -> tuple[np.ndarray, bool]:
-        k = e % m
-        r = min(k, m - k)
-        row = table[js * r % n]
-        return (row, e >= m) if r == k else (row[::-1], e < m)
-
-    (x, fx), (y, fy) = powers(e1), powers(e2)
-    if fx == fy:
-        hit = x + y == (p - 1 if fx else p + 1)
-    else:
-        hit = (y - x if fx else x - y) == 1
+    hit = table[js * e1 % n] + table[js * e2 % n] == p + 1
     return np.sort(table[js[hit]])
 
 
@@ -318,7 +301,8 @@ def trinomial_witnesses(p: int, e1: ExprLike, e2: ExprLike) -> list[int]:
     x1, x2 = _as_expr(e1), _as_expr(e2)
     if p > _TRINOMIAL_CAP:
         raise LimitTooLarge(f"prime {p} above cap {_TRINOMIAL_CAP}")
-    make_field(p)
+    if not is_prime(p):
+        raise CompositeCharacteristic(f"characteristic {p} is not prime")
     if not (x1.in_range(p) and x2.in_range(p)):
         raise ExponentOutOfRange(f"exponents {x1}, {x2} leave [1, {p - 2}] at p={p}")
     return _witness_rows(p, x1.evaluate(p), x2.evaluate(p)).tolist()
@@ -487,9 +471,12 @@ def _segment_hits(primes: np.ndarray, lo: int, hi: int, coeffs: tuple[tuple[int,
 
     The mask over the segment's odd primes is computed once per process:
     it is kept in `_SEGMENT_MASKS` and read back by later censuses of the
-    same segment and fold. With a gate the mask is further limited to the
-    gated odd primes; then, when no mask is kept, only those are decided
-    and nothing is kept.
+    same segment and fold. The memo holds one fold's masks, one per segment
+    start: keeping a mask of another fold, or of a kept start with another
+    end (the last segment of a census to another limit), drops them first,
+    so it never outgrows one census. With a gate the mask is further
+    limited to the gated odd primes; then, when no mask is kept, only those
+    are decided and nothing is kept.
     """
     key = (coeffs, lo, hi)
     bits = _SEGMENT_MASKS.get(key)
@@ -499,11 +486,9 @@ def _segment_hits(primes: np.ndarray, lo: int, hi: int, coeffs: tuple[tuple[int,
         return hit
     odd = primes != 2
     if bits is None:
+        if any(c != coeffs or start == lo for c, start, _ in _SEGMENT_MASKS):
+            _SEGMENT_MASKS.clear()
         bits = _SEGMENT_MASKS[key] = np.packbits(_fast_exists(primes[odd], coeffs))
-        if len(_SEGMENT_MASKS) > _SEGMENT_SLOTS:
-            _SEGMENT_MASKS.popitem(last=False)
-    else:
-        _SEGMENT_MASKS.move_to_end(key)
     hit[odd] = np.unpackbits(bits, count=int(odd.sum())).view(bool)
     return hit if gate is None else hit & gate
 

@@ -472,7 +472,7 @@ def test_enumeration_counts():
         assert len(arrays) == count
         assert arrays == sorted(arrays)
         assert all(is_costas(a) for a in arrays)
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in (1, 2, 3, 4, 5, 6, 7):
         assert len(enumerate_costas(n)) == oracles.naive_costas_count(n)
     assert all(oracles.naive_is_costas(a) for a in enumerate_costas(8))
 

@@ -202,18 +202,20 @@ def test_cold_g4_keeps_no_mask():
     assert census_g4(10**4) == g4
 
 
-def test_segment_memo_holds_packed_bits(monkeypatch):
+def test_segment_memo_holds_packed_bits():
     census_t4(10**6)
     segments = len(density._segments(10**6))
     assert len(density._SEGMENT_MASKS) == segments
-    assert density._SEGMENT_SLOTS >= len(density._segments(density.SIEVE_CAP))
     # one bit per odd prime: pi(10^6) = 78498, at most a byte of padding a segment
     assert sum(b.nbytes for b in density._SEGMENT_MASKS.values()) <= 78498 / 8 + segments
-    # the least recently used segment goes first
-    monkeypatch.setattr(density, "_SEGMENT_SLOTS", 2)
-    density._SEGMENT_MASKS.clear()
-    census_t4(3 * 10**5)
-    assert [lo for _, lo, _ in density._SEGMENT_MASKS] == [2 + (1 << 17), 2 + (1 << 18)]
+    # a census to another limit keeps one mask per segment start
+    census_t4(10**6 - 1000)
+    assert [lo for _, lo, _ in density._SEGMENT_MASKS] == [density._segments(10**6)[-1][0]]
+    # another fold's census drops them and keeps its own masks
+    trinomial_census(3 * 10**5, (1, 0), (1, 0))
+    assert sorted(density._SEGMENT_MASKS) == [
+        (((0, -1), (1, 2)), lo, hi) for lo, hi in density._segments(3 * 10**5)
+    ]
 
 
 def test_residue_classes_match_euler():
@@ -469,9 +471,9 @@ def test_exhaustive_scan_keeps_no_tables():
 
 @st.composite
 def _prime_and_pairs(draw):
-    # exponent pairs drawn from a small pool that holds e + (p - 1)/2 beside e,
-    # so the two exponents of a pair often read the same row of powers, one
-    # of them flipped
+    # exponent pairs drawn from a small pool that holds e + (p - 1)/2 beside e:
+    # for primitive a, a^(e + (p - 1)/2) = -a^e, so a pair often takes powers
+    # that are negatives of each other
     p = draw(st.sampled_from([q for q in oracles.simple_sieve(128) if q > 2]))
     m = (p - 1) // 2
     pool = draw(st.lists(st.integers(1, p - 2), min_size=1, max_size=3))
@@ -784,6 +786,7 @@ def test_verifier_leaves_the_field_cache_alone():
     # cache is for the fields callers ask for, not for every scanned prime.
     before = ff._make_field_cached.cache_info()
     verify_zero_density_claims(2000, 3)
+    trinomial_witnesses(999983, 3, 1)
     assert ff._make_field_cached.cache_info() == before
 
 

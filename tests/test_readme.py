@@ -66,7 +66,6 @@ def test_cache_table_matches_the_code():
     }
     # every cache decorator in the package has an explicit maxsize
     assert sum(len(re.findall(r"^@(?:functools\.)?(?:lru_)?cache\b", t, re.M)) for t in sources.values()) == len(caches)
-    caches["density._SEGMENT_SLOTS"] = str(density._SEGMENT_SLOTS)
     table = README.partition("## Caches")[2].partition("\n## ")[0]
     assert dict(re.findall(r"^\| `(\w+\.\w+)` *\| (\w+) *\|", table, re.M)) == caches
 
