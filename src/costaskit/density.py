@@ -21,10 +21,12 @@ from .ff import (
     CompositeCharacteristic,
     FieldDescriptor,
     LimitTooLarge,
+    _factor_pairs,
     _least_root,
     _monic,
     _order_tests,
     _poly_gcd,
+    _poly_mulmod,
     _poly_powmod,
     factorize,
     is_prime,
@@ -41,10 +43,9 @@ _I_MAX_CAP = 10
 _ARTIN_BOUND = 10**6
 # Primes are sieved, and censuses split into tasks, in segments this wide.
 _CHUNK = 1 << 17
-# The fold-root kernel decides a prime of a degree-d fold when
-# _ROOT_COST * d^2 * log2(p) < p: its O(d^2 log p) cost against the
-# exhaustive scan's O(p), with the constant fitted to measured crossovers.
-_ROOT_COST = 1.5
+# `_root_route` sends p to the fold-root kernel when _ROOT_COST d^2 log2 p < p,
+# the constant fitted to the kernel's measured crossovers with the scan.
+_ROOT_COST = 0.7
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
 # Closed-form hit masks of one fold, packed by np.packbits over the odd
@@ -368,9 +369,8 @@ def _small_inverse(d: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
     """Roots mod p of c2 x^2 + c1 x + c0 as a (2, N) array, 0 where there is none.
 
-    The coefficients are small integers (fold coefficients, or 1 for a
-    monic piece) that broadcast against the 1-D odd primes p, and c2 and c1
-    must not both vanish mod p. Where c2 = 0 both rows hold -c0/c1;
+    The coefficients are a fold's, small integers that broadcast against
+    the 1-D odd primes p, and c2 and c1 must not both vanish mod p. Where c2 = 0 both rows hold -c0/c1;
     otherwise they hold (-c1 +- sqrt(disc))/(2 c2), and a non-residue
     discriminant leaves them 0. A root 0 is never primitive either, so
     the rows can go to primitive_root_mask as they are.
@@ -497,10 +497,10 @@ def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.n
     """Mask of the primes the fold-root kernel decides; the rest take the scan.
 
     The kernel pays O(d^2 log p) per prime against the scan's O(p). Its
-    needs follow: p > 1.5 d^2 log2 p gives p > 2d, and a fold's leading
-    coefficient, 1 or 2, is a unit mod every odd prime. Only the degree
-    is read, so a fold of any degree is routed before anything of size d
-    is allocated.
+    needs follow: p > 0.7 d^2 log2 p gives p > 1.1 d^2 > 2, so p is odd and
+    a fold's leading coefficient, 1 or 2, is a unit mod p, and d < sqrt(p),
+    so d p^2 < 2^63 below the 1e6 cap. Only the degree is read, so a fold
+    of any degree is routed before anything of size d is allocated.
     """
     d = float(coeffs[-1][0])
     return primes > _ROOT_COST * d * d * np.log2(primes)
@@ -509,51 +509,43 @@ def _root_route(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.n
 def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Mask of the primes where the folded polynomial f of degree d >= 3 has a primitive root.
 
-    For a nonempty array of primes `_root_route` accepts. The roots of f
-    in GF(p)* are those of g = gcd(f, x^(p-1) - 1). A piece of degree 3
-    or more is split into its gcds with (x + delta)^((p-1)/2) - 1,
-    (x + delta)^((p-1)/2) + 1 and x + delta, for delta = 0, 1, 2, ... in
-    turn (equal-degree splitting: Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 1.6.1), until every piece has degree 1
-    or 2. One `_quadratic_roots` call solves those, and one
-    primitive_root_mask call tests every candidate.
+    For a nonempty array of primes `_root_route` accepts; LimitTooLarge
+    unless d p^2 < 2^63, the bound of `ff._poly_mulmod`. No root is found:
+    a primitive root mod p is a non-residue, a root of the squarefree, split
+    g = gcd(f, x^((p-1)/2) + 1), and by the CRT some root of g is primitive
+    iff u = prod over the odd primes q | p - 1 of (x^((p-1)/q) - 1) is
+    nonzero mod g (proof in README, "Design notes"). Per degree of g, one
+    `_poly_powmod` over the (prime, odd factor) pairs of `_factor_pairs`
+    gives the terms, and rounds of `_poly_mulmod` multiply them together.
     """
     n, d = primes.size, coeffs[-1][0]
+    if d * int(primes.max()) ** 2 > _I64_MAX:
+        raise LimitTooLarge(f"degree {d} at p = {int(primes.max())}: d p^2 is not below 2^63")
     p = primes.astype(np.int64)[:, None]
     f = np.zeros((n, d + 1), dtype=np.int64)
     for k, v in coeffs:
         f[:, k:k + 1] = v % p
     f = _monic(f, d, p)
-    power = np.hstack([_poly_powmod(0, p[:, 0] - 1, f[:, :d], p), 0 * p])
-    g, dg = _poly_gcd(f, (power - np.eye(1, d + 1, dtype=np.int64)) % p, p)
-    own = np.arange(n)
-    small, at = [], []
-    delta = 0
-    while True:
-        parts = []
-        for k in np.unique(dg[dg > 0]).tolist():
-            sel = np.flatnonzero(dg == k)
-            own_k, pk = own[sel], p[own[sel]]
-            g_k = _monic(g[sel], k, pk)
-            if k <= 2:
-                small.append(np.pad(g_k, ((0, 0), (0, 2 - k))))
-                at.append(own_k)
-                continue
-            power = np.hstack([_poly_powmod(delta, (pk[:, 0] - 1) // 2, g_k[:, :k], pk), 0 * pk])
-            one, x = np.eye(2, k + 1, dtype=np.int64)
-            for b in (power - one, power + one, np.broadcast_to(x + delta * one, power.shape)):
-                parts.append((*_poly_gcd(g_k, b % pk, pk), own_k))
-        if not parts:
-            break
-        g = np.concatenate([np.pad(q, ((0, 0), (0, d + 1 - q.shape[1]))) for q, _, _ in parts])
-        dg = np.concatenate([dq for _, dq, _ in parts])
-        own = np.concatenate([oq for _, _, oq in parts])
-        delta += 1
+    power = np.hstack([_poly_powmod((p[:, 0] - 1) // 2, f[:, :d], p), 0 * p])
+    power[:, 0] += 1
+    g, dg = _poly_gcd(f, power % p, p)
+    live = np.flatnonzero(dg > 0)
+    idx, q = _factor_pairs(p[live, 0] - 1)
+    at, q = live[idx[q > 2]], q[q > 2]
     hit = np.zeros(n, dtype=bool)
-    if small:
-        c, at = np.concatenate(small), np.concatenate(at)
-        roots = _quadratic_roots(c[:, 0], c[:, 1], c[:, 2], primes[at])
-        hit[np.tile(at, 2)[primitive_root_mask(roots.ravel(), np.tile(primes[at], 2))]] = True
+    for k in np.unique(dg[live]).tolist():
+        sel, mine = np.flatnonzero(dg == k), dg[at] == k
+        g_k, pk = _monic(g[sel], k, p[sel])[:, :k], p[sel]
+        row = np.searchsorted(sel, at[mine])
+        terms = _poly_powmod((pk[row, 0] - 1) // q[mine], g_k[row], pk[row])
+        terms[:, 0] = (terms[:, 0] - 1) % pk[row, 0]
+        # u = 1 times the terms, one term of each row a round
+        u = np.eye(1, k, dtype=np.int64).repeat(sel.size, axis=0)
+        while row.size:
+            t, first = np.unique(row, return_index=True)
+            u[t] = _poly_mulmod(u[t], terms[first], g_k[t], pk[t])
+            row, terms = np.delete(row, first), np.delete(terms, first, axis=0)
+        hit[sel] = u.any(axis=1)
     return hit
 
 

@@ -182,7 +182,7 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
         m = np.hstack([low, np.ones_like(mods)])
         ok = np.ones(len(low), dtype=bool)
         for j in range(1, k // 2 + 1):
-            power = np.hstack([_poly_powmod(0, np.full(len(low), p**j), low, mods), 0 * mods])
+            power = np.hstack([_poly_powmod(np.full(len(low), p**j), low, mods), 0 * mods])
             ok &= _poly_gcd(m, (power - x) % mods, mods)[1] == 0
         if ok.any():
             return tuple(m[ok.argmax()].tolist())
@@ -481,28 +481,16 @@ def sqrt_mod_array(a, p) -> np.ndarray:
     return out
 
 
-def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order tests of `primitive_root_mask`, with the test at q = 2 kept apart.
+def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (index, prime factor) pair of a 1-D int64 array n >= 1, grouped by prime.
 
-    Returns two masks shaped like a: whether a != 0 mod p and a passes
-    every test but a^(N/2) != 1, and whether a^(N/2) = 1 (False where N
-    is odd). N is factored by trial division with the primes up to
-    sqrt(max N): every (index, prime factor) pair is collected first, what
-    is left of N afterwards is 1 or a single prime, and one batched
-    exponentiation per row of a tests a^(N/q) != 1 for all pairs at once,
-    and a^N = 1 where N < p - 1 (Fermat gives it where N = p - 1).
+    Trial division with the primes up to sqrt(max n); what is left of an
+    entry afterwards is 1 or a single prime, which makes its last pair.
     """
-    p = _modulus_array(p)
-    a = np.asarray(a, dtype=np.int64) % p
-    passes = a != 0
-    half = np.zeros(a.shape, dtype=bool)
-    if not p.size:
-        return passes, half
-    n = (p - 1) // np.gcd(g, p - 1)
     rem = n.copy()
     idx_parts, q_parts = [], []
-    live = np.arange(p.size)
-    for q in _primes_to(math.isqrt(int(n.max()))):
+    live = np.arange(n.size)
+    for q in _primes_to(math.isqrt(int(n.max(initial=0)))):
         # A cofactor below q^2 with no prime factor below q is 1 or prime.
         live = live[rem[live] >= q * q]
         if not live.size:
@@ -519,9 +507,27 @@ def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
             again = sub % q == 0
         rem[hit] = sub
     big = np.flatnonzero(rem > 1)
+    return np.concatenate([*idx_parts, big]), np.concatenate([*q_parts, rem[big]])
+
+
+def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order tests of `primitive_root_mask`, with the test at q = 2 kept apart.
+
+    Returns two masks shaped like a: whether a != 0 mod p and a passes
+    every test but a^(N/2) != 1, and whether a^(N/2) = 1 (False where N
+    is odd). One batched power per row of a tests a^(N/q) != 1 for the
+    pairs of `_factor_pairs(N)`, and a^N = 1 where Fermat does not give it.
+    """
+    p = _modulus_array(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    passes = a != 0
+    half = np.zeros(a.shape, dtype=bool)
+    if not p.size:
+        return passes, half
+    n = (p - 1) // np.gcd(g, p - 1)
+    idx, q = _factor_pairs(n)
     short = np.flatnonzero(n < p - 1)
-    idx = np.concatenate([*idx_parts, big, short])
-    q = np.concatenate([*q_parts, rem[big], np.ones(short.size, dtype=np.int64)])
+    idx, q = np.r_[idx, short], np.r_[q, np.ones(short.size, dtype=np.int64)]
     # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
     fails_at_one = q > 1
     two = q == 2
@@ -560,29 +566,33 @@ def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: np.ndarray) -> 
     """a * b mod (x^k + f) row by row, coefficients low to high.
 
     a, b and f are (N, k) arrays of residues mod the (N, 1) primes p; f
-    holds the low coefficients of a monic modulus. Each product of two
-    residues is reduced before it is summed, so int64 stays exact for
-    p < 2^31.
+    holds the low coefficients of a monic modulus. The k row products are
+    summed unreduced and the high half is folded back reducing only the
+    coefficient folded, so every entry stays below k p^2 in absolute value:
+    exact while k p^2 < 2^63, which the fold-root kernel checks and
+    `make_field` (k <= 6, p <= 46340) meets. Column-major, for contiguous
+    column slices.
     """
     k = f.shape[1]
-    acc = np.zeros((f.shape[0], 2 * k - 1), dtype=np.int64)
+    acc = np.zeros((f.shape[0], 2 * k - 1), dtype=np.int64, order="F")
     for i in range(k):
-        acc[:, i:i + k] += a[:, i:i + 1] * b % p
+        acc[:, i:i + k] += a[:, i:i + 1] * b
     for j in range(2 * k - 2, k - 1, -1):
-        acc[:, j - k:j] -= acc[:, j:j + 1] % p * f % p
+        acc[:, j - k:j] -= acc[:, j:j + 1] % p * f
     return acc[:, :k] % p
 
 
-def _poly_powmod(delta: int, e: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(x + delta)^e mod (x^k + f) row by row, by left-to-right square-and-multiply."""
+def _poly_powmod(e: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^e mod (x^k + f) row by row, by left-to-right square-and-multiply."""
+    f = np.asfortranarray(f)
     r = np.zeros_like(f)
     r[:, 0] = 1
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
         r = _poly_mulmod(r, r, f, p)
-        # times x + delta: shift up one place and fold x^k back in
-        step = r * delta
+        # times x: shift up one place and fold x^k back in
+        step = -r[:, -1:] * f
         step[:, 1:] += r[:, :-1]
-        step = (step - r[:, -1:] * f % p) % p
+        step %= p
         r = np.where((e >> bit & 1 == 1)[:, None], step, r)
     return r
 

@@ -266,13 +266,13 @@ _FAMILIES = {
     "1/2,1": ((1, 0), (2, 1)),
     # in range only at p = 11, and far outside int64 everywhere
     "huge": ((3 - 5 * 2**62, 2**62), (1, 0)),
-    # degrees 3, 4 and 5 after folding: the fold-root kernel above p = 2d
+    # degrees 3, 4 and 5 after folding: the fold-root kernel from p = 37, 71 and 127
     "3/1": ((3, 0), (1, 0)),
     "3,1/1,1": ((3, 1), (1, 1)),
     "4/1": ((4, 0), (1, 0)),
     "5,1/2": ((5, 1), (2, 0)),
-    # degree 16: the exhaustive scan below the routing crossover near 4700,
-    # the kernel above it
+    # degree 16: the exhaustive scan below the routing switch at 1973, the
+    # kernel from there
     "16/1": ((16, 0), (1, 0)),
     # folds G(x^g) of degrees 4 and 6, G = y^2 - y + 1: the closed form with
     # an order test at every prime (the verifier's family b at i = 2 and 3)
@@ -534,19 +534,26 @@ def _fold_and_prime(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(_fold_and_prime())
-# (x - 1)(x - 2)(x - 3) splits fully at 13, so the splitting loop runs
+# (x - 1)(x - 2)(x - 3) at 13: of its roots only 2 is a non-residue, and it is primitive
 @example((((0, -6), (1, 11), (2, -6), (3, 1)), 13))
-# roots -2, 6, 8 at 37 share their character at delta = 0 and 1, so
-# delta = 2 splits off -2, the one primitive root, as the factor x + 2
+# roots -2, 6 and 8 at 37 are all non-residues, so g = f, and p - 1 = 4 * 9
+# leaves u = x^12 - 1, nonzero at -2 alone, the one primitive root
 @example((((0, -15), (1, -17), (2, -12), (3, 1)), 37))
-# (x - 2)^2 (x - 6) at 11: a repeated root, and 2 is primitive mod 11
+# (x - 2)^2 (x - 6) at 11: g keeps the repeated root once, and 2 is primitive
 @example((((0, -24), (1, 28), (2, -10), (3, 1)), 11))
-# x (x^2 - x - 1): a root at 0 beside the FPRs of 11
+# x (x^2 - x - 1) at 11: of the roots 0, 4 and 8 only the FPR 8 is a non-residue
 @example((((1, -1), (2, -1), (3, 1)), 11))
 # the least prime above 2d
 @example((((0, -1), (1, 1), (3, 1)), 7))
-# a degree-6 fold at 401 routes to the scan by cost; the kernel still agrees
-@example((((0, -1), (1, 1), (6, 1)), 401))
+# a degree-6 fold at 181, the last prime its route sends to the scan
+@example((((0, -1), (1, 1), (6, 1)), 181))
+# x^3 + 1 at 7: roots 3, 5 and 6, all non-residues, and 3 and 5 are primitive
+@example((((0, 1), (3, 1)), 7))
+# x^3 + 1 at 19: roots 8, 12 and 18, all non-residues, and none is primitive
+@example((((0, 1), (3, 1)), 19))
+# (x - 2)(x - 3)(x - 4) at the Fermat prime 257: p - 1 = 2^8 has no odd
+# prime, so u = 1 and the one non-residue root, 3, is primitive
+@example((((0, -24), (1, 26), (2, -9), (3, 1)), 257))
 def test_fold_root_kernel_matches_bruteforce(case):
     coeffs, p = case
     d, lead = coeffs[-1]
@@ -558,18 +565,72 @@ def test_fold_root_kernel_matches_bruteforce(case):
     assert density._fold_roots_exist(primes, coeffs).tolist() == [expected], case
 
 
+# The largest degree `_root_route` sends to the kernel below the 1e6 census cap.
+_KERNEL_MAX_DEGREE = max(d for d in range(1, 1000) if density._root_route(np.array([999983]), ((d, 1),))[0])
+_PRIMES_TO_1E6 = ff.primes_in_range(2, 10**6 + 1).tolist()
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, _KERNEL_MAX_DEGREE), st.lists(st.sampled_from(_PRIMES_TO_1E6), min_size=1, max_size=2),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_poly_mulmod_matches_oracle(k, primes, seed, top):
+    # a * b mod (x^k + f), summed unreduced; top makes every coefficient p - 1,
+    # the largest sums
+    p = np.array(primes, dtype=np.int64)[:, None]
+    a, b, f = (np.random.default_rng(seed + i).integers(0, p, (p.size, k)) for i in range(3))
+    if top:
+        a[:], b[:], f[:] = p - 1, p - 1, p - 1
+    want = [oracles._poly_rem(oracles._poly_mul_mod(x, y, q), [*m, 1], q)
+            for x, y, m, q in zip(a.tolist(), b.tolist(), f.tolist(), primes)]
+    assert ff._poly_mulmod(a, b, f, p).tolist() == want
+
+
+def test_fold_root_kernel_exact_up_to_its_int64_bound():
+    # the largest prime p with 3 p^2 < 2^63, just under 2^31: (x - r)(x - 1)(x + 1)
+    # has a primitive root exactly when r is one
+    p = math.isqrt((2**63 - 1) // 3)
+    while not ff.is_prime(p):
+        p -= 1
+    g = ff._least_root(p, ff.factorize(p - 1))
+    for r, want in ((g, True), (g * g % p, False)):
+        coeffs = ((0, r), (1, -1), (2, -r), (3, 1))
+        assert density._fold_roots_exist(np.array([p]), coeffs).tolist() == [want]
+    # one prime further, and at the largest routed degree, d p^2 passes 2^63
+    for d in (3, _KERNEL_MAX_DEGREE):
+        q = math.isqrt((2**63 - 1) // d) + 1
+        while not ff.is_prime(q):
+            q += 1
+        with pytest.raises(LimitTooLarge):
+            density._fold_roots_exist(np.array([101, q]), ((0, -1), (1, 1), (d, 1)))
+
+
+def test_fold_root_kernel_matches_scan_below_census_cap():
+    # 30 primes of the last census segment below 1e6, against the exhaustive
+    # scan of the degree-3 and degree-16 families
+    lo, hi = density._segments(10**6)[-1]
+    segment = ff.primes_in_range(lo, hi)
+    primes = segment[:: segment.size // 30][:30]
+    for e1 in (3, 16):
+        coeffs = _folded_coeffs(ExpExpr(e1), ExpExpr(1))
+        assert density._root_route(primes, coeffs).all()
+        want = [density._witness_rows(p, e1, 1).size > 0 for p in primes.tolist()]
+        assert density._fold_roots_exist(primes, coeffs).tolist() == want, e1
+
+
 def test_root_route():
     cubic = _folded_coeffs(ExpExpr(3), ExpExpr(1))
-    # p <= 2d, then the cubic's crossover between 83 and 89
-    primes = np.array([3, 5, 83, 89, 10007], dtype=np.int64)
+    # p <= 2d, then the cubic's crossover between 31 and 37
+    primes = np.array([3, 5, 31, 37, 10007], dtype=np.int64)
     assert density._root_route(primes, cubic).tolist() == [False, False, False, True, True]
-    assert not density._root_route(np.array([401]), ((0, -1), (1, 1), (6, 1)))[0]
+    assert density._root_route(np.array([181, 191]), ((0, -1), (1, 1), (6, 1))).tolist() == [False, True]
     # only the degree is read: a fold of degree about 5 * 2^62 routes every prime to the scan
     huge = _folded_coeffs(*(ExpExpr(*e) for e in _FAMILIES["huge"]))
     assert not density._root_route(np.array(oracles.simple_sieve(10**4)), huge).any()
-    # degree 40: the crossover lies between 3e4 and 4e4
+    # degrees 40 and 64: the rule's switches, near the measured crossovers 1.8e4 and 3.8e4
     d40 = _folded_coeffs(ExpExpr(40), ExpExpr(1))
-    assert density._root_route(np.array([30011, 40009]), d40).tolist() == [False, True]
+    assert density._root_route(np.array([15583, 15601]), d40).tolist() == [False, True]
+    d64 = _folded_coeffs(ExpExpr(64), ExpExpr(1))
+    assert density._root_route(np.array([44249, 44257]), d64).tolist() == [False, True]
 
 
 def test_folded_coeffs():
