@@ -33,7 +33,6 @@ from .ff import (
     power_table,
     primes_in_range,
     primitive_exponents,
-    primitive_root_mask,
     sqrt_mod_array,
 )
 
@@ -348,47 +347,6 @@ def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
     return g if g <= _I64_MAX and all(k in (0, g, 2 * g) for k, _ in coeffs) else None
 
 
-def _small_inverse(d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Inverse mod the odd primes p of small integers d that are nonzero mod p.
-
-    With r the residue of d of least absolute value, 1/|r| is (k p + 1)/|r|
-    for the one k in [0, |r|) that makes the division exact, so |r| exact
-    divisions replace a modular power.
-    """
-    r = d % p
-    r = np.where(2 * r > p, r - p, r)
-    a = np.abs(r)
-    inv = np.zeros_like(p)
-    for k in range(int(a.max(initial=0))):
-        t = k * p + 1
-        exact = (k < a) & (t % a == 0)
-        inv[exact] = t[exact] // a[exact]
-    return np.where(r < 0, p - inv, inv)
-
-
-def _quadratic_roots(c0, c1, c2, p: np.ndarray) -> np.ndarray:
-    """Roots mod p of c2 x^2 + c1 x + c0 as a (2, N) array, 0 where there is none.
-
-    The coefficients are a fold's, small integers that broadcast against
-    the 1-D odd primes p, and c2 and c1 must not both vanish mod p. Where c2 = 0 both rows hold -c0/c1;
-    otherwise they hold (-c1 +- sqrt(disc))/(2 c2), and a non-residue
-    discriminant leaves them 0. A root 0 is never primitive either, so
-    the rows can go to primitive_root_mask as they are.
-    """
-    c0, c1, c2 = (np.broadcast_to(c, p.shape) % p for c in (c0, c1, c2))
-    quad = c2 != 0
-    r = np.zeros_like(p)
-    disc = c1 * c1 - 4 * (c0 * c2 % p)
-    r[quad] = sqrt_mod_array(disc[quad] % p[quad], p[quad])
-    roots = np.zeros((2, p.size), dtype=np.int64)
-    solve = np.flatnonzero(r >= 0)
-    ps, r, sq = p[solve], r[solve], quad[solve]
-    num = np.where(sq, -c1[solve], -c0[solve]) % ps
-    inv = _small_inverse(np.where(sq, 2 * c2[solve], c1[solve]), ps)
-    roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
-    return roots
-
-
 def _residue_classes(d: int) -> np.ndarray:
     """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
 
@@ -415,14 +373,18 @@ def _residue_classes(d: int) -> np.ndarray:
 def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
 
-    The fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G has
-    degree at most 2. Both results are (2, N): the roots from
-    `_quadratic_roots`, 0 where there is none and where G vanishes mod p,
-    and per root whether it has order (p - 1)/gcd(g, p - 1), the test of
-    primitive_root_mask with this g. For g = 1 the roots are the fold's
-    own and the mask says which are primitive. The discriminant d is the
-    same integer at every p, so a prime where d is a non-residue is turned
-    away by a table lookup on p mod 4|d|, not by a square root.
+    The fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G =
+    c2 y^2 + c1 y + c0. Both results are (2, N): the roots, both -c0/c1
+    where c2 = 0 and (-c1 +- sqrt(d))/(2 c2) otherwise, 0 where there is
+    none and where G vanishes mod p; and per root whether it has order
+    (p - 1)/gcd(g, p - 1) (`_order_tests` with this g). For g = 1 the roots
+    are the fold's own and the mask says which are primitive. The
+    discriminant d is the same integer at every p, so a prime where d is a
+    non-residue is turned away by a table lookup on p mod 4|d|, and every
+    prime left has a square root of d. A non-constant fold's coefficients
+    lie in [-2, 2], so c2 vanishes mod an odd p only where c2 = 0, and the
+    denominator 2 c2 or c1 is +-1, +-2 or +-4 (1 or 2 for every fold that
+    `_folded_coeffs` makes), inverted by halving: 1/2 is (p + 1)/2.
 
     Where c0 = +-c2 = +-1 the roots multiply to +-1, and the first root's
     order tests decide both for product +1 at any g and for product -1 at
@@ -439,8 +401,12 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
         solve &= _residue_classes(d)[p % (4 * abs(d))]
     solve = np.flatnonzero(solve)
     ps = p[solve]
+    num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
+    r = sqrt_mod_array(d % ps, ps) if c2 else 0
+    # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
+    inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
     roots = np.zeros((2, p.size), dtype=np.int64)
-    roots[:, solve] = _quadratic_roots(c0, c1, c2, ps)
+    roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
     primitive = np.zeros(roots.shape, dtype=bool)
     if abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
         passes, half = _order_tests(roots[0, solve], ps, g)
@@ -448,21 +414,21 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
         primitive[0, solve] = first
         primitive[1, solve] = first if c0 == c2 else np.where(ps % 4 == 3, passes & half, first)
     else:
-        primitive[:, solve] = primitive_root_mask(roots[:, solve], ps, g)
+        passes, half = _order_tests(roots[:, solve], ps, g)
+        primitive[:, solve] = passes & ~half
     return roots, primitive
 
 
-def _fast_exists(primes, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Mask of odd primes where a fold G(x^g) has a primitive root.
+def _fast_exists(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Mask of the 1-D odd primes p where a fold G(x^g) has a primitive root.
 
     A polynomial that vanishes mod p is satisfied by every primitive root;
     otherwise one of the at most two roots y of G from `_closed_form_roots`
     must be the g-th power of a primitive root.
     """
-    p = np.asarray(primes, dtype=np.int64).reshape(-1)
     hit = _closed_form_roots(p, coeffs)[1].any(axis=0)
     hit |= math.gcd(*(v for _, v in coeffs)) % p == 0
-    return hit.reshape(np.shape(primes))
+    return hit
 
 
 def _segment_hits(primes: np.ndarray, lo: int, hi: int, coeffs: tuple[tuple[int, int], ...],

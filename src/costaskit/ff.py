@@ -44,12 +44,17 @@ _MAX_ORDER = 2**31
 _PRIMITIVE_SCAN_CAP = 10**6
 SIEVE_CAP = 10**8
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen primes as bases is deterministic below
+# _PRIME_CAP = psi_13, the least strong pseudoprime to all of them (Sorenson &
+# Webster, Math. Comp. 86, 2017), which is 1287836182261 * 2575672364521.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_CAP = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for any n the package handles."""
+    """Deterministic primality test for n below `_PRIME_CAP`; LimitTooLarge at or above it."""
+    if n >= _PRIME_CAP:
+        raise LimitTooLarge(f"{n} not below the primality cap {_PRIME_CAP}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -511,12 +516,18 @@ def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order tests of `primitive_root_mask`, with the test at q = 2 kept apart.
+    """Order tests of a[..., i] mod the 1-D primes p[i], with the test at q = 2 kept apart.
 
-    Returns two masks shaped like a: whether a != 0 mod p and a passes
-    every test but a^(N/2) != 1, and whether a^(N/2) = 1 (False where N
-    is odd). One batched power per row of a tests a^(N/q) != 1 for the
-    pairs of `_factor_pairs(N)`, and a^N = 1 where Fermat does not give it.
+    The units mod p are cyclic, so the g-th powers of the primitive roots
+    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
+    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
+    asks whether a is primitive. a has order N iff a^(N/q) != 1 for every
+    prime q dividing N, and a^N = 1. Returns two masks shaped like a:
+    whether a != 0 mod p and a passes every test but a^(N/2) != 1, and
+    whether a^(N/2) = 1 (False where N is odd); a has order N exactly where
+    `passes & ~half`. One batched power per row of a tests a^(N/q) != 1 for
+    the pairs of `_factor_pairs(N)`, and a^N = 1 where Fermat does not give
+    it. Leading axes of a are tested against the same p.
     """
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
@@ -538,22 +549,6 @@ def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
         row_passes[idx[(one == fails_at_one) & ~two]] = False
         row_half[idx[one & two]] = True
     return passes, half
-
-
-def primitive_root_mask(a, p, g: int = 1) -> np.ndarray:
-    """Whether a[..., i] is the g-th power of a primitive root mod p[i], for a 1-D array of primes p.
-
-    The units mod p are cyclic, so the g-th powers of the primitive roots
-    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
-    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
-    asks whether a is primitive. a qualifies iff a^(N/q) != 1 for every
-    prime q dividing N, and a^N = 1: `_order_tests` runs every test in one
-    pass and keeps q = 2 apart, for callers that read both roots of a
-    quadratic off one of them. a = 0 mod p never qualifies; leading axes of
-    a are tested against the same p.
-    """
-    passes, half = _order_tests(a, p, g)
-    return passes & ~half
 
 
 # Batched polynomial arithmetic mod p: row i of each (N, w) array holds the

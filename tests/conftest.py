@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from costaskit import density
+
+# One Hypothesis setting for every property test: no deadline, so a loaded
+# runner cannot fail an example for being slow. Tests set only max_examples.
+settings.register_profile("costaskit", deadline=None)
+settings.load_profile("costaskit")
 
 
 @pytest.fixture(autouse=True)

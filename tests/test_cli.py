@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from costaskit import density
+from costaskit import density, ff
 from costaskit.cli import main, run_sweep, worker_count
 from costaskit.costas import COSTAS_CAP
 from costaskit.fpr import fpr_report
@@ -396,6 +396,8 @@ ONE_LINE_ERRORS = [
     (["census", "trinomial", "1000", "--e1", "a", "--e2", "1"], "census: --e1 expects comma-separated integers, got 'a'"),
     (["census", "trinomial", "1000", "--e1", "1", "--e2", "1,0x2"], "census: --e2 expects comma-separated integers, got '0x2'"),
     (["census", "trinomial", "1000", "--e1", "1,2,3", "--e2", "1"], "census: --e1 expects C or C,H, got '1,2,3'"),
+    (["fpr", str(ff._PRIME_CAP)], f"fpr: {ff._PRIME_CAP} not below the primality cap {ff._PRIME_CAP}"),
+    (["build", "t4", str(ff._PRIME_CAP)], f"build: {ff._PRIME_CAP} not below the primality cap {ff._PRIME_CAP}"),
 ]
 
 
@@ -416,7 +418,7 @@ _EXPR_TEXT = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     kind=st.sampled_from(["t4", "g4", "trinomial", "t5"]),
     limit=st.integers(-3, 10**4),
@@ -449,7 +451,7 @@ _PERM_TOKEN = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(st.lists(_PERM_TOKEN, max_size=12).map(",".join) | st.text(max_size=12))
 @example("1,2,2")
 @example("0,1")
@@ -459,7 +461,7 @@ def test_verify_argv_never_raises(perm):
     _check_exit(["verify", "--perm", perm])
 
 
-@settings(deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(
     method=st.sampled_from(["w1", "w2", "l2", "g2", "g3", "g4c2", "t4", "g4", "g5"]),
     q=_INT_TEXT,
@@ -478,7 +480,7 @@ def test_build_argv_never_raises(method, q, alpha, beta):
     _check_exit(argv)
 
 
-@settings(deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(
     p=st.none() | _INT_TEXT,
     lo_hi=st.none() | st.tuples(_INT_TEXT, _INT_TEXT),
@@ -498,7 +500,7 @@ def test_fpr_argv_never_raises(p, lo_hi, fmt):
     _check_exit(argv)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.integers(-3, 64).map(str) | st.text(max_size=4))
 @example("9" * 30)
 @example("4097")

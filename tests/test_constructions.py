@@ -341,7 +341,7 @@ def test_find_spec_then_build_over_small_prime_powers():
                 assert oracles.naive_is_costas(arr)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.sampled_from([5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]), st.data())
 def test_g2_random_primitive_pairs(q, data):
     p, k = prime_power(q)
@@ -357,7 +357,7 @@ def test_g2_random_primitive_pairs(q, data):
 _FIELDS_3000 = [pk for pk in map(prime_power, range(2, 3001)) if pk is not None and pk[1] <= 6]
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.sampled_from(_FIELDS_3000), st.data())
 def test_table_conditions_match_object_arithmetic(pk, data):
     f = make_field(*pk)
@@ -400,7 +400,7 @@ def test_table_conditions_match_object_arithmetic(pk, data):
             assert got == (T4ConditionFailed, f"{expr} must equal 1, got element code {lhs}"), expr
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.sampled_from([pk for pk in _FIELDS_3000 if pk[0] ** pk[1] >= 3]), st.data())
 def test_golomb_map_matches_two_table_map(pk, data):
     # log_beta(1 - alpha^i) from beta's log table and alpha's power table

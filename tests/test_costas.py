@@ -74,7 +74,7 @@ permutations_st = st.integers(min_value=1, max_value=7).flatmap(
 )
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(permutations_st)
 def test_first_collision_consistent(perm):
     perm = list(perm)
@@ -121,7 +121,7 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-@settings(deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(st.one_of(_validator_inputs(), permutations_st), st.integers(-1, 10))
 @example([], 0)
 @example([_Row.TWO, _Row.ONE, 3], 2)
@@ -172,7 +172,7 @@ near_costas_st = st.builds(
 up_to_64_st = st.integers(0, 64).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
 
 
-@settings(deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(st.one_of(permutations_st, up_to_64_st, near_costas_st))
 def test_matches_naive_oracle(perm):
     perm = list(perm)
@@ -197,7 +197,7 @@ def test_kernel_exhaustive_with_tiny_blocks(bins, min_rows, monkeypatch):
 
 
 @pytest.mark.parametrize("bins,min_rows", _TINY_BLOCKS)
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(perm=st.one_of(up_to_64_st, costas_st, near_costas_st))
 def test_kernel_with_tiny_blocks_matches_naive(bins, min_rows, perm):
     with pytest.MonkeyPatch.context() as mp:
@@ -270,7 +270,7 @@ _CHUNKED_ST = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(perm=_CHUNKED_ST, swap=st.none() | st.tuples(st.integers(0, 400), st.integers(0, 400)))
 @example(perm=_welch("w2", 53), swap=(0, 21))  # first collision in row 2, the parent's last
 def test_forked_check_matches_naive(perm, swap):
@@ -426,7 +426,7 @@ def test_half_triangle_lemma_exhaustive():
             assert _half_triangle_lemma_holds(list(perm))
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.one_of(up_to_64_st, near_costas_st))
 def test_half_triangle_lemma_random(perm):
     assert _half_triangle_lemma_holds(perm)
@@ -522,7 +522,7 @@ def test_costas_invariant_under_dihedral_symmetries():
                 assert tuple(image) in pool
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(permutations_st)
 def test_dihedral_invariance_random(perm):
     perm = list(perm)
@@ -547,7 +547,7 @@ def test_remove_leading():
         remove_leading([1, 1], 1)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(permutations_st, st.integers(min_value=0, max_value=7))
 def test_remove_leading_preserves_costas(perm, t):
     perm = list(perm)

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from costaskit.constructions import find_spec
 from costaskit.density import _segments
-from costaskit.ff import SIEVE_CAP, FieldTooLarge, make_field, prime_power
+from costaskit.ff import _PRIME_CAP, SIEVE_CAP, FieldTooLarge, LimitTooLarge, make_field, prime_power
 from costaskit.fpr import (
     EvenPrime,
     NotAnFpr,
@@ -146,6 +146,14 @@ def test_t4_root_matches_parameter_search():
             assert spec is None, p
         else:
             assert spec is not None and spec.alpha == root, p
+
+
+def test_predicates_refuse_the_primality_cap():
+    # the cap, 1287836182261 * 2575672364521 and 1 mod 10, passes the
+    # thirteen-base test, so each of these would answer as for a prime
+    for call in (t4_admissible, fpr_report, phong_check):
+        with pytest.raises(LimitTooLarge):
+            call(_PRIME_CAP)
 
 
 def test_t4_admissible_pinned():

@@ -31,6 +31,7 @@ CAPS = [
     ("cli._SWEEP_CAP", "`cli._SWEEP_CAP = 4096`"),
     ("ff._MAX_DEGREE", "`ff._MAX_DEGREE = 6`"),
     ("ff._MAX_ORDER", "`ff._MAX_ORDER = 2^31`"),
+    ("ff._PRIME_CAP", "`ff._PRIME_CAP = 3317044064679887385961981`"),
 ]
 
 
