@@ -33,7 +33,7 @@ from .ff import (
     power_table,
     primes_in_range,
     primitive_exponents,
-    sqrt_mod_array,
+    sqrt_small,
 )
 
 _TRINOMIAL_CAP = 10**6
@@ -186,21 +186,26 @@ def predicted_constants() -> PredictedConstants:
     )
 
 
-def _fib_census_predicate(primes: np.ndarray, lo: int, hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """Primes that are 1 or 9 mod the modulus and have a Fibonacci primitive root.
+def _fprs_are_g4(p):
+    """Whether the FPRs g mod an odd prime p have 1 - g primitive: all do iff
+    p = 1 (mod 4), and none otherwise; element-wise for an int64 array. As
+    g(1 - g) = -1, 1 - g = -1/g = g^(m-1) for p - 1 = 2m, and
+    gcd(m - 1, 2m) = gcd(m - 1, 2) is 1 exactly when m is even."""
+    return p % 4 == 1
 
-    Modulus 10 is the t4 census. Modulus 20 is the g4 census, which is the
-    same question: both classes 1 and 9 mod 20 are 1 mod 4, where every
-    FPR is a g4 witness (the proof is at fpr._fprs_are_g4). For odd
-    p != 5 the t4 classes are where x^2 - x - 1 has roots at all, so t4
-    decides every odd prime at no extra cost and keeps the segment's mask;
-    the g4 classes also halve the primitive-root tests, so a g4 census
-    without a kept mask decides only its own primes.
+
+def _fib_census_predicate(primes: np.ndarray, lo: int, hi: int, g4: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Primes p != 5 with a Fibonacci primitive root, and for g4 with p = 1 (mod 4).
+
+    The closed form of x^2 - x - 1 hits only where 5 is a square mod p,
+    so for p != 5 the t4 classes 1 and 9 mod 10 follow from its table,
+    and the g4 classes 1 and 9 mod 20 from that and `_fprs_are_g4`. t4
+    decides every odd prime and keeps the segment's mask; a g4 census
+    without a kept mask decides only its p = 1 (mod 4) primes.
     """
-    r = primes % modulus
-    gate = (r == 1) | (r == 9)
-    hit = _segment_hits(primes, lo, hi, _FIB_COEFFS, gate if modulus == 20 else None)
-    return hit & gate, np.zeros_like(hit)
+    gate = _fprs_are_g4(primes) if g4 else None
+    hit = _segment_hits(primes, lo, hi, _FIB_COEFFS, gate) & (primes != 5)
+    return hit, np.zeros_like(hit)
 
 
 def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> list[int]:
@@ -257,7 +262,7 @@ def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
 def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:
     """Count primes p <= x in the right residue classes with an FPR."""
     rows, _ = _run_census(
-        partial(_fib_census_predicate, modulus=10), limit, checkpoints, workers,
+        partial(_fib_census_predicate, g4=False), limit, checkpoints, workers,
         predicted_constants().t4_density, SIEVE_CAP,
     )
     return rows
@@ -266,7 +271,7 @@ def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: 
 def census_g4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:
     """Count primes p <= x where the doubly-periodic corner variant applies."""
     rows, _ = _run_census(
-        partial(_fib_census_predicate, modulus=20), limit, checkpoints, workers,
+        partial(_fib_census_predicate, g4=True), limit, checkpoints, workers,
         predicted_constants().g4_density, SIEVE_CAP,
     )
     return rows
@@ -347,29 +352,6 @@ def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
     return g if g <= _I64_MAX and all(k in (0, g, 2 * g) for k, _ in coeffs) else None
 
 
-def _residue_classes(d: int) -> np.ndarray:
-    """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
-
-    The Jacobi symbol (d/n) depends only on n mod 4|d|, and for a prime p
-    it is the Legendre symbol, 0 when p divides d (Cohen, A Course in
-    Computational Algebraic Number Theory, 1.4.10). Even n read False.
-    """
-    table = np.zeros(4 * abs(d), dtype=bool)
-    for n in range(1, table.size, 2):
-        a, b, t = d % n, n, 1
-        while a:
-            while a % 2 == 0:
-                a //= 2
-                if b % 8 in (3, 5):
-                    t = -t
-            a, b = b, a
-            if a % 4 == 3 and b % 4 == 3:
-                t = -t
-            a %= b
-        table[n] = b > 1 or t == 1
-    return table
-
-
 def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
 
@@ -379,40 +361,42 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     none and where G vanishes mod p; and per root whether it has order
     (p - 1)/gcd(g, p - 1) (`_order_tests` with this g). For g = 1 the roots
     are the fold's own and the mask says which are primitive. The
-    discriminant d is the same integer at every p, so a prime where d is a
-    non-residue is turned away by a table lookup on p mod 4|d|, and every
-    prime left has a square root of d. A non-constant fold's coefficients
-    lie in [-2, 2], so c2 vanishes mod an odd p only where c2 = 0, and the
+    discriminant d is the same integer at every p, so one `sqrt_small`
+    call gives both where G has roots and the square root of d there; a
+    d of 0 is a square everywhere. A non-constant fold's coefficients lie
+    in [-2, 2], so c2 vanishes mod an odd p only where c2 = 0, and the
     denominator 2 c2 or c1 is +-1, +-2 or +-4 (1 or 2 for every fold that
     `_folded_coeffs` makes), inverted by halving: 1/2 is (p + 1)/2.
 
-    Where c0 = +-c2 = +-1 the roots multiply to +-1, and the first root's
-    order tests decide both for product +1 at any g and for product -1 at
-    g = 1: the verdicts agree, except that at p = 3 (mod 4) with product -1
-    the odd-prime tests pass for both roots or neither, and of a passing
-    pair only the non-residue is primitive (proof in README, "Design
-    notes"). Every other fold tests both roots.
+    The first root's order tests decide both where c2 = 0, since the
+    roots are one, and where c0 = +-c2 = +-1, so the roots multiply to
+    +-1: for product +1 at any g and for product -1 at g = 1 the verdicts
+    agree, except that at p = 3 (mod 4) with product -1 the odd-prime
+    tests pass for both roots or neither, and of a passing pair only the
+    non-residue is primitive (proof in README, "Design notes"). Every
+    other fold tests both roots.
     """
     g = _fold_stride(coeffs)
     c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
     d = c1 * c1 - 4 * c0 * c2
-    solve = math.gcd(c1, c2) % p != 0
-    if d:
-        solve &= _residue_classes(d)[p % (4 * abs(d))]
+    if c2 and d:
+        solve, r = sqrt_small(d, p)
+    else:
+        # a linear G, or a double root where d = 0; a constant G has no root
+        solve, r = np.full(p.shape, bool(c1 or c2)), np.zeros_like(p)
     solve = np.flatnonzero(solve)
-    ps = p[solve]
+    ps, r = p[solve], r[solve]
     num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
-    r = sqrt_mod_array(d % ps, ps) if c2 else 0
     # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
     inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
     roots = np.zeros((2, p.size), dtype=np.int64)
     roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
     primitive = np.zeros(roots.shape, dtype=bool)
-    if abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
+    if not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
         passes, half = _order_tests(roots[0, solve], ps, g)
         first = passes & ~half
         primitive[0, solve] = first
-        primitive[1, solve] = first if c0 == c2 else np.where(ps % 4 == 3, passes & half, first)
+        primitive[1, solve] = first if c0 == c2 or not c2 else np.where(ps % 4 == 3, passes & half, first)
     else:
         passes, half = _order_tests(roots[:, solve], ps, g)
         primitive[:, solve] = passes & ~half

@@ -10,7 +10,6 @@ canonical representation and all results are reproducible without seeds.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -409,32 +408,47 @@ def pow_mod_array(a, e, p) -> np.ndarray:
     return out
 
 
-def _square_repeatedly(t: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # t^(2^k) mod p element-wise, each element squared only its own k times.
-    t = t.copy()
-    todo = np.flatnonzero(k > 0)
-    for done in itertools.count(1):
-        if not todo.size:
-            return t
-        t[todo] = t[todo] * t[todo] % p[todo]
-        todo = todo[k[todo] > done]
+def _residue_classes(d: int) -> np.ndarray:
+    """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
+
+    The Jacobi symbol (d/n) depends only on n mod 4|d|, and for a prime p
+    it is the Legendre symbol, 0 when p divides d (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.4.10). Even n read False.
+    """
+    table = np.zeros(4 * abs(d), dtype=bool)
+    for n in range(1, table.size, 2):
+        a, b, t = d % n, n, 1
+        while a:
+            while a % 2 == 0:
+                a //= 2
+                if b % 8 in (3, 5):
+                    t = -t
+            a, b = b, a
+            if a % 4 == 3 and b % 4 == 3:
+                t = -t
+            a %= b
+        table[n] = b > 1 or t == 1
+    return table
 
 
-def sqrt_mod_array(a, p) -> np.ndarray:
-    """Element-wise square root of a mod odd prime p, or -1 for a non-residue.
+def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Where a nonzero integer d is a square mod each odd prime p, and the smaller root there.
 
-    Of the two roots r and p - r the smaller is returned (0 for a = 0).
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, 1.5.1), with every loop run over the shrinking set of elements
-    it has not finished yet.
+    Both results are shaped like the 1-D p; the root is 0 where d is a
+    non-residue and where p divides d. `_residue_classes(d)`, a table by
+    p mod 4|d|, says where d is a square, and Tonelli-Shanks (Cohen, A
+    Course in Computational Algebraic Number Theory, 1.5.1) runs only at
+    the primes it accepts that do not divide d, its correction loop over
+    the shrinking set of primes it has not finished yet.
     """
     p = _modulus_array(p)
-    a, p = np.broadcast_arrays(np.asarray(a, dtype=np.int64) % p, p)
     if (p % 2 == 0).any():
         raise EvenModulus("square roots mod 2 are not supported")
-    out = np.where(a == 0, 0, -1)
-    idx = np.flatnonzero(a)
-    a, p = a.ravel()[idx], p.ravel()[idx]
+    square = _residue_classes(d)[p % (4 * abs(d))]
+    root = np.zeros_like(p)
+    idx = np.flatnonzero(square & (d % p != 0))
+    p = p[idx]
+    a = d % p
 
     # p - 1 = s * 2^e with s odd; x = a^((s+1)/2) and b = a^s from one power.
     low = (p - 1) & (1 - p)
@@ -443,24 +457,17 @@ def sqrt_mod_array(a, p) -> np.ndarray:
     x = pow_mod_array(a, s // 2, p)
     b = x * x % p * a % p
     x = x * a % p
-    # Euler's criterion: a is a residue iff b^(2^(e-1)) = 1.
-    residue = _square_repeatedly(b, e - 1, p) == 1
 
     # Where b != 1 the root is corrected by powers of g = z^s for a
-    # non-residue z. A residue has b != 1 only if e >= 2, so these p are
-    # 1 mod 4 and, by quadratic reciprocity, an odd prime z is a square mod
-    # p iff p is a square mod z; 2 is a non-residue iff p = 5 mod 8. The
-    # least non-residue is a prime below sqrt(p) + 1.
-    act = np.flatnonzero(residue & (b != 1))
+    # non-residue z. A residue has b != 1 only if e >= 2, and the least
+    # non-residue is a prime below sqrt(p) + 1, which the table finds.
+    act = np.flatnonzero(b != 1)
     z = np.zeros_like(p)
     pending = act
     for c in _primes_to(math.isqrt(int(p.max(initial=0))) + 1):
         if not pending.size:
             break
-        if c == 2:
-            found = p[pending] % 8 == 5
-        else:
-            found = ~np.isin(p[pending] % c, np.arange(1, c) ** 2 % c)
+        found = ~_residue_classes(c)[p[pending] % (4 * c)]
         z[pending[found]] = c
         pending = pending[~found]
     g = np.zeros_like(p)
@@ -476,14 +483,14 @@ def sqrt_mod_array(a, p) -> np.ndarray:
             t = np.where(live, t * t % pa, t)
             m += live
             live = t != 1
-        gs = _square_repeatedly(g[act], r[act] - m - 1, pa)
+        gs = pow_mod_array(g[act], 1 << (r[act] - m - 1), pa)
         x[act] = x[act] * gs % pa
         g[act] = gs * gs % pa
         b[act] = ba * g[act] % pa
         r[act] = m
         act = act[b[act] != 1]
-    out.ravel()[idx[residue]] = np.minimum(x, p - x)[residue]
-    return out
+    root[idx] = np.minimum(x, p - x)
+    return square, root
 
 
 def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .density import _FIB_COEFFS, _closed_form_roots, _prime_blocks
+from .density import _FIB_COEFFS, _closed_form_roots, _fprs_are_g4, _prime_blocks
 from .ff import _is_primitive_root_unchecked, factorize, is_prime, prime_power, sqrt_mod_p
 
 
@@ -62,14 +62,6 @@ def _fpr_data(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     fs = factorize(p - 1)
     fprs = tuple(g for g in candidates if _is_primitive_root_unchecked(g, p, fs))
     return candidates, fprs
-
-
-def _fprs_are_g4(p: int) -> bool:
-    """Whether the FPRs g mod an odd prime p have 1 - g primitive: all do iff
-    p = 1 (mod 4), and none otherwise. As g(1 - g) = -1, 1 - g = -1/g =
-    g^(m-1) for p - 1 = 2m, and gcd(m - 1, 2m) = gcd(m - 1, 2) is 1 exactly
-    when m is even."""
-    return p % 4 == 1
 
 
 def fpr_candidates(p: int) -> list[int]:

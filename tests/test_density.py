@@ -218,15 +218,6 @@ def test_segment_memo_holds_packed_bits():
     ]
 
 
-def test_residue_classes_match_euler():
-    for d in range(-40, 41):
-        if not d:
-            continue
-        table = density._residue_classes(d)
-        for p in oracles.simple_sieve(600)[1:]:
-            assert table[p % (4 * abs(d))] == (pow(d, (p - 1) // 2, p) != p - 1), (d, p)
-
-
 def _scalar_census(limit, cps, predicate):
     # (count, pi_x) at each checkpoint and the skipped total, one prime at a time
     rows, skipped, count, pi_x = [], 0, 0, 0
@@ -769,6 +760,23 @@ def test_unit_product_root_flags_pinned():
         for s in (1, -1):
             for p in (7, 13, 19, 31, 37, 43, 61, 67, 73):
                 _assert_root_rows_match_oracle(g, ((0, 1), (g, s), (2 * g, 1)), p)
+
+
+def test_closed_form_tests_each_distinct_root_once(monkeypatch):
+    # 2y - 1 has one root, and the roots of x^2 - x - 1 multiply to -1, so
+    # one row of order tests decides both rows; 2y^2 + y - 1 needs two
+    rows = []
+    kernel = density._order_tests
+
+    def recorded(a, p, g):
+        rows.append(np.reshape(a, (-1, p.size)).shape[0])
+        return kernel(a, p, g)
+
+    monkeypatch.setattr(density, "_order_tests", recorded)
+    p = np.array(oracles.simple_sieve(200)[1:], dtype=np.int64)
+    for coeffs in (((0, -1), (1, 2)), density._FIB_COEFFS, ((0, -1), (1, 1), (2, 2))):
+        density._closed_form_roots(p, coeffs)
+    assert rows == [1, 1, 2]
 
 
 @settings(max_examples=200)

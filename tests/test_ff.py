@@ -27,8 +27,8 @@ from costaskit.ff import (
     power_table,
     prime_power,
     primitive_exponents,
-    sqrt_mod_array,
     sqrt_mod_p,
+    sqrt_small,
 )
 
 FIELD_PARAMS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4)]
@@ -369,30 +369,39 @@ def test_pow_mod_array_matches_pow(cases):
     assert pow_mod_array(a, e, p).tolist() == [pow(x, y, m) for x, y, m in cases]
 
 
-def _sqrt_as_tuple(r: int, p: int):
-    return None if r < 0 else tuple(sorted({r, (p - r) % p}))
+def _sqrt_as_tuple(square: bool, r: int, p: int):
+    return tuple(sorted({r, (p - r) % p})) if square else None
 
 
 @settings(max_examples=100)
-@given(st.lists(st.tuples(_ODD_PRIMES, st.integers(0, 2**40)), min_size=1, max_size=30))
-def test_sqrt_mod_array_matches_sqrt_mod_p(cases):
-    p = np.array([q for q, _ in cases], dtype=np.int64)
-    a = np.array([x % q for q, x in cases], dtype=np.int64)
-    got = sqrt_mod_array(a, p).tolist()
-    for r, (q, x) in zip(got, cases):
-        assert _sqrt_as_tuple(r, q) == sqrt_mod_p(x % q, q), (x, q)
+@given(st.lists(st.tuples(_ODD_PRIMES, st.integers(-20, 20).filter(bool)), min_size=1, max_size=30))
+def test_sqrt_small_matches_sqrt_mod_p(cases):
+    for d in {d for _, d in cases}:
+        p = np.array([q for q, c in cases if c == d], dtype=np.int64)
+        square, root = sqrt_small(d, p)
+        for q, s, r in zip(p.tolist(), square.tolist(), root.tolist()):
+            assert _sqrt_as_tuple(s, r, q) == sqrt_mod_p(d % q, q), (d, q)
 
 
-def test_sqrt_mod_array_every_small_residue():
-    for p in (3, 5, *_TWO_ADIC_AND_LATE_NONRESIDUE):
-        a = np.arange(min(p, 1000), dtype=np.int64)
-        got = sqrt_mod_array(a, p).tolist()
-        assert got[0] == 0
-        assert [_sqrt_as_tuple(r, p) for r in got] == [sqrt_mod_p(x, p) for x in a.tolist()]
+def test_sqrt_small_every_small_residue():
+    p = np.array([3, 5, *_TWO_ADIC_AND_LATE_NONRESIDUE])
+    for d in [*range(-300, 0), *range(1, 301)]:
+        square, root = sqrt_small(d, p)
+        for q, s, r in zip(p.tolist(), square.tolist(), root.tolist()):
+            assert _sqrt_as_tuple(s, r, q) == sqrt_mod_p(d % q, q), (d, q)
     # non-residues on both sides of the p = 3 (mod 4) split
-    assert sqrt_mod_array([3, 2, 5], [7, 5, 7340033]).tolist()[:2] == [-1, -1]
+    assert sqrt_small(3, [7])[0].tolist() == sqrt_small(2, [5])[0].tolist() == [False]
     with pytest.raises(EvenModulus):
-        sqrt_mod_array(1, [2, 3])
+        sqrt_small(1, [2, 3])
+
+
+def test_residue_classes_match_euler():
+    for d in range(-40, 41):
+        if not d:
+            continue
+        table = ff._residue_classes(d)
+        for p in oracles.simple_sieve(600)[1:]:
+            assert table[p % (4 * abs(d))] == (pow(d, (p - 1) // 2, p) != p - 1), (d, p)
 
 
 def _has_order_n(a, p, g: int = 1) -> list[bool]:
@@ -440,7 +449,7 @@ def test_batched_kernels_reject_modulus_from_two_to_the_31():
         with pytest.raises(LimitTooLarge):
             pow_mod_array(2, 3, [5, big])
         with pytest.raises(LimitTooLarge):
-            sqrt_mod_array(1, [5, big])
+            sqrt_small(1, [5, big])
         with pytest.raises(LimitTooLarge):
             ff._order_tests(2, [5, big], 1)
 
