@@ -114,7 +114,7 @@ def _load_perm(args: argparse.Namespace) -> list[int]:
     if (args.file is None) == (args.perm is None):
         raise ValueError("pass exactly one of FILE or --perm")
     if args.perm is not None:
-        return _int_list([t for t in args.perm.split(",") if t.strip()], "--perm")
+        return _int_list(args.perm.split(","), "--perm")
     with open(args.file, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):

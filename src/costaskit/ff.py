@@ -324,7 +324,12 @@ def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.
 
 
 def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:
-    """Square roots of a modulo an odd prime p, sorted, or None for a non-residue."""
+    """Square roots of a modulo an odd prime p, sorted, or None for a non-residue.
+
+    The fixed-length Tonelli-Shanks of `sqrt_small` (Crandall & Pomerance,
+    Algorithm 2.3.8) in Python ints. For a non-residue, t stays a
+    non-residue, so x^2 = a at the end exactly where a is a square.
+    """
     if p == 2:
         raise EvenModulus("square roots mod 2 are not supported")
     if not is_prime(p):
@@ -333,34 +338,22 @@ def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:
         raise ValueError(f"residue {a} outside [0, {p})")
     if a == 0:
         return (0,)
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    # Tonelli-Shanks, p - 1 = s * 2^e with s odd; p = 3 (mod 4) gives e = 1 and b = 1.
-    s = p - 1
-    e = 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
+    # p - 1 = s * 2^e with s odd; x^2 = a * t holds at every step below.
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    s = (p - 1) >> e
     x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    if b != 1:
-        n = 2
-        while pow(n, (p - 1) // 2, p) != p - 1:
-            n += 1
-        g = pow(n, s, p)
-    r = e
-    while b != 1:
-        t = b
-        m = 0
-        while t != 1:
-            t = t * t % p
-            m += 1
-        gs = pow(g, 1 << (r - m - 1), p)
-        x = x * gs % p
-        g = gs * gs % p
-        b = b * g % p
-        r = m
-    return tuple(sorted((x, p - x)))
+    t = pow(a, s, p)
+    if e > 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, s, p)
+        for k in range(e - 1, 0, -1):
+            if pow(t, 1 << (k - 1), p) != 1:
+                x = x * c % p
+                t = t * c * c % p
+            c = c * c % p
+    return tuple(sorted((x, p - x))) if x * x % p == a else None
 
 
 def _is_primitive_root_unchecked(a: int, p: int, p1_factors: tuple[tuple[int, int], ...]) -> bool:
@@ -436,10 +429,10 @@ def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
 
     Both results are shaped like the 1-D p; the root is 0 where d is a
     non-residue and where p divides d. `_residue_classes(d)`, a table by
-    p mod 4|d|, says where d is a square, and Tonelli-Shanks (Cohen, A
-    Course in Computational Algebraic Number Theory, 1.5.1) runs only at
-    the primes it accepts that do not divide d, its correction loop over
-    the shrinking set of primes it has not finished yet.
+    p mod 4|d|, says where d is a square, and Tonelli-Shanks runs only at
+    the primes it accepts that do not divide d, in its fixed-length form
+    (Crandall & Pomerance, Prime Numbers: A Computational Perspective,
+    Algorithm 2.3.8): e - 1 steps at a prime with p - 1 = s * 2^e.
     """
     p = _modulus_array(p)
     if (p % 2 == 0).any():
@@ -447,48 +440,41 @@ def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
     square = _residue_classes(d)[p % (4 * abs(d))]
     root = np.zeros_like(p)
     idx = np.flatnonzero(square & (d % p != 0))
+
+    # p - 1 = s * 2^e with s odd, the largest e first, so that e > k is a prefix
+    low = (p[idx] - 1) & (1 - p[idx])
+    order = np.argsort(-low)
+    idx, low = idx[order], low[order]
     p = p[idx]
     a = d % p
-
-    # p - 1 = s * 2^e with s odd; x = a^((s+1)/2) and b = a^s from one power.
-    low = (p - 1) & (1 - p)
     e = np.frexp(low)[1].astype(np.int64) - 1  # exact: low is a power of two
     s = (p - 1) // low
+    # x = a^((s+1)/2) and t = a^s from one power; x^2 = a * t at every step
     x = pow_mod_array(a, s // 2, p)
-    b = x * x % p * a % p
+    t = x * x % p * a % p
     x = x * a % p
 
-    # Where b != 1 the root is corrected by powers of g = z^s for a
-    # non-residue z. A residue has b != 1 only if e >= 2, and the least
-    # non-residue is a prime below sqrt(p) + 1, which the table finds.
-    act = np.flatnonzero(b != 1)
-    z = np.zeros_like(p)
-    pending = act
-    for c in _primes_to(math.isqrt(int(p.max(initial=0))) + 1):
+    # c = z^s for a non-residue z wherever e >= 2. The least non-residue is
+    # a prime below sqrt(p) + 1, which the table finds.
+    z = np.zeros(np.count_nonzero(e > 1), dtype=np.int64)
+    pending = np.arange(z.size)
+    for q in _primes_to(math.isqrt(int(p.max(initial=0))) + 1):
         if not pending.size:
             break
-        found = ~_residue_classes(c)[p[pending] % (4 * c)]
-        z[pending[found]] = c
+        found = ~_residue_classes(q)[p[pending] % (4 * q)]
+        z[pending[found]] = q
         pending = pending[~found]
-    g = np.zeros_like(p)
-    g[act] = pow_mod_array(z[act], s[act], p[act])
-    r = e
-    while act.size:
-        pa, ba = p[act], b[act]
-        # m = least m with ba^(2^m) = 1; 0 < m < r because ba is a residue.
-        m = np.zeros_like(ba)
-        t = ba
-        live = t != 1
-        while live.any():
-            t = np.where(live, t * t % pa, t)
-            m += live
-            live = t != 1
-        gs = pow_mod_array(g[act], 1 << (r[act] - m - 1), pa)
-        x[act] = x[act] * gs % pa
-        g[act] = gs * gs % pa
-        b[act] = ba * g[act] % pa
-        r[act] = m
-        act = act[b[act] != 1]
+    c = pow_mod_array(z, s[: z.size], p[: z.size])
+    for k in range(int(e.max(initial=1)) - 1, 0, -1):
+        n = np.count_nonzero(e > k)
+        pk, u = p[:n], t[:n]
+        for _ in range(k - 1):
+            u = u * u % pk
+        # where t^(2^(k-1)) = -1, multiply x by c and t by c^2, of order 2^k
+        flip = u != 1
+        x[:n] = np.where(flip, x[:n] * c[:n] % pk, x[:n])
+        c[:n] = c[:n] * c[:n] % pk
+        t[:n] = np.where(flip, t[:n] * c[:n] % pk, t[:n])
     root[idx] = np.minimum(x, p - x)
     return square, root
 

@@ -51,6 +51,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("fpr --range 3 1000000", [*cli, "fpr", "--range", "3", "1000000"]),
         ("fpr --range 3 1000000 --format json", [*cli, "fpr", "--range", "3", "1000000", "--format", "json"]),
         ("fpr 2147483659", [*cli, "fpr", "2147483659"]),
+        # p - 1 = s * 2^e with e = 32 and 57: the scalar square root's longest correction loops
+        ("fpr 18446744069414584321", [*cli, "fpr", "18446744069414584321"]),
+        ("fpr 4179340454199820289", [*cli, "fpr", "4179340454199820289"]),
+        ("sweep 1024", [*cli, "sweep", "1024"]),
         ("repr(verify_zero_density_claims(10**5, 10))", [sys.executable, "-c", VERIFIER]),
     ]
     return out

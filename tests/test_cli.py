@@ -138,6 +138,13 @@ def test_verify_perm(capsys):
     assert code == 3 and out.strip() == "not-costas k=1 x=1 y=2"
 
 
+def test_verify_empty_json_array(capsys, tmp_path):
+    # the empty permutation is Costas; `--perm ""` is an empty token, refused in ONE_LINE_ERRORS
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert run(capsys, "verify", str(empty))[:2] == (0, "costas\n")
+
+
 def test_verify_file_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "t4", "11")
     assert code == 0
@@ -398,6 +405,8 @@ ONE_LINE_ERRORS = [
     (["census", "trinomial", "1000", "--e1", "1,2,3", "--e2", "1"], "census: --e1 expects C or C,H, got '1,2,3'"),
     (["fpr", str(ff._PRIME_CAP)], f"fpr: {ff._PRIME_CAP} not below the primality cap {ff._PRIME_CAP}"),
     (["build", "t4", str(ff._PRIME_CAP)], f"build: {ff._PRIME_CAP} not below the primality cap {ff._PRIME_CAP}"),
+    (["verify", "--perm", "1,,2"], "verify: --perm expects comma-separated integers, got ''"),
+    (["verify", "--perm", ""], "verify: --perm expects comma-separated integers, got ''"),
 ]
 
 

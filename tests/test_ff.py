@@ -395,6 +395,37 @@ def test_sqrt_small_every_small_residue():
         sqrt_small(1, [2, 3])
 
 
+# p - 1 = s * 2^e with e = 32, 57, 26 and 27; the first two lie above 2^31
+_SCALAR_TWO_ADIC = (18446744069414584321, 4179340454199820289)
+_BATCHED_TWO_ADIC = (469762049, 2013265921, *_TWO_ADIC_AND_LATE_NONRESIDUE)
+
+
+def test_sqrt_mod_p_checked_by_squaring():
+    # checked against Euler's criterion and by squaring, not against sqrt_small
+    for p in _SCALAR_TWO_ADIC:
+        assert is_prime(p)
+        assert sqrt_mod_p(0, p) == (0,)
+        for a in range(1, 301):
+            got = sqrt_mod_p(a, p)
+            if got is None:
+                assert pow(a, (p - 1) // 2, p) == p - 1, (a, p)
+            else:
+                r, other = got
+                assert r * r % p == a and r + other == p, (a, p)
+
+
+def test_sqrt_small_checked_by_squaring():
+    assert all(is_prime(q) for q in _BATCHED_TWO_ADIC)
+    p = np.array(_BATCHED_TWO_ADIC)
+    for d in [*range(-20, 0), *range(1, 21)]:
+        square, root = sqrt_small(d, p)
+        for q, s, r in zip(p.tolist(), square.tolist(), root.tolist()):
+            if s:
+                assert r * r % q == d % q and r <= q - r, (d, q)
+            else:
+                assert pow(d, (q - 1) // 2, q) == q - 1 or d % q == 0, (d, q)
+
+
 def test_residue_classes_match_euler():
     for d in range(-40, 41):
         if not d:
