@@ -464,9 +464,11 @@ def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -
     a primitive root mod p is a non-residue, a root of the squarefree, split
     g = gcd(f, x^((p-1)/2) + 1), and by the CRT some root of g is primitive
     iff u = prod over the odd primes q | p - 1 of (x^((p-1)/q) - 1) is
-    nonzero mod g (proof in README, "Design notes"). Per degree of g, one
-    `_poly_powmod` over the (prime, odd factor) pairs of `_factor_pairs`
-    gives the terms, and rounds of `_poly_mulmod` multiply them together.
+    nonzero mod g (proof in README, "Design notes"). Per degree of g, read
+    off a bincount of the degrees, one `_poly_powmod` over the (prime, odd
+    factor) pairs of `_factor_pairs`, sorted by prime, gives the terms, and
+    round r of `_poly_mulmod` multiplies in each prime's r-th term. No
+    numpy set operation runs: np.unique imports numpy.ma on first use.
     """
     n, d = primes.size, coeffs[-1][0]
     if d * int(primes.max()) ** 2 > _I64_MAX:
@@ -482,19 +484,22 @@ def _fold_roots_exist(primes: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -
     live = np.flatnonzero(dg > 0)
     idx, q = _factor_pairs(p[live, 0] - 1)
     at, q = live[idx[q > 2]], q[q > 2]
+    order = np.argsort(at, kind="stable")
+    at, q = at[order], q[order]
     hit = np.zeros(n, dtype=bool)
-    for k in np.unique(dg[live]).tolist():
+    for k in np.flatnonzero(np.bincount(dg[live])).tolist():
         sel, mine = np.flatnonzero(dg == k), dg[at] == k
         g_k, pk = _monic(g[sel], k, p[sel])[:, :k], p[sel]
         row = np.searchsorted(sel, at[mine])
         terms = _poly_powmod((pk[row, 0] - 1) // q[mine], g_k[row], pk[row])
         terms[:, 0] = (terms[:, 0] - 1) % pk[row, 0]
-        # u = 1 times the terms, one term of each row a round
+        # u = 1 times the terms: round r multiplies in each row's r-th term
+        rank = np.arange(row.size) - np.searchsorted(row, row)
         u = np.eye(1, k, dtype=np.int64).repeat(sel.size, axis=0)
-        while row.size:
-            t, first = np.unique(row, return_index=True)
-            u[t] = _poly_mulmod(u[t], terms[first], g_k[t], pk[t])
-            row, terms = np.delete(row, first), np.delete(terms, first, axis=0)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            i = np.flatnonzero(rank == r)
+            t = row[i]
+            u[t] = _poly_mulmod(u[t], terms[i], g_k[t], pk[t])
         hit[sel] = u.any(axis=1)
     return hit
 

@@ -599,21 +599,41 @@ def _strip_x(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _poly_gcd(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gcd of each pair of rows of a and b, up to a unit and a power of x, with its degree.
 
-    Euclid from the low end: while b(0) != 0, b(0) a - a(0) b has the
-    same gcd with b and vanishes at 0, so it is divided by x. Each step
-    lowers the degree of a by at least one, a swap keeps the larger degree
-    in a, and a is the gcd once b is 0.
+    Euclid from the low end (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 3): while b(0) != 0, b(0) a - a(0) b has the same gcd with
+    b and vanishes at 0, so it is divided by x. Each step lowers the degree
+    of a by at least one, a swap of the rows where da < db keeps the larger
+    degree in a, and a is the gcd once b is 0: such a row is written out
+    and dropped, and the working columns shrink to the largest degree
+    left. The combination is formed from columns 1 up, which divides it by
+    x; only a nonzero row whose new x-coefficient is 0 as well goes
+    through `_strip_x`. a and b are (N, w) with w >= 2; the gcd rows come back
+    (N, w), 0 with degree -1 where a and b are both 0.
     """
     (a, da), (b, db) = _strip_x(a), _strip_x(b)
+    g, dg = np.zeros_like(a), np.full_like(da, -1)
+    at = np.arange(len(a))
     while True:
-        swap = da < db
-        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
-        da, db = np.maximum(da, db), np.minimum(da, db)
-        live = np.flatnonzero(db >= 0)
-        if not live.size:
-            return a, da
-        al, bl = a[live], b[live]
-        a[live], da[live] = _strip_x((bl[:, :1] * al - al[:, :1] * bl) % p[live])
+        swap = np.flatnonzero(da < db)
+        a[swap], b[swap], da[swap], db[swap] = b[swap], a[swap], db[swap], da[swap]
+        done = db < 0
+        if done.any():
+            g[at[done], :a.shape[1]], dg[at[done]] = a[done], da[done]
+            a, b, da, db, p, at = (v[~done] for v in (a, b, da, db, p, at))
+        if not at.size:
+            return g, dg
+        # two columns at least, so dividing by x leaves one
+        w = max(int(da.max()), 1) + 1
+        a, b = a[:, :w], b[:, :w]
+        nxt = np.zeros_like(b)
+        t = nxt[:, :-1]
+        np.remainder(b[:, :1] * a[:, 1:] - a[:, :1] * b[:, 1:], p, out=t)
+        nz = t != 0
+        low = np.flatnonzero(~nz[:, 0] & nz.any(axis=1))
+        if low.size:
+            t[low] = _strip_x(t[low])[0]
+            nz[low] = t[low] != 0
+        a, da = nxt, np.where(nz[:, 0], w - 2 - nz[:, ::-1].argmax(axis=1), -1)
 
 
 def _monic(g: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:

@@ -22,7 +22,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-CENSUS_PAIRS = (("2", "1,1"), ("1", "1"), ("2", "2"), ("4,1", "2"), ("4", "2,1"), ("3", "1"))
+CENSUS_PAIRS = (
+    ("2", "1,1"), ("1", "1"), ("2", "2"), ("4,1", "2"), ("4", "2,1"), ("3", "1"), ("5", "1"), ("16", "1"),
+)
 # g4 after t4 in one interpreter reads the segment masks t4 kept
 WARM_G4 = (
     "from costaskit.cli import main; "
@@ -32,6 +34,12 @@ WARM_G4 = (
 VERIFIER = (
     "from costaskit.density import verify_zero_density_claims; "
     "print(repr(verify_zero_density_claims(10**5, 10)))"
+)
+# the moduli `make_field` finds with the batched gcd, every p^k < 2^16 with 2 <= k <= 6
+MODULI = (
+    "from costaskit.ff import is_prime, make_field; "
+    "print([(p, k, make_field(p, k).modulus) for p in range(2, 2**8) if is_prime(p) "
+    "for k in range(2, 7) if p**k < 2**16])"
 )
 
 
@@ -56,6 +64,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("fpr 4179340454199820289", [*cli, "fpr", "4179340454199820289"]),
         ("sweep 1024", [*cli, "sweep", "1024"]),
         ("repr(verify_zero_density_claims(10**5, 10))", [sys.executable, "-c", VERIFIER]),
+        ("make_field(p, k).modulus for p^k < 2^16", [sys.executable, "-c", MODULI]),
     ]
     return out
 

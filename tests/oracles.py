@@ -164,6 +164,30 @@ def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
     return rem[:d]
 
 
+def poly_gcd_reference(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) by Euclid's remainders, with the power of x dividing it
+    removed; [] when a and b are both 0. Coefficients constant term first."""
+
+    def trim(u: list[int]) -> list[int]:
+        u = [c % p for c in u]
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    a, b = trim(a), trim(b)
+    while b:
+        # a mod b by long division, scaled so the divisor is monic
+        inv = pow(b[-1], p - 2, p)
+        a = trim(_poly_rem(a, [c * inv % p for c in b], p))
+        a, b = b, a
+    if not a:
+        return []
+    while not a[0]:
+        a.pop(0)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
 def _monics(p: int, d: int) -> Iterator[list[int]]:
     """Every monic polynomial of degree d over GF(p), in code order."""
     return ([t // p**i % p for i in range(d)] + [1] for t in range(p**d))

@@ -84,6 +84,30 @@ def test_import_leaves_mpmath_out():
     assert r.returncode == 0 and r.stdout.strip() == "False", r.stderr
 
 
+# The first call of a numpy set operation such as np.unique imports numpy.ma
+# (numpy 2.4: about 10 ms in a fresh interpreter, a quarter of a short
+# degree-3 census). The fold-root kernel, the closed form and the t4 census
+# use none, so a fresh interpreter running them never loads it.
+_SCAN_PATH = (
+    "import sys\n"
+    "from costaskit.cli import main\n"
+    "from costaskit.density import verify_zero_density_claims\n"
+    "main(['census', 'trinomial', '20000', '--e1', '3', '--e2', '1', '--workers', '1'])\n"
+    "verify_zero_density_claims(10000, 5)\n"
+    "main(['census', 't4', '300000', '--workers', '1'])\n"
+    "print('numpy.ma' in sys.modules)\n"
+)
+
+
+def test_scan_path_leaves_numpy_ma_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(costaskit.__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _SCAN_PATH], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert r.returncode == 0 and r.stdout.splitlines()[-1] == "False", r.stderr
+
+
 def test_artin_constant_monotone():
     bounds = [2, 3, 10, 100, 1000, 10**4]
     values = [artin_constant(b) for b in bounds]

@@ -6,7 +6,7 @@ import math
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from costaskit import ff
@@ -116,6 +116,49 @@ def test_make_field_moduli_pinned():
 @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
 def test_make_field_modulus_matches_bruteforce(p, k):
     assert make_field(p, k).modulus == oracles.smallest_irreducible_bruteforce(p, k)
+
+
+@st.composite
+def _gcd_batches(draw):
+    """Rows (a, b, p) of one width: a = c u and b = c v share a random factor c,
+    times powers of x, with some rows 0, so the rows finish at different steps."""
+    w = draw(st.integers(2, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        p = draw(st.sampled_from([2, 3, 5, 7, 13, 65521]))
+
+        def poly(n):
+            return draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max(n, 1)))
+
+        c = poly(w - 1)
+        pair = []
+        for _ in range(2):
+            if draw(st.integers(0, 5)) == 0:
+                pair.append([0] * w)
+                continue
+            u = oracles._poly_mul_mod(c, poly(w - len(c) + 1), p)
+            u = [0] * draw(st.integers(0, w - len(u))) + u
+            pair.append(u + [0] * (w - len(u)))
+        rows.append((*pair, p))
+    return rows
+
+
+@settings(max_examples=200)
+@given(_gcd_batches())
+# every combination has a nonzero x-coefficient or is 0: the column slice alone
+@example([([2, 3, 1], [3, 4, 1], 7), ([1, 1, 0], [1, 0, 0], 7)])
+# 1 + 2x - (1 + 2x + x^2) = -x^2 needs `_strip_x`
+@example([([1, 2, 1], [1, 2, 0], 7), ([2, 3, 1], [3, 4, 1], 7)])
+def test_poly_gcd_matches_oracle(rows):
+    a, b, p = (np.array(v, dtype=np.int64) for v in zip(*rows))
+    g, dg = ff._poly_gcd(a, b, p[:, None])
+    assert g.shape == a.shape
+    for (x, y, q), row, d in zip(rows, g.tolist(), dg.tolist()):
+        want = oracles.poly_gcd_reference(x, y, q)
+        assert d == len(want) - 1
+        assert not any(row[d + 1:])
+        if d >= 0:
+            assert [c * pow(row[d], q - 2, q) % q for c in row[:d + 1]] == want
 
 
 @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
