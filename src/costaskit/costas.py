@@ -168,7 +168,10 @@ def _fork_map(task: Callable[[int], Sequence[int]], count: int, width: int,
     first entry is still -1 (its process died or raised, its index did not
     fit the pipe, or the task returned -1) is computed by the caller only
     when it is reached, so a task's exception reaches the caller as itself.
+    With no tasks it yields nothing, and maps, pipes and forks nothing.
     """
+    if not count:
+        return
     processes = min(workers, os.cpu_count() or 1, count)
     out = np.frombuffer(mmap.mmap(-1, 8 * count * width), dtype=np.int64).reshape(count, width)
     out[:, 0] = -1

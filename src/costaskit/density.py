@@ -352,21 +352,24 @@ def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
     return g if g <= _I64_MAX and all(k in (0, g, 2 * g) for k, _ in coeffs) else None
 
 
-def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
+def _closed_forms(p: np.ndarray, folds: Iterable[tuple[tuple[int, int], ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Roots y mod the odd primes p of G, for each fold G(x^g), and which are y = a^g for a primitive a.
 
-    The fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G =
-    c2 y^2 + c1 y + c0. Both results are (2, N): the roots, both -c0/c1
-    where c2 = 0 and (-c1 +- sqrt(d))/(2 c2) otherwise, 0 where there is
-    none and where G vanishes mod p; and per root whether it has order
-    (p - 1)/gcd(g, p - 1) (`_order_tests` with this g). For g = 1 the roots
+    Each fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G =
+    c2 y^2 + c1 y + c0. Both results are (F, 2, N), a (2, N) block per
+    fold: the roots, both -c0/c1 where c2 = 0 and (-c1 +- sqrt(d))/(2 c2)
+    otherwise, 0 where there is none and where G vanishes mod p; and per
+    root whether it has order (p - 1)/gcd(g, p - 1). For g = 1 the roots
     are the fold's own and the mask says which are primitive. The
     discriminant d is the same integer at every p, so one `sqrt_small`
-    call gives both where G has roots and the square root of d there; a
-    d of 0 is a square everywhere. A non-constant fold's coefficients lie
-    in [-2, 2], so c2 vanishes mod an odd p only where c2 = 0, and the
-    denominator 2 c2 or c1 is +-1, +-2 or +-4 (1 or 2 for every fold that
-    `_folded_coeffs` makes), inverted by halving: 1/2 is (p + 1)/2.
+    call per distinct d gives where G has roots and the square root of d
+    there; a d of 0 is a square everywhere. The roots depend on G alone,
+    so folds with one G at different strides, such as the verifier's
+    y^2 +- y + 1 at y = a^i, solve it once. A non-constant fold's
+    coefficients lie in [-2, 2], so c2 vanishes mod an odd p only where
+    c2 = 0, and the denominator 2 c2 or c1 is +-1, +-2 or +-4 (1 or 2 for
+    every fold that `_folded_coeffs` makes), inverted by halving: 1/2 is
+    (p + 1)/2.
 
     The first root's order tests decide both where c2 = 0, since the
     roots are one, and where c0 = +-c2 = +-1, so the roots multiply to
@@ -374,33 +377,55 @@ def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tu
     agree, except that at p = 3 (mod 4) with product -1 the odd-prime
     tests pass for both roots or neither, and of a passing pair only the
     non-residue is primitive (proof in README, "Design notes"). Every
-    other fold tests both roots.
+    other fold tests both roots. The roots tested, of every fold, go
+    through one `_order_tests` call, each row with its fold's g.
     """
-    g = _fold_stride(coeffs)
-    c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
-    d = c1 * c1 - 4 * c0 * c2
-    if c2 and d:
-        solve, r = sqrt_small(d, p)
-    else:
-        # a linear G, or a double root where d = 0; a constant G has no root
-        solve, r = np.full(p.shape, bool(c1 or c2)), np.zeros_like(p)
-    solve = np.flatnonzero(solve)
-    ps, r = p[solve], r[solve]
-    num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
-    # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
-    inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
-    roots = np.zeros((2, p.size), dtype=np.int64)
-    roots[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
+    folds = list(folds)
+    roots = np.zeros((len(folds), 2, p.size), dtype=np.int64)
+    # solver: the fold that solved each G; tested: the (fold, root) rows of
+    # the order test, with the fold's g; shared: (fold, its row, whether
+    # product -1) where the first root decides both
+    sqrts, solver, tested, strides, shared = {}, {}, [], [], []
+    for f, coeffs in enumerate(folds):
+        g = _fold_stride(coeffs)
+        c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
+        if (c0, c1, c2) in solver:
+            roots[f] = roots[solver[c0, c1, c2]]
+        else:
+            solver[c0, c1, c2] = f
+            d = c1 * c1 - 4 * c0 * c2
+            if c2 and d and d not in sqrts:
+                square, root = sqrt_small(d, p)
+                sqrts[d] = np.flatnonzero(square), root[square]
+            # a linear G, or a double root where d = 0, has r = 0; a constant G has no root
+            solve, r = sqrts[d] if c2 and d else (np.arange(p.size if c1 or c2 else 0), 0)
+            ps = p[solve]
+            num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
+            # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
+            inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
+            roots[f][:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
+        if not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
+            shared.append((f, len(tested), bool(c2) and c0 != c2))
+            tested.append((f, 0))
+        else:
+            tested += [(f, 0), (f, 1)]
+        strides += [g] * (len(tested) - len(strides))
+    # the order tests run where some root is nonzero: 0 has no order
+    cols = np.flatnonzero(roots.any(axis=(0, 1)))
+    f, k = np.array(tested).T[:, :, None]  # (rows, 1) columns, to index (rows, cols)
+    passes, half = _order_tests(roots[f, k, cols], p[cols], strides)
     primitive = np.zeros(roots.shape, dtype=bool)
-    if not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
-        passes, half = _order_tests(roots[0, solve], ps, g)
-        first = passes & ~half
-        primitive[0, solve] = first
-        primitive[1, solve] = first if c0 == c2 or not c2 else np.where(ps % 4 == 3, passes & half, first)
-    else:
-        passes, half = _order_tests(roots[:, solve], ps, g)
-        primitive[:, solve] = passes & ~half
+    primitive[f, k, cols] = passes & ~half
+    for f, t, minus in shared:
+        first = primitive[f, 0, cols]
+        primitive[f, 1, cols] = np.where(p[cols] % 4 == 3, passes[t] & half[t], first) if minus else first
     return roots, primitive
+
+
+def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, N) roots and verdicts of `_closed_forms` for one fold G(x^g)."""
+    roots, primitive = _closed_forms(p, (coeffs,))
+    return roots[0], primitive[0]
 
 
 def _fast_exists(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -588,12 +613,15 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     have a witness. Families b and c fold to y^2 - y + 1 = 0, an order-6
     condition, which forces p <= 6i + 1, and the bound is attained whenever
     6i + 1 is prime. Witnesses at or below the threshold are recorded as
-    exceptions; any beyond it would be a violation of the claim. Each
-    (i, family) pair reads its hit and skipped masks from the census
-    predicate one sieve segment at a time, so the closed form for G(x^g)
-    decides every prime. Only the hit primes are scanned exhaustively, by
-    `_witness_rows`, for the least witness an entry records. Entries are
-    in (p, i, family) order.
+    exceptions; any beyond it would be a violation of the claim. Per sieve
+    segment, one `_closed_forms` call decides every fold at every odd
+    prime: one square root of their common discriminant -3, one
+    factorisation of p - 1 and one `_order_tests` call, a batched power
+    per fold, for all 2 i_max folds (b and c share theirs). Each (i, family) pair takes its fold's
+    hits at the primes where both exponents lie in [1, p - 2] and counts
+    the others as skipped; p = 2 is never a hit. Only the hit primes are
+    scanned exhaustively, by `_witness_rows`, for the least witness an
+    entry records. Entries are in (p, i, family) order.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -602,17 +630,23 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     if not 1 <= i_max <= _I_MAX_CAP:
         raise ValueError(f"i_max must be in 1..{_I_MAX_CAP}")
 
+    families = [(i, *f, _folded_coeffs(*f[1:3])) for i in range(1, i_max + 1) for f in _claim_families(i)]
+    folds = list(dict.fromkeys(fold for *_, fold in families))
     entries = []
     skipped = {"a": 0, "b": 0, "c": 0}
     for lo, hi in _segments(limit):
         primes = primes_in_range(lo, hi)
-        for i in range(1, i_max + 1):
-            for name, e1, e2, threshold in _claim_families(i):
-                hit, skip = _trinomial_predicate(primes, lo, hi, e1, e2)
-                skipped[name] += int(skip.sum())
-                for p in primes[hit].tolist():
-                    least = _witness_rows(p, e1.evaluate(p), e2.evaluate(p))[0]
-                    entries.append((p, i, name, threshold, int(least)))
+        odd = primes != 2
+        # every fold's coefficients are +-1, so none vanishes mod p
+        found = dict(zip(folds, _closed_forms(primes[odd], folds)[1].any(axis=1)))
+        for i, name, e1, e2, threshold, fold in families:
+            skip = ~(e1.in_range(primes) & e2.in_range(primes))
+            hit = np.zeros(primes.shape, dtype=bool)
+            hit[odd] = found[fold]
+            skipped[name] += int(skip.sum())
+            for p in primes[hit & ~skip].tolist():
+                least = _witness_rows(p, e1.evaluate(p), e2.evaluate(p))[0]
+                entries.append((p, i, name, threshold, int(least)))
     entries.sort()
 
     thresholds = {

@@ -508,7 +508,7 @@ def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([*idx_parts, big]), np.concatenate([*q_parts, rem[big]])
 
 
-def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
     """Order tests of a[..., i] mod the 1-D primes p[i], with the test at q = 2 kept apart.
 
     The units mod p are cyclic, so the g-th powers of the primitive roots
@@ -518,9 +518,13 @@ def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
     prime q dividing N, and a^N = 1. Returns two masks shaped like a:
     whether a != 0 mod p and a passes every test but a^(N/2) != 1, and
     whether a^(N/2) = 1 (False where N is odd); a has order N exactly where
-    `passes & ~half`. One batched power per row of a tests a^(N/q) != 1 for
-    the pairs of `_factor_pairs(N)`, and a^N = 1 where Fermat does not give
-    it. Leading axes of a are tested against the same p.
+    `passes & ~half`. g is one stride for all of a, or an int sequence of
+    a's leading shape, one per row of a 2-D a. One `_factor_pairs(p - 1)`
+    serves every row: a prime divides N only if it divides p - 1, so each
+    distinct g keeps the pairs whose q divides its N. One batched power
+    per row tests a^(N/q) != 1 for those pairs, and a^N = 1 where Fermat
+    does not give it. (One power over all rows is slower once the rows
+    outgrow the cache, and holds every row's tests at once.)
     """
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
@@ -528,19 +532,26 @@ def _order_tests(a, p, g: int) -> tuple[np.ndarray, np.ndarray]:
     half = np.zeros(a.shape, dtype=bool)
     if not p.size:
         return passes, half
-    n = (p - 1) // np.gcd(g, p - 1)
-    idx, q = _factor_pairs(n)
-    short = np.flatnonzero(n < p - 1)
-    idx, q = np.r_[idx, short], np.r_[q, np.ones(short.size, dtype=np.int64)]
-    # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
-    fails_at_one = q > 1
-    two = q == 2
-    exps, mods = n[idx] // q, p[idx]
-    rows = zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size))
-    for row_a, row_passes, row_half in rows:
-        one = pow_mod_array(row_a[idx], exps, mods) == 1
-        row_passes[idx[(one == fails_at_one) & ~two]] = False
-        row_half[idx[one & two]] = True
+    idx, q = _factor_pairs(p - 1)
+    strides = np.broadcast_to(g, a.shape[:-1]).reshape(-1).tolist()
+    # per distinct g, each test's index, q, exponent and modulus: the pairs
+    # with q | N (all of them where N = p - 1 at every p), then q = 1
+    tests = {}
+    for g_r in dict.fromkeys(strides):
+        n = (p - 1) // np.gcd(g_r, p - 1)
+        short = np.flatnonzero(n < p - 1)
+        at, q_r = idx, q
+        if short.size:
+            keep = np.flatnonzero(n[idx] % q == 0)
+            at, q_r = np.r_[idx[keep], short], np.r_[q[keep], np.ones(short.size, dtype=np.int64)]
+        tests[g_r] = at, q_r, n[at] // q_r, p[at]
+    rows = zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size), strides)
+    for row_a, row_passes, row_half, g_r in rows:
+        at, q, exps, mods = tests[g_r]
+        one = pow_mod_array(row_a[at], exps, mods) == 1
+        # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
+        row_passes[at[(one == (q > 1)) & (q != 2)]] = False
+        row_half[at[one & (q == 2)]] = True
     return passes, half
 
 

@@ -35,6 +35,11 @@ VERIFIER = (
     "from costaskit.density import verify_zero_density_claims; "
     "print(repr(verify_zero_density_claims(10**5, 10)))"
 )
+# the call the `scan` benchmark workload makes
+VERIFIER_SCAN = (
+    "from costaskit.density import verify_zero_density_claims; "
+    "print(repr(verify_zero_density_claims(10**4, 5)))"
+)
 # the moduli `make_field` finds with the batched gcd, every p^k < 2^16 with 2 <= k <= 6
 MODULI = (
     "from costaskit.ff import is_prime, make_field; "
@@ -64,6 +69,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("fpr 4179340454199820289", [*cli, "fpr", "4179340454199820289"]),
         ("sweep 1024", [*cli, "sweep", "1024"]),
         ("repr(verify_zero_density_claims(10**5, 10))", [sys.executable, "-c", VERIFIER]),
+        ("repr(verify_zero_density_claims(10**4, 5))", [sys.executable, "-c", VERIFIER_SCAN]),
         ("make_field(p, k).modulus for p^k < 2^16", [sys.executable, "-c", MODULI]),
     ]
     return out

@@ -409,6 +409,19 @@ def test_forked_check_when_fork_fails(capsys, tmp_path):
     assert capsys.readouterr() == (f"not-costas k={k} x={x} y={y}\n", "")
 
 
+def test_fork_map_of_no_tasks_starts_nothing(monkeypatch):
+    # A zero-length mmap is EINVAL; with no tasks nothing is mapped, piped,
+    # forked or run, whatever the worker count.
+    def refused(*args):
+        raise AssertionError("called with no tasks")
+
+    for name in ("fork", "pipe"):
+        monkeypatch.setattr(os, name, refused)
+    monkeypatch.setattr(mmap, "mmap", refused)
+    for workers in (1, 2, 64):
+        assert list(costas._fork_map(refused, 0, 3, workers)) == []
+
+
 def _half_triangle_lemma_holds(perm):
     hit = oracles.naive_first_collision(perm)
     if hit is None:

@@ -226,6 +226,22 @@ def test_cold_g4_keeps_no_mask():
     assert census_g4(10**4) == g4
 
 
+def test_verifier_leaves_kept_segment_masks_alone(monkeypatch):
+    # The verifier decides its own folds and keeps nothing, so the masks t4
+    # kept over four segments are still there for g4 to read after it.
+    monkeypatch.setattr(density, "_CHUNK", 1 << 9)
+    census_t4(2000)
+    kept = {key: bits.tobytes() for key, bits in density._SEGMENT_MASKS.items()}
+    assert len(kept) == len(density._segments(2000)) == 4
+    verify_zero_density_claims(2000, 3)
+    assert {key: bits.tobytes() for key, bits in density._SEGMENT_MASKS.items()} == kept
+    calls = []
+    kernel = density._closed_form_roots
+    monkeypatch.setattr(density, "_closed_form_roots", lambda p, coeffs: calls.append(coeffs) or kernel(p, coeffs))
+    census_g4(2000)
+    assert calls == []
+
+
 def test_segment_memo_holds_packed_bits():
     census_t4(10**6)
     segments = len(density._segments(10**6))
@@ -801,6 +817,85 @@ def test_closed_form_tests_each_distinct_root_once(monkeypatch):
     for coeffs in (((0, -1), (1, 2)), density._FIB_COEFFS, ((0, -1), (1, 1), (2, 2))):
         density._closed_form_roots(p, coeffs)
     assert rows == [1, 1, 2]
+
+
+_ODD_PRIMES_20000 = oracles.simple_sieve(20000)[1:]
+
+
+def _stride_fold(g, c):
+    return tuple((k * g, v) for k, v in enumerate(c) if v)
+
+
+# G = c2 y^2 + c1 y + c0 at y = x^g: any G, a linear one, or one with d = 0
+_STRIDE_FOLDS = st.builds(
+    _stride_fold,
+    st.integers(1, 10),
+    st.one_of(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+        st.tuples(st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)), st.just(0)),
+        st.sampled_from(((1, 2, 1), (1, -2, 1), (-1, 2, -1), (-1, -2, -1), (0, 0, 1), (0, 0, -2))),
+    ),
+).filter(bool)
+
+
+@st.composite
+def _folds_and_primes(draw):
+    # 1-6 folds drawn from a pool of at most 6, so some repeat
+    pool = draw(st.lists(_STRIDE_FOLDS, min_size=1, max_size=6))
+    folds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    primes = draw(st.lists(st.sampled_from(_ODD_PRIMES_20000), min_size=1, max_size=3, unique=True))
+    return folds, primes
+
+
+@lru_cache(maxsize=None)
+def _fold_oracles(p, coeffs):
+    stride = density._fold_stride(coeffs)
+    return oracles.brute_stride_roots(p, stride, coeffs), {
+        pow(a, stride, p) for a in oracles.brute_fold_primitive_roots(p, coeffs)
+    }
+
+
+@settings(max_examples=100)
+@given(_folds_and_primes())
+# the verifier's folds y^2 + y + 1 and y^2 - y + 1 at y = a^i, at p = 3 (a
+# double root), 7 = 6 + 1, 13 = 6 * 2 + 1 and 19997 = 3 (mod 4)
+@example(([_stride_fold(i, (1, s, 1)) for i in (1, 2) for s in (1, -1)] * 3, [3, 7, 13, 19997]))
+# linear, d = 0, both root products and Fibonacci folds in one batch
+@example(([((0, -1), (1, 2)), ((0, 1), (3, -2), (6, 1)), density._FIB_COEFFS,
+           ((0, -1), (2, 1), (4, 2)), ((0, 1), (4, 1), (8, 1))], [5, 11, 29, 19993]))
+def test_batched_closed_form_matches_one_fold_calls_and_oracles(case):
+    folds, primes = case
+    p = np.array(primes, dtype=np.int64)
+    roots, primitive = density._closed_forms(p, folds)
+    assert roots.shape == primitive.shape == (len(folds), 2, p.size)
+    for f, coeffs in enumerate(folds):
+        one_roots, one_primitive = density._closed_form_roots(p, coeffs)
+        assert roots[f].tolist() == one_roots.tolist(), (coeffs, primes)
+        assert primitive[f].tolist() == one_primitive.tolist(), (coeffs, primes)
+        for j, q in enumerate(primes):
+            want, powers = _fold_oracles(q, coeffs)
+            assert {r for r in roots[f, :, j].tolist() if r} == set(want), (coeffs, q)
+            for r, flag in zip(roots[f, :, j].tolist(), primitive[f, :, j].tolist()):
+                assert flag == (bool(r) and want[r]), (coeffs, q, r)
+            # the roots that pass are the g-th powers of the primitive witnesses
+            assert set(roots[f, :, j][primitive[f, :, j]].tolist()) == powers, (coeffs, q)
+
+
+@pytest.mark.parametrize("chunk", [density._CHUNK, 1 << 11])
+def test_verifier_takes_one_square_root_and_one_factorisation_per_segment(monkeypatch, chunk):
+    # all 2 i_max folds of a segment share one sqrt_small(-3, p) and one
+    # _factor_pairs(p - 1); at 1 << 11 the limit spans five segments
+    want = verify_zero_density_claims(10**4, 5)
+    monkeypatch.setattr(density, "_CHUNK", chunk)
+    counts = {"sqrt_small": 0, "_factor_pairs": 0}
+    for module, name in ((density, "sqrt_small"), (ff, "_factor_pairs")):
+        def counted(*args, kernel=getattr(module, name), name=name):
+            counts[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert verify_zero_density_claims(10**4, 5) == want
+    segments = len(density._segments(10**4))
+    assert counts == {"sqrt_small": segments, "_factor_pairs": segments}
 
 
 @settings(max_examples=200)

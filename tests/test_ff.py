@@ -517,6 +517,19 @@ def test_primitive_root_mask_small_primes():
     assert passes.shape == half.shape == (2, 0)
 
 
+def test_order_tests_take_one_stride_per_row():
+    # rows with their own g, repeats and zeros among them, in one call: each
+    # row equals a call of its own, which `_has_order_n` holds to pow
+    p = np.array(oracles.simple_sieve(3000)[1:], dtype=np.int64)
+    strides = [1, 2, 3, 4, 6, 12, 5, 1, 10, 2**62]
+    a = np.stack([(np.arange(p.size) * (r + 2) + r) % p for r in range(len(strides))])
+    passes, half = ff._order_tests(a, p, strides)
+    for row, g in enumerate(strides):
+        assert (passes & ~half)[row].tolist() == _has_order_n(a[row], p, g), g
+        own = ff._order_tests(a[row], p, g)
+        assert passes[row].tolist() == own[0].tolist() and half[row].tolist() == own[1].tolist(), g
+
+
 def test_batched_kernels_reject_modulus_from_two_to_the_31():
     assert pow_mod_array(3, 2**31 - 2, 2**31 - 1).tolist() == 1
     for big in (2**31, 2**31 + 11):
