@@ -65,6 +65,11 @@ class ExpExpr:
     c: int
     h: int = 0
 
+    def __post_init__(self):
+        # the rule of costas._permutation: int subclasses except bool are integers
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.c, self.h)):
+            raise ValueError(f"exponent expression {self} needs int c and h")
+
     def evaluate(self, p):
         return self.c + self.h * ((p - 1) // 2)
 
@@ -97,11 +102,12 @@ ExprLike = Union[ExpExpr, tuple, int]
 
 
 def _as_expr(e: ExprLike) -> ExpExpr:
+    """e as an ExpExpr: one already, an int c, or a tuple (c,) or (c, h)."""
     if isinstance(e, ExpExpr):
         return e
-    if isinstance(e, int):
-        return ExpExpr(e)
-    return ExpExpr(*e)
+    if isinstance(e, tuple) and 1 <= len(e) <= 2:
+        return ExpExpr(*e)
+    return ExpExpr(e)  # ExpExpr refuses anything but an int here
 
 
 @dataclass(frozen=True)

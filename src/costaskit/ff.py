@@ -82,22 +82,40 @@ def _primes_to(x: int) -> list[int]:
     return _TRIAL_PRIMES[: bisect.bisect_right(_TRIAL_PRIMES, x)]
 
 
+# The wheel: flag j stands for the odd number 2j + 1, and the multiples of
+# 3, 5, 7, 11 and 13 are struck. Flags j and j + 15015 stand for numbers
+# 30030 = 2 * 3 * 5 * 7 * 11 * 13 apart, so the flags of any run of odd
+# numbers repeat this pattern from some offset.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.ones(15015, dtype=bool)
+for _q in _WHEEL_PRIMES:
+    _WHEEL[_q // 2 :: _q] = False
+
+
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in the half-open interval [lo, hi), ascending, as int64.
 
-    Sieves the segment with the primes up to sqrt(hi); hi - 1 is capped at
-    SIEVE_CAP.
+    Sieves the odd numbers of the segment: the wheel, rotated to the first
+    of them and tiled, has the multiples of 3 to 13 struck, and the primes
+    from 17 up to sqrt(hi) strike the rest. hi - 1 is capped at SIEVE_CAP.
     """
     if hi - 1 > SIEVE_CAP:
         raise LimitTooLarge(f"sieve limit {hi - 1} above cap {SIEVE_CAP}")
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(hi - lo, dtype=bool)
-    for q in _primes_to(math.isqrt(hi - 1)):
-        start = max(q * q, -(-lo // q) * q)
-        flags[start - lo :: q] = False
-    return np.flatnonzero(flags) + lo
+    base = lo | 1  # flag j stands for base + 2j
+    flags = np.resize(np.roll(_WHEEL, -(base // 2 % _WHEEL.size)), (hi - base + 1) // 2)
+    # base + 2j is a multiple of q where j = -base / 2 mod q, 1/2 being
+    # (q + 1)/2 mod q, and the first to strike is q^2 or past it. (Python
+    # ints: the same arithmetic in numpy, run at import, touched about 0.4
+    # MiB more of numpy's code, which every process's peak RSS counts.)
+    for q in _primes_to(math.isqrt(hi - 1))[len(_WHEEL_PRIMES) + 1 :]:
+        flags[max((q * q - base) // 2, (q + 1) // 2 * -base % q) :: q] = False
+    if base <= _WHEEL_PRIMES[-1]:
+        flags[[(w - base) // 2 for w in _WHEEL_PRIMES if base <= w < hi]] = True
+    primes = np.flatnonzero(flags) * 2 + base
+    return np.concatenate([[2], primes]) if lo == 2 else primes
 
 
 # The one table of small primes. Trial division by these proves any
@@ -479,33 +497,69 @@ def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
     return square, root
 
 
-def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (index, prime factor) pair of a 1-D int64 array n >= 1, grouped by prime.
+def _exact_division(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q^-1 mod 2^32 and floor((2^32 - 1) / q) for odd q, as uint32.
 
-    Trial division with the primes up to sqrt(max n); what is left of an
-    entry afterwards is 1 or a single prime, which makes its last pair.
+    An m < 2^32 is divisible by q exactly when m * q^-1 mod 2^32 is at most
+    the bound, and then that product is m / q (Granlund & Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994). The
+    inverse is Newton's iteration x <- x (2 - q x): q is its own
+    inverse mod 2^3, and each step doubles the bits that are right.
     """
-    rem = n.copy()
-    idx_parts, q_parts = [], []
-    live = np.arange(n.size)
-    for q in _primes_to(math.isqrt(int(n.max(initial=0)))):
-        # A cofactor below q^2 with no prime factor below q is 1 or prime.
-        live = live[rem[live] >= q * q]
-        if not live.size:
-            break
-        hit = live[rem[live] % q == 0]
-        if not hit.size:
-            continue
-        idx_parts.append(hit)
-        q_parts.append(np.full(hit.size, q, dtype=np.int64))
-        sub = rem[hit] // q
-        again = sub % q == 0
-        while again.any():
-            sub[again] //= q
-            again = sub % q == 0
-        rem[hit] = sub
+    q = q.astype(np.uint32)
+    inv = q.copy()
+    for _ in range(4):
+        inv *= 2 - q * inv
+    return inv, np.uint32(2**32 - 1) // q
+
+
+def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m with each prime q[j] divided out of m[i[j]] as often as it divides it.
+
+    The pairs come sorted by i. The valuations are taken at the pairs only,
+    and each entry is divided by the product of its prime powers.
+    """
+    mi = m[i]
+    power = q.copy()
+    more = np.flatnonzero(mi // power % q == 0)
+    while more.size:
+        power[more] *= q[more]
+        more = more[mi[more] // power[more] % q[more] == 0]
+    rem = m.copy()
+    first = np.flatnonzero(np.diff(i, prepend=-1))
+    rem[i[first]] //= np.multiply.reduceat(power, first)
+    return rem
+
+
+def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (index, prime factor) pair of a 1-D int64 array 1 <= n < 2^32.
+
+    The power of 2 is the lowest set bit. Every odd prime q up to the
+    square root of the largest odd part m is tested against every entry at
+    once by `_exact_division`, a multiply and a compare per (entry, q)
+    cell, in blocks of at most 2^16 cells. Only at the pairs found are the
+    valuations taken, and their prime powers divided out of m with one
+    product per entry: what is left is 1 or a single prime, which makes
+    the entry's last pair. The pairs come as the 2s, then the odd primes
+    by index, then the cofactors; a caller that needs another order sorts.
+    """
+    m = n // (n & -n)
+    top = int(m.max(initial=0))
+    if top >> 32:
+        raise LimitTooLarge(f"odd part {top} not below 2^32")
+    odd = np.array(_primes_to(math.isqrt(top))[1:], dtype=np.int64)
+    inv, bound = _exact_division(odd)
+    k = max(odd.size, 1)
+    rows = (1 << 16) // k
+    blocks = (np.flatnonzero(m[s : s + rows, None].astype(np.uint32) * inv <= bound) + s * k
+              for s in range(0, n.size, rows))
+    i, q = np.divmod(np.concatenate([np.empty(0, dtype=np.int64), *blocks]), k)
+    q = odd[q]  # from column to prime
+    rem = _cofactors(m, i, q)
     big = np.flatnonzero(rem > 1)
-    return np.concatenate([*idx_parts, big]), np.concatenate([*q_parts, rem[big]])
+    evens = np.flatnonzero(n & 1 == 0)
+    twos = np.broadcast_to(2, evens.shape)
+    return np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]])
 
 
 def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:

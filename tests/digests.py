@@ -63,6 +63,8 @@ def _commands() -> list[tuple[str, list[str]]]:
     out += [
         ("fpr --range 3 1000000", [*cli, "fpr", "--range", "3", "1000000"]),
         ("fpr --range 3 1000000 --format json", [*cli, "fpr", "--range", "3", "1000000", "--format", "json"]),
+        # the top census segment below the sieve cap
+        ("fpr --range 99876866 100000000", [*cli, "fpr", "--range", "99876866", "100000000"]),
         ("fpr 2147483659", [*cli, "fpr", "2147483659"]),
         # p - 1 = s * 2^e with e = 32 and 57: the scalar square root's longest correction loops
         ("fpr 18446744069414584321", [*cli, "fpr", "18446744069414584321"]),

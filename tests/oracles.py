@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -87,6 +87,36 @@ def simple_sieve(limit: int) -> list[int]:
             for j in range(i * i, limit, i):
                 flags[j] = False
     return [i for i in range(limit) if flags[i]]
+
+
+def trial_division_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (index, prime factor) pair of a 1-D int64 array n >= 1, grouped by prime.
+
+    Batched trial division with the primes up to sqrt(max n), the loop
+    `ff._factor_pairs` ran before its divisibility broadcast. What is left
+    of an entry afterwards is 1 or a single prime, which makes its last pair.
+    """
+    rem = n.copy()
+    idx_parts, q_parts = [], []
+    live = np.arange(n.size)
+    for q in simple_sieve(isqrt(int(n.max(initial=0))) + 1):
+        # A cofactor below q^2 with no prime factor below q is 1 or prime.
+        live = live[rem[live] >= q * q]
+        if not live.size:
+            break
+        hit = live[rem[live] % q == 0]
+        if not hit.size:
+            continue
+        idx_parts.append(hit)
+        q_parts.append(np.full(hit.size, q, dtype=np.int64))
+        sub = rem[hit] // q
+        again = sub % q == 0
+        while again.any():
+            sub[again] //= q
+            again = sub % q == 0
+        rem[hit] = sub
+    big = np.flatnonzero(rem > 1)
+    return np.concatenate([*idx_parts, big]), np.concatenate([*q_parts, rem[big]])
 
 
 def artin_product(bound: int) -> Fraction:

@@ -477,6 +477,24 @@ def test_trinomial_witnesses_pinned():
         trinomial_witnesses(9, (1, 0), (2, 0))
 
 
+def test_exponent_expressions_checked_at_the_boundary():
+    # each used to fail deep inside with a TypeError or an IndexError
+    bad = ("3", 1.5, (1, 0, 0), (2.0, 0), True, (2, False), (), [2, 0])
+    calls = (
+        lambda e: trinomial_census(1000, e, 1),
+        lambda e: trinomial_census(1000, (2, 0), e),
+        lambda e: trinomial_witnesses(101, e, 1),
+        lambda e: exists_primitive_trinomial(101, (2, 0), e),
+    )
+    for e in bad:
+        for call in calls:
+            with pytest.raises(ValueError, match="exponent expression"):
+                call(e)
+    with pytest.raises(ValueError, match="exponent expression"):
+        ExpExpr(3, 1.0)
+    assert trinomial_witnesses(11, 2, (1, 1)) == trinomial_witnesses(11, (2,), ExpExpr(1, 1)) == [8]
+
+
 def test_trinomial_witnesses_bruteforce_oracle():
     for p in oracles.simple_sieve(200):
         if p < 5:

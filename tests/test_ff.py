@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import math
+import tracemalloc
 
 import pytest
 import numpy as np
@@ -94,6 +96,117 @@ def test_factorize_round_trip(n):
         prod *= p**m
     assert prod == n
     assert list(fs) == sorted(fs)
+
+
+def _check_factor_pairs(values: list[int]) -> None:
+    n = np.array(values, dtype=np.int64)
+    idx, q = ff._factor_pairs(n)
+    pairs = sorted(zip(idx.tolist(), q.tolist()))
+    ref_idx, ref_q = oracles.trial_division_pairs(n)
+    assert pairs == sorted(zip(ref_idx.tolist(), ref_q.tolist()))
+    # the primes, each divided out as often as it divides, multiply back to n
+    left = list(values)
+    for i, p in pairs:
+        assert is_prime(p) and left[i] % p == 0
+        while left[i] % p == 0:
+            left[i] //= p
+    assert left == [1] * len(values)
+
+
+def _top_prime_powers() -> list[int]:
+    """q^k for the largest prime q with q^k < 2^31, k = 2..30: 46337^2 for
+    k = 2, as 46337 < 2^15.5 < 46349 are neighbouring primes."""
+    out = []
+    for k in range(2, 31):
+        q = math.isqrt(2**31 - 1) if k == 2 else int((2**31 - 1) ** (1 / k)) + 1
+        while q**k >= 2**31 or not is_prime(q):
+            q -= 1
+        out.append(q**k)
+    return out
+
+
+_WORD_TOP = 2**31 - 1
+_FACTOR_EDGES = [
+    1,
+    *(2**k for k in range(31)),
+    *_top_prime_powers(),
+    # n = q t at both ends of t
+    *(q * t for q in (3, 46337, 46349) for t in (1, 2, 3, _WORD_TOP // q - 1, _WORD_TOP // q)),
+    *range(_WORD_TOP - 40, _WORD_TOP + 1),
+]
+
+
+@settings(max_examples=200)
+@given(st.lists(
+    st.one_of(st.integers(1, _WORD_TOP), st.integers(1, 1000), st.sampled_from(_FACTOR_EDGES)), max_size=60,
+).map(lambda v: v + v[::3]))
+def test_factor_pairs_match_trial_division(values):
+    _check_factor_pairs(values)
+
+
+def test_factor_pairs_edge_cases():
+    assert 46337**2 < 2**31 < 46349**2 and is_prime(46337) and is_prime(46349)
+    for values in ([1], [], [2**k for k in range(31)], _FACTOR_EDGES, _FACTOR_EDGES[::-1]):
+        _check_factor_pairs(values)
+    # no odd prime to test: every odd part is below 9
+    for values in ([1, 2, 3, 4, 5, 6, 7, 8], [8, 8, 3, 1], *([v] for v in range(1, 9))):
+        _check_factor_pairs(values)
+    # the odd part, not n, has to lie below 2^32
+    assert [a.tolist() for a in ff._factor_pairs(np.array([2**40, 3 << 40]))] == [[0, 1, 1], [2, 2, 3]]
+    with pytest.raises(LimitTooLarge):
+        ff._factor_pairs(np.array([5, 2**32 + 1]))
+
+
+def test_exact_division_inverts_every_odd_trial_prime():
+    q = np.array(ff._TRIAL_PRIMES[1:], dtype=np.int64)
+    inv, bound = ff._exact_division(q)
+    assert inv.dtype == bound.dtype == np.uint32
+    for p, v, b in zip(q.tolist(), inv.tolist(), bound.tolist()):
+        assert p * v % 2**32 == 1 and b == (2**32 - 1) // p, p
+
+
+def test_factor_pairs_memory_is_bounded():
+    # The top 2^17 segment below the sieve cap has 7160 primes and its odd
+    # parts 907 odd primes to test; one broadcast of them all would hold
+    # 26 MB, the 2^16-cell blocks hold 320 KB.
+    n = ff.primes_in_range(ff.SIEVE_CAP + 1 - (1 << 17), ff.SIEVE_CAP + 1) - 1
+    tracemalloc.start()
+    try:
+        ff._factor_pairs(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+_PRIMES_BELOW_270001 = oracles.simple_sieve(270_001)
+
+
+def _sieve_reference(lo: int, hi: int) -> list[int]:
+    ref = _PRIMES_BELOW_270001
+    return ref[bisect.bisect_left(ref, lo) : bisect.bisect_left(ref, max(lo, hi))]
+
+
+@settings(max_examples=500)
+@given(st.integers(-10, 2 * 10**5), st.integers(0, 70_000))
+@example(169, 1)
+@example(289, 1)
+@example(30029, 30030)
+def test_primes_in_range_matches_simple_sieve(lo, width):
+    assert ff.primes_in_range(lo, lo + width).tolist() == _sieve_reference(lo, lo + width)
+
+
+def test_primes_in_range_edges():
+    # ranges from and to the wheel primes, 17, 169 = 13^2 and 289 = 17^2, hi <= lo among them
+    edges = [-3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 17, 18, 168, 169, 170, 288, 289, 290, 30031]
+    for lo in edges:
+        for hi in edges:
+            assert ff.primes_in_range(lo, hi).tolist() == _sieve_reference(lo, hi), (lo, hi)
+    lo = ff.SIEVE_CAP - 3000
+    window = ff.primes_in_range(lo, ff.SIEVE_CAP + 1)
+    assert window.dtype == np.int64
+    assert window.tolist() == [v for v in range(lo, ff.SIEVE_CAP + 1) if is_prime(v)]
+    assert ff._TRIAL_PRIMES == oracles.simple_sieve(2**16)
 
 
 def test_prime_power():
