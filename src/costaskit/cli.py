@@ -8,22 +8,28 @@ import os
 import sys
 from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
+import numpy as np
+
 from .constructions import (
     _METHODS,
     ConditionFailed,
     ConstructionFailed,
     ConstructionSpec,
     METHODS,
-    build,
+    _codes,
     expected_size,
     find_spec,
 )
-from .costas import first_collision, is_costas
+from .costas import _checked_permutation, _first_colliding_row, first_collision
 from .density import CensusRow, census_g4, census_t4, trinomial_census
 from .ff import DegreeOutOfRange, make_field, prime_power
 from .fpr import fpr_report, fpr_reports
 
 _SWEEP_CAP = 4096
+
+# Entries of a build document's perm turned into text per write: the text of
+# the whole document is never held at once.
+_DOC_CHUNK = 1 << 12
 
 
 def worker_count(flag: Optional[int] = None) -> int:
@@ -56,18 +62,32 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _document(spec: ConstructionSpec, perm: list[int]) -> dict:
+def _document(spec: ConstructionSpec, n: int) -> dict:
+    """The build document of an array of size n, with an empty perm."""
     params = {"alpha": spec.alpha}
     if spec.beta is not None:
         params["beta"] = spec.beta
     return {
         "format": 1,
-        "n": len(perm),
-        "perm": perm,
+        "n": n,
+        "perm": [],
         "method": spec.method,
         "q": spec.field.q,
         "params": params,
     }
+
+
+def _write_document(fh: TextIO, spec: ConstructionSpec, codes: np.ndarray) -> None:
+    """Write the build document of codes and a newline to fh: the bytes of
+    json.dumps(doc, separators=(",", ":")) + "\n" with codes as its perm, a
+    chunk of _DOC_CHUNK entries at a time."""
+    # The perm's "[]" is the only empty list in the document.
+    head, tail = json.dumps(_document(spec, len(codes)), separators=(",", ":")).split("[]")
+    fh.write(head + "[")
+    for start in range(0, len(codes), _DOC_CHUNK):
+        chunk = json.dumps(codes[start : start + _DOC_CHUNK].tolist(), separators=(",", ":"))
+        fh.write(("," if start else "") + chunk[1:-1])
+    fh.write("]" + tail + "\n")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -85,17 +105,16 @@ def cmd_build(args: argparse.Namespace) -> int:
                 raise ConditionFailed(_METHODS[args.method].none_reason)
         else:
             spec = ConstructionSpec(args.method, field, args.alpha, args.beta)
-        perm = build(spec)
+        codes = _codes(spec)
     except ConditionFailed as e:
         _err(f"{args.method}: {e}")
         return 2
 
-    text = json.dumps(_document(spec, perm), separators=(",", ":"))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _write_document(fh, spec, codes)
     else:
-        print(text)
+        _write_document(sys.stdout, spec, codes)
     return 0
 
 
@@ -210,8 +229,11 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
 
     Returns per-method lists of sizes that built and verified, a list of
     failure descriptions, and the sizes skipped for exceeding the
-    extension-degree cap.
+    extension-degree cap. qmax is capped at _SWEEP_CAP, which keeps every
+    array below the Costas check's cap.
     """
+    if not 2 <= qmax <= _SWEEP_CAP:
+        raise ValueError(f"qmax must be in 2..{_SWEEP_CAP}")
     per_method: dict[str, list[int]] = {m: [] for m in METHODS}
     failures: list[str] = []
     skipped: list[int] = []
@@ -229,13 +251,14 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
             if spec is None:
                 continue
             try:
-                perm = build(spec)
+                codes = _codes(spec)
             except (ConstructionFailed, ConditionFailed) as e:
                 failures.append(f"{method} q={q}: {e}")
                 continue
-            if len(perm) != expected_size(method, q):
-                failures.append(f"{method} q={q}: size {len(perm)}")
-            elif not is_costas(perm):
+            # is_costas on the array itself, without a list.
+            if len(codes) != expected_size(method, q):
+                failures.append(f"{method} q={q}: size {len(codes)}")
+            elif _first_colliding_row(_checked_permutation(codes)):
                 failures.append(f"{method} q={q}: not costas")
             else:
                 per_method[method].append(q)
@@ -243,8 +266,6 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not 2 <= args.qmax <= _SWEEP_CAP:
-        raise ValueError(f"qmax must be in 2..{_SWEEP_CAP}")
     per_method, failures, skipped = run_sweep(args.qmax)
     if skipped:
         _err("sweep: skipped q over the degree cap: "

@@ -142,16 +142,25 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
         # g^i generates the unit group iff gcd(i, n) = 1.
         if math.gcd(int(logs[c]), n) != 1:
             raise NotPrimitive(f"{field!r}[{c}] does not generate the unit group")
-    # In place: at q near the 10^6 cap each temporary is 8 MB.
-    i = np.arange(1, n) * int(logs[a])
-    i %= n
-    out = logs[affine_map(field, exp[i], -1, 1)] * pow(int(logs[b]), -1, n)
+    # At q near the 10^6 cap each array is 8 MB. Each step works in place
+    # where it can and rebinds `out` as soon as its input is used up.
+    out = np.arange(1, n) * int(logs[a])
+    out %= n
+    out = exp[out]
+    out = affine_map(field, out, -1, 1)
+    out = logs[out]
+    out *= pow(int(logs[b]), -1, n)
     out %= n
     return out
 
 
-def _welch_powers(p: int, g: int) -> np.ndarray:
-    """g^i mod p for i = 1..p-1, read from the tables of GF(p)."""
+def _welch(method: str, p: int, g: int) -> np.ndarray:
+    """w1, g^i mod p for i = 1..p-1, or w2, g^i - 1 for i = 1..p-2, read
+    from the tables of GF(p)."""
+    least = _METHODS[method].min_q
+    if p < least:
+        name = "exponential" if method == "w1" else "shifted"
+        raise DegenerateSize(f"{name} Welch needs p >= {least}, got {p}")
     field = make_field(p)
     exp, logs = field_tables(field)
     n = p - 1
@@ -161,21 +170,65 @@ def _welch_powers(p: int, g: int) -> np.ndarray:
         raise NotPrimitive(f"{g} is not a primitive root mod {p}")
     i = np.arange(1, p) * lg
     i %= n
-    return exp[i]
+    return exp[i] if method == "w1" else exp[i[:-1]] - 1
+
+
+def _codes(spec: ConstructionSpec) -> np.ndarray:
+    """The array a ConstructionSpec describes, as int64 codes: each method's
+    rule, written once. `build` and the public builders convert it to a
+    list; the CLI writes and checks the array itself.
+    """
+    method, field, alpha, beta = spec.method, spec.field, spec.alpha, spec.beta
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if _METHODS[method].beta != (beta is not None):
+        raise ValueError(f"method {method} {'requires' if beta is None else 'takes no'} --beta")
+    if method in ("w1", "w2"):
+        if field.k != 1:
+            raise WrongCharacteristic("Welch constructions need a prime field")
+        return _welch(method, field.p, alpha)
+    if method == "l2" and field.q < 4:
+        raise DegenerateSize(f"Lempel needs q >= 4, got {field.q}")
+    if method == "g4c2":
+        if field.p != 2:
+            raise WrongCharacteristic(f"characteristic 2 required, got {field.p}")
+        if field.k < 3:
+            raise DegenerateSize(f"field order >= 8 required, got {field.q}")
+    exp, logs = field_tables(field)
+    a = _code(field, alpha)
+    b = a if beta is None else _code(field, beta)
+    if method in ("l2", "g2"):
+        return _golomb(field, exp, logs, a, b)
+    if method == "t4":
+        # alpha^2 + alpha = 1 forces exactly the (1,2) and (2,1) dots.
+        _require_sum_one(field, _power(exp, logs, a, 2), a, T4ConditionFailed, "alpha^2 + alpha")
+        return _drop_corner(_golomb(field, exp, logs, a, a), 2)
+    if method == "g4":
+        if a == 0 or b == 0:
+            raise NotPrimitive("zero does not generate the unit group")
+        _require_sum_one(field, a, b, G4ConditionFailed, "alpha + beta")
+        sq, inv = _power(exp, logs, a, 2), _power(exp, logs, b, -1)
+        _require_sum_one(field, sq, inv, G4ConditionFailed, "alpha^2 + 1/beta")
+        # Once both equations hold the result is Costas by the Golomb-Taylor
+        # theorem, so only the edge dot they force is checked, in O(1).
+        trimmed = _drop_corner(_golomb(field, exp, logs, a, b), 1)
+        if trimmed[0] != field.q - 3:
+            raise ConstructionFailed("edge dot missing from the top of column 1")
+        return trimmed[1:]
+    # g3 and g4c2: alpha + beta = 1 forces the (1,1) dot, and in
+    # characteristic 2 the (2,2) dot too.
+    _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
+    return _drop_corner(_golomb(field, exp, logs, a, b), 1 if method == "g3" else 2)
 
 
 def welch_w1(p: int, g: int) -> list[int]:
     """Exponential Welch array: f(i) = g^i mod p for i = 1..p-1."""
-    if p < 3:
-        raise DegenerateSize(f"exponential Welch needs p >= 3, got {p}")
-    return _welch_powers(p, g).tolist()
+    return _welch("w1", p, g).tolist()
 
 
 def welch_w2(p: int, g: int) -> list[int]:
     """Corner-removed Welch array: f(i) = g^i - 1 for i = 1..p-2."""
-    if p < 5:
-        raise DegenerateSize(f"shifted Welch needs p >= 5, got {p}")
-    return (_welch_powers(p, g)[:-1] - 1).tolist()
+    return _welch("w2", p, g).tolist()
 
 
 def lempel_l2(field: FieldDescriptor, alpha: int) -> list[int]:
@@ -183,35 +236,22 @@ def lempel_l2(field: FieldDescriptor, alpha: int) -> list[int]:
 
     The output is symmetric: f(i) = j implies f(j) = i.
     """
-    if field.q < 4:
-        raise DegenerateSize(f"Lempel needs q >= 4, got {field.q}")
-    return golomb_g2(field, alpha, alpha)
+    return _codes(ConstructionSpec("l2", field, alpha)).tolist()
 
 
 def golomb_g2(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Golomb array: f(i) = log_beta(1 - alpha^i) for i = 1..q-2."""
-    exp, logs = field_tables(field)
-    return _golomb(field, exp, logs, _code(field, alpha), _code(field, beta)).tolist()
+    return _codes(ConstructionSpec("g2", field, alpha, beta)).tolist()
 
 
 def golomb_g3(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Golomb array with the forced (1,1) corner dot removed, size q - 3."""
-    exp, logs = field_tables(field)
-    a, b = _code(field, alpha), _code(field, beta)
-    _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
-    return _drop_corner(_golomb(field, exp, logs, a, b), 1).tolist()
+    return _codes(ConstructionSpec("g3", field, alpha, beta)).tolist()
 
 
 def golomb_g4_char2(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     """Characteristic-2 Golomb array with the (1,1) and (2,2) dots removed."""
-    if field.p != 2:
-        raise WrongCharacteristic(f"characteristic 2 required, got {field.p}")
-    if field.k < 3:
-        raise DegenerateSize(f"field order >= 8 required, got {field.q}")
-    exp, logs = field_tables(field)
-    a, b = _code(field, alpha), _code(field, beta)
-    _require_sum_one(field, a, b, CornerConditionFailed, "alpha + beta")
-    return _drop_corner(_golomb(field, exp, logs, a, b), 2).tolist()
+    return _codes(ConstructionSpec("g4c2", field, alpha, beta)).tolist()
 
 
 def taylor_t4(field: FieldDescriptor, alpha: int) -> list[int]:
@@ -219,10 +259,7 @@ def taylor_t4(field: FieldDescriptor, alpha: int) -> list[int]:
 
     Requires alpha^2 + alpha = 1, which forces exactly those two dots.
     """
-    exp, logs = field_tables(field)
-    a = _code(field, alpha)
-    _require_sum_one(field, _power(exp, logs, a, 2), a, T4ConditionFailed, "alpha^2 + alpha")
-    return _drop_corner(_golomb(field, exp, logs, a, a), 2).tolist()
+    return _codes(ConstructionSpec("t4", field, alpha)).tolist()
 
 
 def golomb_g4(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
@@ -232,19 +269,7 @@ def golomb_g4(field: FieldDescriptor, alpha: int, beta: int) -> list[int]:
     puts a dot at (1,1); after removing it, the second pins the next dot to
     the top of the first column, so that column and row can go too.
     """
-    exp, logs = field_tables(field)
-    a, b = _code(field, alpha), _code(field, beta)
-    if a == 0 or b == 0:
-        raise NotPrimitive("zero does not generate the unit group")
-    _require_sum_one(field, a, b, G4ConditionFailed, "alpha + beta")
-    sq, inv = _power(exp, logs, a, 2), _power(exp, logs, b, -1)
-    _require_sum_one(field, sq, inv, G4ConditionFailed, "alpha^2 + 1/beta")
-    # Once both equations hold the result is Costas by the Golomb-Taylor
-    # theorem, so only the edge dot they force is checked, in O(1).
-    trimmed = _drop_corner(_golomb(field, exp, logs, a, b), 1)
-    if trimmed[0] != field.q - 3:
-        raise ConstructionFailed("edge dot missing from the top of column 1")
-    return trimmed[1:].tolist()
+    return _codes(ConstructionSpec("g4", field, alpha, beta)).tolist()
 
 
 def _primitive_codes(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
@@ -264,26 +289,7 @@ def build(spec: ConstructionSpec) -> list[int]:
     beta must be given exactly for the methods that take one; each builder
     checks that every code lies in [0, q), after the log-table cap.
     """
-    method, field, alpha, beta = spec.method, spec.field, spec.alpha, spec.beta
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if _METHODS[method].beta != (beta is not None):
-        raise ValueError(f"method {method} {'requires' if beta is None else 'takes no'} --beta")
-    if method in ("w1", "w2"):
-        if field.k != 1:
-            raise WrongCharacteristic("Welch constructions need a prime field")
-        return welch_w1(field.p, alpha) if method == "w1" else welch_w2(field.p, alpha)
-    if method == "l2":
-        return lempel_l2(field, alpha)
-    if method == "t4":
-        return taylor_t4(field, alpha)
-    if method == "g2":
-        return golomb_g2(field, alpha, beta)
-    if method == "g3":
-        return golomb_g3(field, alpha, beta)
-    if method == "g4c2":
-        return golomb_g4_char2(field, alpha, beta)
-    return golomb_g4(field, alpha, beta)
+    return _codes(spec).tolist()
 
 
 def find_spec(method: str, field: FieldDescriptor) -> Optional[ConstructionSpec]:

@@ -75,14 +75,21 @@ def _permutation(
                 raise NotAPermutation(f"non-integer entry {v!r}")
     try:
         a = np.array(seq, dtype=np.int64)
-        # n entries are a permutation of 1..n iff each of 1..n occurs.
-        seen = np.zeros(n + 2, dtype=bool)
-        seen[np.clip(a, 0, n + 1)] = True
-        if seen[1 : n + 1].all():
-            return a
-    except OverflowError:  # an entry beyond int64 is beyond n too
-        pass
-    raise NotAPermutation(f"expected a permutation of 1..{n}")
+    except OverflowError:  # an entry beyond int64 is beyond n too, as is 0
+        a = np.zeros(n, dtype=np.int64)
+    return _checked_permutation(a)
+
+
+def _checked_permutation(a: np.ndarray) -> np.ndarray:
+    """a itself if the int64 array a is a permutation of 1..n, in O(n); else
+    NotAPermutation. The one permutation test, for lists and arrays."""
+    n = len(a)
+    # n entries are a permutation of 1..n iff each of 1..n occurs.
+    seen = np.zeros(n + 2, dtype=bool)
+    seen[np.clip(a, 0, n + 1)] = True
+    if not seen[1 : n + 1].all():
+        raise NotAPermutation(f"expected a permutation of 1..{n}")
+    return a
 
 
 def _drop_corner(a: np.ndarray, t: int) -> np.ndarray:

@@ -278,29 +278,41 @@ def power_table(field: FieldDescriptor, alpha: int) -> np.ndarray:
     """Codes of alpha^0 .. alpha^(q-2) as an int64 array.
 
     Built by block doubling: once the first m powers are known, the next m
-    are those times alpha^m. In GF(p) that product is codes * c % p; in
-    GF(p^k) it is a k x k GF(p)-linear map on the base-p digits.
+    are those times c = alpha^m. In GF(p) that product is codes * c % p; in
+    GF(p^k) it is a k x k GF(p)-linear map M on the base-p digits, taken one
+    output digit at a time: digit i of x * c is sum_j d_j M[j, i] mod p, and
+    as d_j = x // p^j mod p, x // p^j may stand in for d_j. Each sum is below
+    2 q p, exact in int64.
     """
-    p, n = field.p, field.q - 1
+    p, k, n = field.p, field.k, field.q - 1
     out = np.empty(n, dtype=np.int64)
     out[0] = 1
     filled = 1
-    if field.k == 1:
+    if k == 1:
         c = alpha
         while filled < n:
             m = min(filled, n - filled)
             out[filled : filled + m] = out[:m] * c % p
             filled += m
             c = c * c % p
-    else:
-        place = p ** np.arange(field.k, dtype=np.int64)
-        mat = _mul_matrices(field, np.array([alpha]))[0]
-        while filled < n:
-            m = min(filled, n - filled)
-            digits = out[:m, None] // place % p
-            out[filled : filled + m] = digits @ mat % p @ place
-            filled += m
-            mat = mat @ mat % p
+        return out
+    place = [p**j for j in range(k)]
+    mat = _mul_matrices(field, np.array([alpha]))[0]
+    while filled < n:
+        m = min(filled, n - filled)
+        low, high = out[:m], out[filled : filled + m]
+        for i, column in enumerate(mat.T.tolist()):
+            acc = low * column[0]
+            for j in range(1, k):
+                acc += low // place[j] * column[j]
+            acc %= p
+            if i:
+                acc *= place[i]
+                high += acc
+            else:
+                high[:] = acc
+        filled += m
+        mat = mat @ mat % p
     return out
 
 
@@ -331,14 +343,16 @@ def primitive_exponents(n: int) -> np.ndarray:
 
 
 def affine_map(field: FieldDescriptor, codes: np.ndarray, s: int, c: int) -> np.ndarray:
-    """Codes of s * x + c for each code x, with integers s, c taken mod p."""
+    """Codes of s * x + c for each code x, with integers s, c taken mod p.
+
+    Digit i of the result is (s * d_i + c [i = 0]) mod p, and as d_i is
+    x // p^i mod p, x // p^i may stand in for it: one digit at a time.
+    """
     p = field.p
-    if field.k == 1:
-        return (codes * s + c) % p
-    place = p ** np.arange(field.k, dtype=np.int64)
-    digits = codes[:, None] // place % p * s
-    digits[:, 0] += c
-    return digits % p @ place
+    out = (codes * s + c) % p
+    for i in range(1, field.k):
+        out += codes // p**i * s % p * p**i
+    return out
 
 
 def sqrt_mod_p(a: int, p: int) -> Optional[tuple[int, ...]]:

@@ -10,12 +10,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from costaskit import density, ff
+from costaskit import cli, density, ff
 from costaskit.cli import main, run_sweep, worker_count
+from costaskit.constructions import ConstructionSpec
 from costaskit.costas import COSTAS_CAP
 from costaskit.fpr import fpr_report
 
@@ -630,15 +632,20 @@ def test_module_entry_point():
 
 
 def test_closed_stdout_exits_quietly():
-    # About 140 kB of rows outgrow the pipe buffer, so the command is still
-    # writing when the reader closes its end.
-    with subprocess.Popen(
-        [sys.executable, "-m", "costaskit", "fpr", "--range", "3", "50000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    ) as proc:
-        assert proc.stdout.readline() == b"# format=1\n"
-        proc.stdout.close()
-        assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+    # About 140 kB of rows, and a 6.9 MB document written a chunk at a time,
+    # outgrow the pipe buffer, so each command is still writing when the
+    # reader closes its end.
+    for argv, start in (
+        (["fpr", "--range", "3", "50000"], b"# format=1\n"),
+        (["build", "w1", "999983"], b'{"format":1,"n":999982,"perm":[5,25,125,'),
+    ):
+        with subprocess.Popen(
+            [sys.executable, "-m", "costaskit", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(len(start)) == start, argv
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b""), argv
 
 
 def test_roundtrip_sampled_methods(capsys, tmp_path):
@@ -653,3 +660,112 @@ def test_roundtrip_sampled_methods(capsys, tmp_path):
         path.write_text(out)
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and out.strip() == "costas", (method, q)
+
+
+def _doc_text(method: str, q: int, params: dict, perm: list[int]) -> str:
+    # The document as one json.dumps, the form the chunked writer must match.
+    doc = {"format": 1, "n": len(perm), "perm": perm, "method": method, "q": q, "params": params}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, cli._DOC_CHUNK - 1, cli._DOC_CHUNK, cli._DOC_CHUNK + 1,
+                               3 * cli._DOC_CHUNK + 5])
+def test_document_writer_matches_json_dumps(n):
+    perm = [int(v) for v in np.random.default_rng(n).permutation(n) + 1]
+    for spec, params in (
+        (ConstructionSpec("w1", ff.make_field(7), 3), {"alpha": 3}),
+        (ConstructionSpec("g2", ff.make_field(3, 2), 5, 7), {"alpha": 5, "beta": 7}),
+    ):
+        fh = io.StringIO()
+        cli._write_document(fh, spec, np.array(perm, dtype=np.int64))
+        assert fh.getvalue() == _doc_text(spec.method, spec.field.q, params, perm)
+
+
+@pytest.mark.parametrize("argv, params, perm", [
+    (["g4", "4"], {"alpha": 2, "beta": 3}, []),
+    (["t4", "5"], {"alpha": 2}, [1]),
+])
+def test_build_documents_at_the_smallest_sizes(capsys, argv, params, perm):
+    method, q = argv[0], int(argv[1])
+    assert run(capsys, "build", *argv) == (0, _doc_text(method, q, params, perm), "")
+
+
+@pytest.mark.parametrize("method, q", [("w1", "8191"), ("g2", "15625"), ("t4", "59"), ("g4", "4")])
+def test_build_stdout_and_out_file_agree(capsys, tmp_path, method, q):
+    code, out, err = run(capsys, "build", method, q)
+    assert code == 0 and err == ""
+    path = tmp_path / "doc.json"
+    assert run(capsys, "build", method, q, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    doc = json.loads(out)
+    assert out == _doc_text(method, int(q), doc["params"], doc["perm"])
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["t4", "29"], 2),       # no witness
+    (["l2", "1000003"], 1),  # over the log-table cap
+    (["w1", "12"], 1),       # not a prime power
+])
+def test_failed_build_writes_no_file(capsys, tmp_path, argv, want):
+    path = tmp_path / "doc.json"
+    code, out, err = run(capsys, "build", *argv, "--out", str(path))
+    assert (code, out, err.count("\n")) == (want, "", 1)
+    assert not path.exists()
+
+
+def _tampered_sweep(monkeypatch, method: str, q: int, tamper) -> None:
+    # The sweep builds through cli._codes; one (method, q) cell gets tampered.
+    real = cli._codes
+
+    def codes(spec):
+        out = real(spec)
+        return tamper(out.copy()) if (spec.method, spec.field.q) == (method, q) else out
+
+    monkeypatch.setattr(cli, "_codes", codes)
+
+
+def test_sweep_reports_a_build_that_is_not_costas(capsys, monkeypatch):
+    def swap(a):
+        a[[0, 1]] = a[[1, 0]]
+        assert not oracles.naive_is_costas(a.tolist())
+        return a
+
+    _tampered_sweep(monkeypatch, "w1", 11, swap)
+    code, out, err = run(capsys, "sweep", "16")
+    assert code == 4 and err == ""
+    assert out.splitlines()[-1] == "FAIL w1 q=11: not costas"
+    assert "w1: 3, 5, 7, 13\n" in out
+
+
+def test_sweep_refuses_a_build_that_is_not_a_permutation(capsys, monkeypatch):
+    def repeat(a):
+        a[0] = a[1]
+        return a
+
+    _tampered_sweep(monkeypatch, "l2", 9, repeat)
+    assert run(capsys, "sweep", "16") == (1, "", "sweep: expected a permutation of 1..7\n")
+
+
+def _peak_rss_mib(argv: list[str]) -> float:
+    # VmHWM of a fresh interpreter that has run one command.
+    code = (
+        "import sys; from costaskit.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+    )
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert r.stderr == ""
+    rc, kib = r.stdout.split()
+    assert rc == "0"
+    return int(kib) / 1024
+
+
+@pytest.mark.skipif(not os.access("/proc/self/status", os.R_OK), reason="needs /proc/self/status")
+@pytest.mark.parametrize("method, q, bound", [("w1", "999983", 85), ("g2", "923521", 105)])
+def test_build_memory_at_the_log_table_cap(tmp_path, method, q, bound):
+    # The document is written from the int64 codes a chunk at a time and the
+    # GF(p^k) digits are taken one at a time. Building a list and one
+    # json.dumps string, and (N, k) digit arrays, peaked at about 105 and
+    # 126 MiB on these; this way they took about 61 and 73 MiB.
+    path = tmp_path / "doc.json"
+    assert _peak_rss_mib(["build", method, q, "--out", str(path)]) < bound
+    assert path.stat().st_size > 6_000_000

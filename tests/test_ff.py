@@ -407,6 +407,26 @@ def test_primitive_elements_extension_count():
         assert elems == sorted(elems)
 
 
+@pytest.mark.parametrize("p, k", [(997, 2), (97, 3), (31, 4), (13, 5), (7, 6), (46337, 2)])
+def test_digit_columns_near_the_caps(p, k):
+    # power_table and affine_map take the GF(p^k) digits one at a time, from
+    # x // p^j; the sums they form stay below 2 q p, exact in int64 up to
+    # q < 2^31 (GF(46337^2), whose table is too large to build here).
+    f = make_field(p, k)
+    rng = np.random.default_rng(p)
+    codes = np.concatenate([[0, 1, f.q - 1], rng.integers(0, f.q, 200)])
+    for s, c in ((-1, 1), (3, -2), (p - 1, p + 5)):
+        want = [field_add(f, field_mul(f, s % p, x), c % p) for x in codes.tolist()]
+        assert affine_map(f, codes, s, c).tolist() == want
+    if f.q > 10**6:
+        return
+    a = least_primitive(f)
+    table = power_table(f, a)
+    assert (np.sort(table) == np.arange(1, f.q)).all()
+    for i in rng.integers(0, f.q - 2, 200).tolist():
+        assert int(table[i + 1]) == field_mul(f, int(table[i]), a)
+
+
 def test_lagrange_over_full_small_fields():
     # Every power table repeats with the period of its base's order, which divides q - 1.
     for p, k in [(11, 1), (101, 1), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3)]:

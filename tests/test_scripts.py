@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import runpy
 import subprocess
 import sys
@@ -10,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from costaskit.cli import write_census_csv
+from costaskit.cli import main, write_census_csv
 from costaskit.density import census_g4, census_t4, trinomial_census
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DIGESTS = Path(__file__).resolve().parent / "digests.py"
 LIMIT = 1000
 
 
@@ -83,3 +86,25 @@ def test_library_errors_refused(script, args, message, tmp_path):
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == f"{script}: {message}\n"
     assert not out_dir.exists()
+
+
+def test_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    r = subprocess.run([sys.executable, str(DIGESTS), "--bench", str(out), "--smoke"],
+                       capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    doc = json.loads(out.read_text())
+    assert doc["smoke"] is True and doc["repeat"] == 2 and doc["noise_band"] >= 0
+    assert set(doc["machine"]) == {"platform", "processor", "cpus", "python", "numpy"}
+    by_name = {c["name"]: c for c in doc["commands"]}
+    for c in doc["commands"]:
+        assert c["exit"] == 0 and c["outputs_agree"], c["name"]
+        assert len(c["wall_s"]) == len(c["peak_rss_mib"]) == 2
+        # every command imports numpy, well above the runner's own peak
+        assert min(c["wall_s"]) > 0 and min(c["peak_rss_mib"]) > 20, c["name"]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert by_name["verify w1-401.json"]["stdout_sha256"] == sha("costas\n")
+    assert main(["build", "g2", "961"]) == 0
+    document = capsys.readouterr().out
+    assert by_name["build g2 961 --out g2-961.json"]["files_sha256"] == {"g2-961.json": sha(document)}
+    assert by_name["census t4 30000"]["stdout_sha256"] == sha(_csv(census_t4(30000, workers=1)))
