@@ -156,34 +156,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3
 
 
+_BOOL = ("false", "true")
+# Each format's header and row of an FprReport; a JSON row is the bytes of
+# json.dumps(row, separators=(",", ":")).
+_FPR_FORMATS = {
+    "csv": ("# format=1\np,candidates,fprs,t4_root,t4_applicable,g4_applicable\n", lambda r: (
+        f"{r.p},{';'.join(map(str, r.candidates))},{';'.join(map(str, r.fprs))},"
+        f"{'' if r.t4_root is None else r.t4_root},{_BOOL[bool(r.fprs)]},{_BOOL[r.g4_applicable]}\n")),
+    "json": ("", lambda r: (
+        f'{{"p":{r.p},"candidates":[{",".join(map(str, r.candidates))}],"fprs":[{",".join(map(str, r.fprs))}],'
+        f'"t4_root":{"null" if r.t4_root is None else r.t4_root},"t4_applicable":{_BOOL[bool(r.fprs)]},'
+        f'"g4_applicable":{_BOOL[r.g4_applicable]}}}\n')),
+}
+
+
 def cmd_fpr(args: argparse.Namespace) -> int:
     if (args.p is None) == (args.range is None):
         raise ValueError("pass exactly one of P or --range A B")
     # One P stays on the scalar report, which also answers p >= 2^31; a
     # range is streamed, and fpr_reports checks the sieve cap before it.
     reports = [fpr_report(args.p)] if args.p is not None else fpr_reports(*args.range)
-
-    if args.format == "json":
-        for r in reports:
-            row = {
-                "p": r.p,
-                "candidates": r.candidates,
-                "fprs": r.fprs,
-                "t4_root": r.t4_root,
-                "t4_applicable": bool(r.fprs),
-                "g4_applicable": r.g4_applicable,
-            }
-            sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
-        return 0
-
-    sys.stdout.write("# format=1\np,candidates,fprs,t4_root,t4_applicable,g4_applicable\n")
-    for r in reports:
-        cand = ";".join(map(str, r.candidates))
-        fprs = ";".join(map(str, r.fprs))
-        root = "" if r.t4_root is None else str(r.t4_root)
-        t4 = "true" if r.fprs else "false"
-        g4 = "true" if r.g4_applicable else "false"
-        sys.stdout.write(f"{r.p},{cand},{fprs},{root},{t4},{g4}\n")
+    header, row = _FPR_FORMATS[args.format]
+    sys.stdout.write(header)
+    sys.stdout.writelines(map(row, reports))
     return 0
 
 
@@ -313,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpr", help="Fibonacci primitive root report")
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("--range", type=int, nargs=2, metavar=("A", "B"))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=_FPR_FORMATS, default="csv")
     p.set_defaults(func=cmd_fpr)
 
     p = sub.add_parser("census", help="count applicable primes up to a limit")

@@ -9,6 +9,7 @@ families of trinomials that provably stop having primitive solutions.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, Optional, Union
@@ -47,6 +48,8 @@ _CHUNK = 1 << 17
 _ROOT_COST = 0.7
 # x^2 - x - 1, whose primitive roots are the Fibonacci primitive roots.
 _FIB_COEFFS = ((0, -1), (1, -1), (2, 1))
+# 2y = +-1 and y = +-2, the folds whose primitive roots are +-2 or +-1/2
+_ARTIN_FOLDS = (((0, -1), (1, 2)), ((0, 1), (1, 2)), ((0, -2), (1, 1)), ((0, 2), (1, 1)))
 # Closed-form hit masks of one fold, packed by np.packbits over the odd
 # primes of one census segment [lo, hi), keyed by (coeffs, lo, hi), one per
 # lo: at most the 763 segments of a census at SIEVE_CAP.
@@ -238,31 +241,36 @@ def _normalize_checkpoints(checkpoints: Optional[Iterable[int]], limit: int) -> 
 def _run_census(predicate, limit, checkpoints, workers, predicted, cap):
     """Census rows and the skipped count from one `_fork_map` row per sieve segment.
 
-    A row is the segment's skipped count, then its hits and its primes per
-    checkpoint, a prime counting at the first checkpoint >= p.
+    A row is the segment's skipped, hit and prime totals. The segment that
+    holds a checkpoint x writes its hits and primes p <= x into x's slot of
+    one shared array, and the totals of the segments before it are added.
     """
     if limit < 2:
         raise ValueError("census limit must be at least 2")
     if limit > cap:
         raise LimitTooLarge(f"census limit {limit} above cap {cap}")
     cps = np.array(_normalize_checkpoints(checkpoints, limit), dtype=np.int64)
-    m, segments = cps.size, _segments(limit)
+    segments = _segments(limit)
+    slots = np.frombuffer(mmap.mmap(-1, 16 * cps.size), dtype=np.int64).reshape(2, cps.size)
 
-    def segment_row(i: int) -> np.ndarray:
+    def segment_row(i: int) -> tuple[int, int, int]:
         lo, hi = segments[i]
         primes = primes_in_range(lo, hi)
         hit, skip = predicate(primes, lo, hi)
-        slot = np.searchsorted(cps, primes)
-        return np.r_[skip.sum(), np.bincount(slot[hit], minlength=m), np.bincount(slot, minlength=m)]
+        at = np.flatnonzero(hit)
+        a, b = np.searchsorted(cps, (lo, hi))
+        upto = np.searchsorted(primes, cps[a:b], side="right")
+        slots[:, a:b] = np.searchsorted(at, upto), upto
+        return skip.sum(), at.size, primes.size
 
-    total = sum(_fork_map(segment_row, len(segments), 1 + 2 * m, workers))
-    hits = np.cumsum(total[1 : 1 + m]).tolist()
-    pis = np.cumsum(total[1 + m :]).tolist()
+    totals = np.array(list(_fork_map(segment_row, len(segments), 3, workers)))
+    segment = np.searchsorted([lo for lo, _ in segments], cps, side="right") - 1
+    hits, pis = ((np.cumsum(totals, axis=0) - totals)[segment, 1:].T + slots).tolist()
     rows = [
         CensusRow(x=x, count=ch, pi_x=cpi, ratio=ch / cpi if cpi else 0.0, predicted=predicted)
         for x, ch, cpi in zip(cps.tolist(), hits, pis)
     ]
-    return rows, int(total[0])
+    return rows, int(totals[:, 0].sum())
 
 
 def census_t4(limit: int, checkpoints: Optional[Iterable[int]] = None, workers: int = 1) -> list[CensusRow]:
@@ -350,7 +358,7 @@ def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
     """The g with every exponent of the fold in {0, g, 2g}, or None if there is none.
 
     Such a fold is G(x^g) for a G of degree at most 2, which
-    `_closed_form_roots` solves; a fold with no positive exponent has g = 1.
+    `_closed_forms` solves; a fold with no positive exponent has g = 1.
     The order test takes g in int64, so a larger g gets None, and the fold
     goes the way of every other.
     """
@@ -428,20 +436,14 @@ def _closed_forms(p: np.ndarray, folds: Iterable[tuple[tuple[int, int], ...]]) -
     return roots, primitive
 
 
-def _closed_form_roots(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, N) roots and verdicts of `_closed_forms` for one fold G(x^g)."""
-    roots, primitive = _closed_forms(p, (coeffs,))
-    return roots[0], primitive[0]
-
-
 def _fast_exists(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Mask of the 1-D odd primes p where a fold G(x^g) has a primitive root.
 
     A polynomial that vanishes mod p is satisfied by every primitive root;
-    otherwise one of the at most two roots y of G from `_closed_form_roots`
+    otherwise one of the at most two roots y of G from `_closed_forms`
     must be the g-th power of a primitive root.
     """
-    hit = _closed_form_roots(p, coeffs)[1].any(axis=0)
+    hit = _closed_forms(p, (coeffs,))[1].any(axis=(0, 1))
     hit |= math.gcd(*(v for _, v in coeffs)) % p == 0
     return hit
 
@@ -564,17 +566,19 @@ def _trinomial_predicate(primes: np.ndarray, lo: int, hi: int, e1: ExpExpr, e2: 
 
 
 def trinomial_predicted(e1: ExprLike, e2: ExprLike) -> float:
-    """Density heading for a trinomial census, 0.0 when none is known.
+    """Density heading for a trinomial census, read off the fold; 0.0 when none is known.
 
-    Identical exponents reduce to 2a^e = 1, the Artin situation, and the
-    family that folds to a^2 - a - 1 tracks the T4 census.
+    a^2 - a - 1 tracks the T4 census, and 2a = +-1 and a = +-2 ask for 2 or
+    -2 to be primitive, at Artin's density A (README, "Densities"). A census
+    with an exponent in range at only finitely many primes has none.
     """
     x1, x2 = _as_expr(e1), _as_expr(e2)
-    if x1 == x2:
-        return predicted_constants().artin
-    if _folded_coeffs(x1, x2) == _FIB_COEFFS:
+    if any(x._half_bounds[1] < _I64_MAX for x in (x1, x2)):
+        return 0.0
+    coeffs = _folded_coeffs(x1, x2)
+    if coeffs == _FIB_COEFFS:
         return predicted_constants().t4_density
-    return 0.0
+    return predicted_constants().artin if coeffs in _ARTIN_FOLDS else 0.0
 
 
 def trinomial_census(

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .density import _FIB_COEFFS, _closed_form_roots, _fprs_are_g4, _prime_blocks
+from .density import _FIB_COEFFS, _closed_forms, _fprs_are_g4, _prime_blocks
 from .ff import _is_primitive_root_unchecked, factorize, is_prime, prime_power, sqrt_mod_p
 
 
@@ -92,18 +92,14 @@ def fpr_report(p: int) -> FprReport:
 
 
 def _segment_reports(p: np.ndarray) -> Iterator[FprReport]:
-    """Reports for the odd primes of one sieve segment, from one table of x^2 - x - 1.
-
-    `_closed_form_roots` gives both roots at every prime and a flag per
-    root. It runs the order tests on the first root only: the roots
-    multiply to -1, so the first root's odd-prime tests and its q = 2 test
-    decide the second's flag too, exactly, at p = 3 (mod 4) as well.
-    """
-    roots, primitive = _closed_form_roots(p, _FIB_COEFFS)
+    """Reports for the odd primes of one sieve segment, from one `_closed_forms`
+    table of x^2 - x - 1 whose root pairs are put in ascending order, flags along."""
+    (roots,), (primitive,) = _closed_forms(p, (_FIB_COEFFS,))
+    swap = roots[0] > roots[1]
+    roots[:, swap], primitive[:, swap] = roots[::-1, swap], primitive[::-1, swap]
     for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):
-        flags = {r0: f0, r1: f1}
-        candidates = tuple(sorted(r for r in flags if r))
-        yield _report(q, candidates, tuple(r for r in candidates if flags[r]))
+        candidates = (r0, r1)[: (r0 > 0) + (r1 > r0)]
+        yield _report(q, candidates, candidates if f0 and f1 else (r0,) if f0 else (r1,) if f1 else ())
 
 
 def fpr_reports(lo: int, hi: int) -> Iterator[FprReport]:

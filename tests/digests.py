@@ -99,6 +99,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("fpr 2147483659", [*cli, "fpr", "2147483659"]),
         # p - 1 = s * 2^e with e = 32 and 57: the scalar square root's longest correction loops
         ("fpr 18446744069414584321", [*cli, "fpr", "18446744069414584321"]),
+        ("fpr 18446744069414584321 --format json", [*cli, "fpr", "18446744069414584321", "--format", "json"]),
         ("fpr 4179340454199820289", [*cli, "fpr", "4179340454199820289"]),
         ("sweep 1024", [*cli, "sweep", "1024"]),
         ("repr(verify_zero_density_claims(10**5, 10))", [sys.executable, "-c", VERIFIER]),
@@ -165,6 +166,7 @@ def _bench_commands(smoke: bool) -> list[tuple[str, list[str]]]:
         for e1 in ("3", "16")
     ]
     out.append((f"fpr --range 3 {fpr}", [*cli, "fpr", "--range", "3", fpr]))
+    out.append((f"fpr --range 3 {fpr} --format json", [*cli, "fpr", "--range", "3", fpr, "--format", "json"]))
     out += [(f"sweep {q}", [*cli, "sweep", q]) for q in sweeps]
     out += [(f"build {m} {q} --out {m}-{q}.json", [*cli, "build", m, q, "--out", f"{m}-{q}.json"])
             for m, q in builds]
@@ -230,6 +232,12 @@ def _git_commit(tree: Path) -> str | None:
     return r.stdout.strip() if r.returncode == 0 else None
 
 
+def _source_lines(tree: Path) -> int:
+    """Non-blank lines of the package and the scripts, the size the project counts."""
+    files = [*(tree / "src" / "costaskit").glob("*.py"), *(tree / "scripts").glob("*.py")]
+    return sum(1 for f in files for line in f.read_text().splitlines() if line.strip())
+
+
 def bench(path: str, smoke: bool) -> int:
     env = _env(COSTAS_THREADS="1")
     todo = _bench_commands(smoke)
@@ -258,6 +266,7 @@ def bench(path: str, smoke: bool) -> int:
         "smoke": smoke,
         "repeat": REPEAT,
         "git_commit": _git_commit(_src().parent),
+        "source_lines": _source_lines(_src().parent),
         "machine": {
             "platform": platform.platform(),
             "processor": platform.processor() or platform.machine(),

@@ -282,17 +282,26 @@ def test_fpr_range_matches_fpr_report(capsys, monkeypatch):
     ]
     code, out, err = run(capsys, "fpr", "--range", "1", str(2 * 10**4), "--format", "json")
     assert (code, err) == (0, "")
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert rows == [
-        {"p": r.p, "candidates": list(r.candidates), "fprs": list(r.fprs), "t4_root": r.t4_root,
-         "t4_applicable": bool(r.fprs), "g4_applicable": r.g4_applicable}
-        for r in reports
-    ]
+    rows = [_fpr_json_row(r) for r in reports]
+    assert out.splitlines() == [json.dumps(row, separators=(",", ":")) for row in rows]
     # no root mod 3; mod 5 the discriminant vanishes and 3 is a double root
     assert rows[0] == {"p": 3, "candidates": [], "fprs": [], "t4_root": None,
                        "t4_applicable": False, "g4_applicable": False}
     assert rows[1] == {"p": 5, "candidates": [3], "fprs": [3], "t4_root": 2,
                        "t4_applicable": True, "g4_applicable": True}
+
+
+def _fpr_json_row(r):
+    return {"p": r.p, "candidates": list(r.candidates), "fprs": list(r.fprs), "t4_root": r.t4_root,
+            "t4_applicable": bool(r.fprs), "g4_applicable": r.g4_applicable}
+
+
+@pytest.mark.parametrize("p", ["11", "2147483659", "18446744069414584321"])
+def test_fpr_json_row_matches_json_dumps(capsys, p):
+    # the scalar path, past int32 and past int64
+    code, out, err = run(capsys, "fpr", p, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_fpr_json_row(fpr_report(int(p))), separators=(",", ":")) + "\n"
 
 
 def test_census_t4_csv(capsys):

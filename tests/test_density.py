@@ -163,6 +163,24 @@ def test_census_checkpoint_validation():
     assert [r.x for r in rows] == [50, 100]
 
 
+@pytest.mark.skipif(not os.access("/proc/self/status", os.R_OK), reason="needs /proc/self/status")
+def test_census_memory_with_many_checkpoints():
+    # A segment writes its counts only into the slots of the checkpoints it
+    # holds. With 1 + 2m int64 entries in each of the 77 segment rows for m
+    # checkpoints, this census peaked at about 155 MiB; this way, about 62.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(costaskit.__file__)))
+    code = (
+        "from costaskit.density import census_t4; rows = census_t4(10**7, range(2, 100002)); "
+        "print(len(rows), next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert r.stderr == ""
+    rows, kib = r.stdout.split()
+    assert rows == "100001"
+    assert int(kib) / 1024 < 80
+
+
 def test_census_caps():
     with pytest.raises(LimitTooLarge):
         census_t4(10**8 + 1)
@@ -201,13 +219,13 @@ def test_fib_censuses_share_segment_masks(monkeypatch):
     # kernel, the warm memo and the shared counter.
     monkeypatch.setattr(density, "_CHUNK", 1 << 14)
     calls = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    kernel = density._closed_form_roots
+    kernel = density._closed_forms
 
-    def counted(p, coeffs):
+    def counted(p, folds):
         calls[0] += 1
-        return kernel(p, coeffs)
+        return kernel(p, folds)
 
-    monkeypatch.setattr(density, "_closed_form_roots", counted)
+    monkeypatch.setattr(density, "_closed_forms", counted)
     cold = _fib_censuses(10**5, 1)
     assert calls[0] == len(density._segments(10**5))
     calls[0] = 0
@@ -236,8 +254,8 @@ def test_verifier_leaves_kept_segment_masks_alone(monkeypatch):
     verify_zero_density_claims(2000, 3)
     assert {key: bits.tobytes() for key, bits in density._SEGMENT_MASKS.items()} == kept
     calls = []
-    kernel = density._closed_form_roots
-    monkeypatch.setattr(density, "_closed_form_roots", lambda p, coeffs: calls.append(coeffs) or kernel(p, coeffs))
+    kernel = density._closed_forms
+    monkeypatch.setattr(density, "_closed_forms", lambda p, folds: calls.append(folds) or kernel(p, folds))
     census_g4(2000)
     assert calls == []
 
@@ -285,7 +303,8 @@ def _trinomial_scalar(e1, e2):
 
 
 _CENSUS_LIMIT = 2 * 10**4
-_CENSUS_CPS = [2, 3, 5, 7, 10, 11, 100, 1000, 4999, 12345, _CENSUS_LIMIT]
+# 998 and 999 end and start a segment in the 997-wide segments below
+_CENSUS_CPS = [2, 3, 5, 7, 10, 11, 100, 998, 999, 1000, 4999, 12345, _CENSUS_LIMIT]
 _SCALAR_PREDICATES = {
     "t4": lambda p: p % 10 in (1, 9) and bool(fpr_set(p)),
     "g4": lambda p: p % 20 in (1, 9) and g4_applicable(p),
@@ -711,7 +730,7 @@ _EXP_EXPRS = st.builds(ExpExpr, st.integers(-10**3, 10**3), st.integers(0, 3))
 @settings(max_examples=300)
 @given(_EXP_EXPRS, _EXP_EXPRS)
 def test_fold_coefficients_and_denominators_are_small(e1, e2):
-    # `_closed_form_roots` relies on both: c2 vanishes mod an odd p only
+    # `_closed_forms` relies on both: c2 vanishes mod an odd p only
     # where c2 = 0, and the denominator 2 c2 or c1 is inverted by halving
     coeffs = _folded_coeffs(e1, e2)
     if all(k == 0 for k, _ in coeffs):
@@ -766,7 +785,7 @@ def test_stride_closed_form_matches_bruteforce(case):
     assert _fast_exists(primes, coeffs).tolist() == [bool(witnesses)], case
     if math.gcd(*(v for _, v in coeffs)) % p:
         # the roots of G that pass are the g-th powers of the witnesses
-        roots, ok = density._closed_form_roots(primes, coeffs)
+        (roots,), (ok,) = density._closed_forms(primes, (coeffs,))
         stride = density._fold_stride(coeffs)
         assert set(roots[ok].tolist()) == {pow(a, stride, p) for a in witnesses}, case
 
@@ -789,7 +808,7 @@ def _unit_product_fold_and_prime(draw):
 
 
 def _assert_root_rows_match_oracle(g, coeffs, p):
-    roots, ok = density._closed_form_roots(np.array([p], dtype=np.int64), coeffs)
+    (roots,), (ok,) = density._closed_forms(np.array([p], dtype=np.int64), (coeffs,))
     want = oracles.brute_stride_roots(p, g, coeffs)
     assert {r for r in roots[:, 0].tolist() if r} == set(want), (g, coeffs, p)
     # position by position: each row's flag belongs to that row's root
@@ -811,7 +830,7 @@ def test_unit_product_root_flags_match_oracle(case):
 
 
 def test_unit_product_root_flags_pinned():
-    roots, ok = density._closed_form_roots(np.array([5, 11, 29], dtype=np.int64), density._FIB_COEFFS)
+    (roots,), (ok,) = density._closed_forms(np.array([5, 11, 29], dtype=np.int64), (density._FIB_COEFFS,))
     assert roots.T.tolist() == [[3, 3], [8, 4], [6, 24]]
     assert ok.T.tolist() == [[True, True], [True, False], [False, False]]
     for g in range(1, 11):
@@ -833,7 +852,7 @@ def test_closed_form_tests_each_distinct_root_once(monkeypatch):
     monkeypatch.setattr(density, "_order_tests", recorded)
     p = np.array(oracles.simple_sieve(200)[1:], dtype=np.int64)
     for coeffs in (((0, -1), (1, 2)), density._FIB_COEFFS, ((0, -1), (1, 1), (2, 2))):
-        density._closed_form_roots(p, coeffs)
+        density._closed_forms(p, (coeffs,))
     assert rows == [1, 1, 2]
 
 
@@ -887,7 +906,7 @@ def test_batched_closed_form_matches_one_fold_calls_and_oracles(case):
     roots, primitive = density._closed_forms(p, folds)
     assert roots.shape == primitive.shape == (len(folds), 2, p.size)
     for f, coeffs in enumerate(folds):
-        one_roots, one_primitive = density._closed_form_roots(p, coeffs)
+        (one_roots,), (one_primitive,) = density._closed_forms(p, (coeffs,))
         assert roots[f].tolist() == one_roots.tolist(), (coeffs, primes)
         assert primitive[f].tolist() == one_primitive.tolist(), (coeffs, primes)
         for j, q in enumerate(primes):
@@ -969,6 +988,15 @@ def test_trinomial_predicted():
     assert trinomial_predicted((1, 1), (2, 0)) == c.t4_density
     assert trinomial_predicted((-2, 2), (-1, 2)) == c.t4_density
     assert trinomial_predicted((1, 0), (-1, 2)) == 0.0
+    # the heading is read off the fold: 2a^2 = 1 and -2 = 1 are not Artin's
+    # situation, a = 2 and a = -1/2 are, and a fold whose exponent is in
+    # range at finitely many primes (here none) has no density
+    assert trinomial_predicted((2, 0), (2, 0)) == 0.0
+    assert trinomial_predicted((0, 1), (0, 1)) == 0.0
+    assert trinomial_predicted((-1, 2), (-1, 2)) == c.artin
+    assert trinomial_predicted((1, 1), (1, 1)) == c.artin
+    assert trinomial_predicted((2, 2), (1, 1)) == 0.0
+    assert trinomial_predicted((1, 0), (1, 2)) == 0.0
 
 
 def test_zero_density_small_run():

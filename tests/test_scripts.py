@@ -108,3 +108,7 @@ def test_bench_smoke(tmp_path, capsys):
     document = capsys.readouterr().out
     assert by_name["build g2 961 --out g2-961.json"]["files_sha256"] == {"g2-961.json": sha(document)}
     assert by_name["census t4 30000"]["stdout_sha256"] == sha(_csv(census_t4(30000, workers=1)))
+    assert main(["fpr", "--range", "3", "30000", "--format", "json"]) == 0
+    assert by_name["fpr --range 3 30000 --format json"]["stdout_sha256"] == sha(capsys.readouterr().out)
+    sources = [*SCRIPTS.parent.glob("src/costaskit/*.py"), *SCRIPTS.glob("*.py")]
+    assert doc["source_lines"] == sum(line.strip() != "" for f in sources for line in f.read_text().splitlines())
