@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Iterable, NoReturn, Optional, Sequence, TextIO
 
 import numpy as np
@@ -285,6 +286,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="costaskit",

@@ -26,6 +26,7 @@ from .ff import (
     _least_root,
     _monic,
     _order_tests,
+    _orders,
     _poly_gcd,
     _poly_mulmod,
     _poly_powmod,
@@ -391,15 +392,15 @@ def _closed_forms(p: np.ndarray, folds: Iterable[tuple[tuple[int, int], ...]]) -
     agree, except that at p = 3 (mod 4) with product -1 the odd-prime
     tests pass for both roots or neither, and of a passing pair only the
     non-residue is primitive (proof in README, "Design notes"). Every
-    other fold tests both roots. The roots tested, of every fold, go
-    through one `_order_tests` call, each row with its fold's g.
+    other fold tests both roots: in one `_order_tests` call where the batch
+    has one stride (every census), else by each distinct root's `_orders`.
     """
     folds = list(folds)
     roots = np.zeros((len(folds), 2, p.size), dtype=np.int64)
     # solver: the fold that solved each G; tested: the (fold, root) rows of
-    # the order test, with the fold's g; shared: (fold, its row, whether
-    # product -1) where the first root decides both
-    sqrts, solver, tested, strides, shared = {}, {}, [], [], []
+    # the order test, with the fold's g and the row 2 solver + k of `roots`
+    # they hold; shared: (fold, its row, whether product -1) where the first root decides both
+    sqrts, solver, tested, strides, held, shared = {}, {}, [], [], [], []
     for f, coeffs in enumerate(folds):
         g = _fold_stride(coeffs)
         c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
@@ -424,15 +425,24 @@ def _closed_forms(p: np.ndarray, folds: Iterable[tuple[tuple[int, int], ...]]) -
         else:
             tested += [(f, 0), (f, 1)]
         strides += [g] * (len(tested) - len(strides))
+        held += [2 * solver[c0, c1, c2] + k for k in range(len(tested) - len(held))]
     # the order tests run where some root is nonzero: 0 has no order
     cols = np.flatnonzero(roots.any(axis=(0, 1)))
     f, k = np.array(tested).T[:, :, None]  # (rows, 1) columns, to index (rows, cols)
-    passes, half = _order_tests(roots[f, k, cols], p[cols], strides)
+    if len(set(strides)) == 1:
+        passes, half = _order_tests(roots[f, k, cols], p[cols], strides[0])
+        hit, half_hit = passes & ~half, passes & half
+    else:  # row t hits where its root's order is n
+        rows = list(dict.fromkeys(held))
+        order = _orders(roots.reshape(-1, p.size)[rows][:, cols], p[cols])[[rows.index(h) for h in held]]
+        n = {g: (p[cols] - 1) // np.gcd(g, p[cols] - 1) for g in strides}
+        n = np.stack([n[g] for g in strides])
+        hit, half_hit = order == n, 2 * order == n
     primitive = np.zeros(roots.shape, dtype=bool)
-    primitive[f, k, cols] = passes & ~half
+    primitive[f, k, cols] = hit
     for f, t, minus in shared:
         first = primitive[f, 0, cols]
-        primitive[f, 1, cols] = np.where(p[cols] % 4 == 3, passes[t] & half[t], first) if minus else first
+        primitive[f, 1, cols] = np.where(p[cols] % 4 == 3, half_hit[t], first) if minus else first
     return roots, primitive
 
 
@@ -568,15 +578,16 @@ def _trinomial_predicate(primes: np.ndarray, lo: int, hi: int, e1: ExpExpr, e2: 
 def trinomial_predicted(e1: ExprLike, e2: ExprLike) -> float:
     """Density heading for a trinomial census, read off the fold; 0.0 when none is known.
 
-    a^2 - a - 1 tracks the T4 census, and 2a = +-1 and a = +-2 ask for 2 or
-    -2 to be primitive, at Artin's density A (README, "Densities"). A census
-    with an exponent in range at only finitely many primes has none.
+    a^2 - a - 1 and a^2 + a - 1, with the inverse roots, track the T4 census;
+    2a = +-1 and a = +-2 ask for 2 or -2 to be primitive, at Artin's density
+    A (README, "Densities"). A census with an exponent in range at only
+    finitely many primes has none.
     """
     x1, x2 = _as_expr(e1), _as_expr(e2)
     if any(x._half_bounds[1] < _I64_MAX for x in (x1, x2)):
         return 0.0
     coeffs = _folded_coeffs(x1, x2)
-    if coeffs == _FIB_COEFFS:
+    if coeffs in (_FIB_COEFFS, ((0, -1), (1, 1), (2, 1))):
         return predicted_constants().t4_density
     return predicted_constants().artin if coeffs in _ARTIN_FOLDS else 0.0
 
@@ -626,8 +637,9 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     exceptions; any beyond it would be a violation of the claim. Per sieve
     segment, one `_closed_forms` call decides every fold at every odd
     prime: one square root of their common discriminant -3, one
-    factorisation of p - 1 and one `_order_tests` call, a batched power
-    per fold, for all 2 i_max folds (b and c share theirs). Each (i, family) pair takes its fold's
+    factorisation of p - 1 and one `_orders` call, the orders of the two
+    roots that all 2 i_max folds test (b and c share a fold), computed
+    rather than assumed to be 3 and 6. Each (i, family) pair takes its fold's
     hits at the primes where both exponents lie in [1, p - 2] and counts
     the others as skipped; p = 2 is never a hit. Only the hit primes are
     scanned exhaustively, by `_witness_rows`, for the least witness an

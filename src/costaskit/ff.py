@@ -527,8 +527,8 @@ def _exact_division(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, np.uint32(2**32 - 1) // q
 
 
-def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """m with each prime q[j] divided out of m[i[j]] as often as it divides it.
+def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m with each prime q[j] divided out of m[i[j]] as often as it divides it, and those powers.
 
     The pairs come sorted by i. The valuations are taken at the pairs only,
     and each entry is divided by the product of its prime powers.
@@ -542,11 +542,11 @@ def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> np.ndarray:
     rem = m.copy()
     first = np.flatnonzero(np.diff(i, prepend=-1))
     rem[i[first]] //= np.multiply.reduceat(power, first)
-    return rem
+    return rem, power
 
 
-def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (index, prime factor) pair of a 1-D int64 array 1 <= n < 2^32.
+def _factor_pairs(n: np.ndarray, powers: bool = False) -> tuple[np.ndarray, ...]:
+    """Every (index, prime factor q) pair of a 1-D int64 array 1 <= n < 2^32, and with `powers` the q^e || n.
 
     The power of 2 is the lowest set bit. Every odd prime q up to the
     square root of the largest odd part m is tested against every entry at
@@ -569,15 +569,17 @@ def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
               for s in range(0, n.size, rows))
     i, q = np.divmod(np.concatenate([np.empty(0, dtype=np.int64), *blocks]), k)
     q = odd[q]  # from column to prime
-    rem = _cofactors(m, i, q)
+    rem, power = _cofactors(m, i, q)
     big = np.flatnonzero(rem > 1)
     evens = np.flatnonzero(n & 1 == 0)
     twos = np.broadcast_to(2, evens.shape)
-    return np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]])
+    # made before the pairs, so that powers not asked for are dropped first
+    power = [np.concatenate([(n & -n)[evens], power, rem[big]])] if powers else []
+    return (np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]]), *power)
 
 
 def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
-    """Order tests of a[..., i] mod the 1-D primes p[i], with the test at q = 2 kept apart.
+    """Order tests of a[..., i] mod the 1-D primes p[i] at one stride g, with the test at q = 2 kept apart.
 
     The units mod p are cyclic, so the g-th powers of the primitive roots
     are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
@@ -586,13 +588,12 @@ def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
     prime q dividing N, and a^N = 1. Returns two masks shaped like a:
     whether a != 0 mod p and a passes every test but a^(N/2) != 1, and
     whether a^(N/2) = 1 (False where N is odd); a has order N exactly where
-    `passes & ~half`. g is one stride for all of a, or an int sequence of
-    a's leading shape, one per row of a 2-D a. One `_factor_pairs(p - 1)`
-    serves every row: a prime divides N only if it divides p - 1, so each
-    distinct g keeps the pairs whose q divides its N. One batched power
-    per row tests a^(N/q) != 1 for those pairs, and a^N = 1 where Fermat
-    does not give it. (One power over all rows is slower once the rows
-    outgrow the cache, and holds every row's tests at once.)
+    `passes & ~half`. One `_factor_pairs(p - 1)` serves every row of a:
+    a prime divides N only if it divides p - 1, so where N < p - 1 only
+    the pairs whose q divides N are kept, with a q = 1 test of a^N = 1,
+    which Fermat gives elsewhere. One batched power per row runs the
+    tests. (One power over all rows is slower once the rows outgrow the
+    cache, and holds every row's tests at once.)
     """
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
@@ -600,27 +601,43 @@ def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
     half = np.zeros(a.shape, dtype=bool)
     if not p.size:
         return passes, half
-    idx, q = _factor_pairs(p - 1)
-    strides = np.broadcast_to(g, a.shape[:-1]).reshape(-1).tolist()
-    # per distinct g, each test's index, q, exponent and modulus: the pairs
-    # with q | N (all of them where N = p - 1 at every p), then q = 1
-    tests = {}
-    for g_r in dict.fromkeys(strides):
-        n = (p - 1) // np.gcd(g_r, p - 1)
-        short = np.flatnonzero(n < p - 1)
-        at, q_r = idx, q
-        if short.size:
-            keep = np.flatnonzero(n[idx] % q == 0)
-            at, q_r = np.r_[idx[keep], short], np.r_[q[keep], np.ones(short.size, dtype=np.int64)]
-        tests[g_r] = at, q_r, n[at] // q_r, p[at]
-    rows = zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size), strides)
-    for row_a, row_passes, row_half, g_r in rows:
-        at, q, exps, mods = tests[g_r]
+    at, q = _factor_pairs(p - 1)
+    n = (p - 1) // np.gcd(g, p - 1)
+    short = np.flatnonzero(n < p - 1)
+    if short.size:
+        keep = np.flatnonzero(n[at] % q == 0)
+        at, q = np.r_[at[keep], short], np.r_[q[keep], np.ones(short.size, dtype=np.int64)]
+    exps, mods = n[at] // q, p[at]
+    for row_a, row_passes, row_half in zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size)):
         one = pow_mod_array(row_a[at], exps, mods) == 1
         # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
         row_passes[at[(one == (q > 1)) & (q != 2)]] = False
         row_half[at[one & (q == 2)]] = True
     return passes, half
+
+
+def _orders(a, p) -> np.ndarray:
+    """Multiplicative orders of a[..., i] mod the 1-D primes p[i], and 0 where a = 0 mod p.
+
+    For each q^e || p - 1 the q-part of the order is the least q^f with
+    b^(q^f) = 1, b = a^((p-1)/q^e): b is raised to the q-th power until it
+    is 1 or f = e, where Fermat gives 1. The order is their product.
+    """
+    p = _modulus_array(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    idx, q, power = _factor_pairs(p - 1, True)
+    b = pow_mod_array(a[..., idx], (p[idx] - 1) // power, p[idx]).reshape(-1)
+    part = np.ones_like(b)
+    live = np.flatnonzero(b > 1)
+    while live.size:
+        part[live] *= q[live % idx.size]
+        live = live[part[live] < power[live % idx.size]]
+        j = live % idx.size
+        b[live] = pow_mod_array(b[live], q[j], p[idx[j]])
+        live = live[b[live] != 1]
+    order = (a != 0).astype(np.int64)
+    np.multiply.at(order, (..., idx), part.reshape(*a.shape[:-1], -1))
+    return order
 
 
 # Batched polynomial arithmetic mod p: row i of each (N, w) array holds the

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 
 CENSUS_PAIRS = (
-    ("2", "1,1"), ("1", "1"), ("2", "2"), ("4,1", "2"), ("4", "2,1"), ("3", "1"), ("5", "1"), ("16", "1"),
+    ("2", "1,1"), ("1", "1"), ("2", "2"), ("4,1", "2"), ("4", "2,1"), ("3", "1"), ("5", "1"), ("16", "1"), ("2", "1"),
 )
 # g4 after t4 in one interpreter reads the segment masks t4 kept
 WARM_G4 = (
@@ -149,12 +149,14 @@ def _bench_commands(smoke: bool) -> list[tuple[str, list[str]]]:
         sweeps = ("64", "128")
         builds = (("w1", "1009"), ("l2", "1009"), ("g4", "61"), ("g2", "961"))
         verify_q = "401"
+        verifier = "repr(verify_zero_density_claims(10**4, 5))", VERIFIER_SCAN
     else:
         census, top, trinomial, fpr = "10000000", "100000000", "1000000", "10000000"
         sweeps = ("1024", "4096")
         # at the log-table cap
         builds = (("w1", "999983"), ("l2", "999983"), ("g4", "999961"), ("g2", "923521"))
         verify_q = "16001"  # n = 16 000
+        verifier = "repr(verify_zero_density_claims(10**5, 10))", VERIFIER
     out = [
         (f"census {kind} {census}", [*cli, "census", kind, census, "--workers", "1"])
         for kind in ("t4", "g4")
@@ -167,6 +169,7 @@ def _bench_commands(smoke: bool) -> list[tuple[str, list[str]]]:
     ]
     out.append((f"fpr --range 3 {fpr}", [*cli, "fpr", "--range", "3", fpr]))
     out.append((f"fpr --range 3 {fpr} --format json", [*cli, "fpr", "--range", "3", fpr, "--format", "json"]))
+    out.append((verifier[0], [sys.executable, "-c", verifier[1]]))
     out += [(f"sweep {q}", [*cli, "sweep", q]) for q in sweeps]
     out += [(f"build {m} {q} --out {m}-{q}.json", [*cli, "build", m, q, "--out", f"{m}-{q}.json"])
             for m, q in builds]

@@ -355,6 +355,17 @@ def test_census_usage(capsys):
     assert run(capsys, "census", "t4", "100", "--e2", "1,1")[0] == 1
 
 
+def test_main_calls_in_one_process_parse_independently(capsys):
+    # every main call of a process parses with the one cached parser: no
+    # flag or error of a call reaches the next, and t4 would refuse an --e1
+    t4 = run(capsys, "census", "t4", "100", "--workers", "1")
+    assert run(capsys, "census", "trinomial", "100", "--e1", "2", "--e2", "1", "--workers", "1")[0] == 0
+    code, out, err = run(capsys, "census", "t4", "100", "--e1", "2", "--workers")
+    assert (code, out) == (1, "") and _one_line(err)
+    assert run(capsys, "census", "t4", "100", "--workers", "1") == t4
+    assert t4[0] == 0 and t4[2] == "" and cli._build_parser.cache_info().currsize == 1
+
+
 def _one_line(err: str) -> bool:
     return err.endswith("\n") and len(err.splitlines()) == 1
 

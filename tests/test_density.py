@@ -987,6 +987,8 @@ def test_trinomial_predicted():
     assert trinomial_predicted((2, 0), (1, 1)) == c.t4_density
     assert trinomial_predicted((1, 1), (2, 0)) == c.t4_density
     assert trinomial_predicted((-2, 2), (-1, 2)) == c.t4_density
+    # a^2 + a - 1: its primitive roots are the inverses of the Fibonacci primitive roots
+    assert trinomial_predicted((2, 0), (1, 0)) == c.t4_density
     assert trinomial_predicted((1, 0), (-1, 2)) == 0.0
     # the heading is read off the fold: 2a^2 = 1 and -2 = 1 are not Artin's
     # situation, a = 2 and a = -1/2 are, and a fold whose exponent is in

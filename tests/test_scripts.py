@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from costaskit.cli import main, write_census_csv
-from costaskit.density import census_g4, census_t4, trinomial_census
+from costaskit.density import census_g4, census_t4, trinomial_census, verify_zero_density_claims
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DIGESTS = Path(__file__).resolve().parent / "digests.py"
@@ -110,5 +110,7 @@ def test_bench_smoke(tmp_path, capsys):
     assert by_name["census t4 30000"]["stdout_sha256"] == sha(_csv(census_t4(30000, workers=1)))
     assert main(["fpr", "--range", "3", "30000", "--format", "json"]) == 0
     assert by_name["fpr --range 3 30000 --format json"]["stdout_sha256"] == sha(capsys.readouterr().out)
+    verifier = by_name["repr(verify_zero_density_claims(10**4, 5))"]["stdout_sha256"]
+    assert verifier == sha(repr(verify_zero_density_claims(10**4, 5)) + "\n")
     sources = [*SCRIPTS.parent.glob("src/costaskit/*.py"), *SCRIPTS.glob("*.py")]
     assert doc["source_lines"] == sum(line.strip() != "" for f in sources for line in f.read_text().splitlines())
