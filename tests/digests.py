@@ -18,8 +18,10 @@ With --bench OUT.json it runs the benchmark commands instead, each
 REPEAT times with COSTAS_THREADS=1, and writes OUT.json: per
 command its wall seconds and peak RSS per run, its exit code and the sha256
 of its stdout, stderr and files, and whether every run agreed on them.
---smoke runs the same commands on small inputs. The full run takes about
-2 minutes on two CPUs:
+--smoke runs the same commands on small inputs. Its `layers` section
+times the census kernels in-process, in a child interpreter (--layers
+prints that section alone). The full run takes about 2 minutes on two
+CPUs:
 
     PYTHONPATH=src python3 tests/digests.py --bench BENCH.json
 
@@ -77,6 +79,8 @@ SMALL_BUILDS = (
 DOCUMENT_QS = ("14641", "15625", "16807", "30539", "923521", "999983")
 # runs of each benchmark command, so the file states its own noise band
 REPEAT = 2
+# in-process calls of each layer, so its first quartile is steady
+LAYER_CALLS = 25
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -241,6 +245,56 @@ def _source_lines(tree: Path) -> int:
     return sum(1 for f in files for line in f.read_text().splitlines() if line.strip())
 
 
+def _layers(smoke: bool) -> dict:
+    """Seconds per call of the census kernels on the top segments, the fold-root
+    kernel and the Costas check: the first quartile of LAYER_CALLS in-process
+    calls (3 with --smoke), in rounds that call each layer once. Also the
+    tracemalloc peak of one `pow_mod_array` call on each order-test batch."""
+    import tracemalloc
+    from functools import partial
+
+    import numpy as np
+    from costaskit import constructions, costas, density, ff
+
+    calls = 3 if smoke else LAYER_CALLS
+    timed, batches = {}, {}
+    for x in (300_000,) if smoke else (300_000, 10**7, 10**8):
+        # the top census segment of 2^17 numbers up to x, and its order
+        # tests: one root of x^2 - x - 1 at each prime where 5 is a square
+        lo, hi = x + 1 - density._CHUNK, x + 1
+        odd = ff.primes_in_range(lo, hi)
+        square, root = ff.sqrt_small(5, odd)
+        p = odd[square]
+        a = (1 + root[square]) * ((p + 1) // 2) % p
+        at, q = ff._factor_pairs(p - 1)
+        batches[x] = a[at], (p[at] - 1) // q, p[at]
+        timed[f"primes_in_range below {x}"] = partial(ff.primes_in_range, lo, hi)
+        timed[f"sqrt_small(5) below {x}"] = partial(ff.sqrt_small, 5, odd)
+        timed[f"_factor_pairs below {x}"] = partial(ff._factor_pairs, p - 1)
+        timed[f"_order_tests below {x}"] = partial(ff._order_tests, a, p, 1)
+        timed[f"pow_mod_array below {x}"] = partial(ff.pow_mod_array, *batches[x])
+    coeffs = density._folded_coeffs(density.ExpExpr(16), density.ExpExpr(1))
+    primes = ff.primes_in_range(10**6 + 1 - density._CHUNK, 10**6 + 1)
+    timed["_fold_roots_exist d=16 below 1000000"] = partial(
+        density._fold_roots_exist, primes[density._root_route(primes, coeffs)], coeffs)
+    welch = constructions.welch_w1(4099, ff._least_root(4099, ff.factorize(4098)))
+    timed["is_costas w1 n=4098"] = partial(costas.is_costas, welch)
+    runs = {name: [] for name in timed}
+    for _ in range(calls):
+        for name, call in timed.items():
+            start = time.perf_counter()
+            call()
+            runs[name].append(time.perf_counter() - start)
+    peaks = {}
+    for x, batch in batches.items():
+        tracemalloc.start()
+        ff.pow_mod_array(*batch)
+        peaks[f"pow_mod_array below {x}"] = {"elements": batch[0].size, "peak_bytes": tracemalloc.get_traced_memory()[1]}
+        tracemalloc.stop()
+    return {"calls": calls, "q1_s": {name: float(np.percentile(t, 25)) for name, t in runs.items()},
+            "tracemalloc": peaks}
+
+
 def bench(path: str, smoke: bool) -> int:
     env = _env(COSTAS_THREADS="1")
     todo = _bench_commands(smoke)
@@ -252,6 +306,9 @@ def bench(path: str, smoke: bool) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             for name, argv in todo:
                 runs[name].append(_run(argv, tmp, env))
+    # in a child of its own, which imports numpy and the package, not in this runner
+    layers = subprocess.run([sys.executable, __file__, "--layers", *["--smoke"] * smoke],
+                            env=env, capture_output=True, text=True, check=True)
     commands = []
     for name, argv in todo:
         outputs, walls, peaks = zip(*runs[name])
@@ -282,6 +339,7 @@ def bench(path: str, smoke: bool) -> int:
         "noise_band": max(c["wall_spread"] for c in commands),
         "total_s": time.perf_counter() - started,
         "commands": commands,
+        "layers": json.loads(layers.stdout),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(c["outputs_agree"] for c in commands) else 1
@@ -291,7 +349,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", metavar="OUT.json")
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--layers", action="store_true", help="print the layers section of --bench as JSON")
     args = parser.parse_args()
+    if args.layers:
+        print(json.dumps(_layers(args.smoke)))
+        return 0
     if args.bench is None:
         return digests()
     return bench(args.bench, args.smoke)

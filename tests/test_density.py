@@ -653,6 +653,18 @@ def test_poly_mulmod_matches_oracle(k, primes, seed, top):
     assert ff._poly_mulmod(a, b, f, p).tolist() == want
 
 
+def test_poly_sqrmod_matches_poly_mulmod():
+    # every routed degree; the last row is all p - 1, the largest sums, and
+    # the largest prime below 2^31 meets 2 a_i a_j < 2^63 at k = 1 and 2
+    rng = np.random.default_rng(5)
+    for k in range(1, _KERNEL_MAX_DEGREE + 1):
+        primes = [3, 1009, 999983, 999983] + [2**31 - 1] * (k <= 2)
+        p = np.array(primes, dtype=np.int64)[:, None]
+        a, f = (np.asfortranarray(rng.integers(0, p, (p.size, k))) for _ in range(2))
+        a[-1], f[-1] = p[-1] - 1, p[-1] - 1
+        assert ff._poly_sqrmod(a, f, p).tolist() == ff._poly_mulmod(a, a, f, p).tolist(), k
+
+
 def test_fold_root_kernel_exact_up_to_its_int64_bound():
     # the largest prime p with 3 p^2 < 2^63, just under 2^31: (x - r)(x - 1)(x + 1)
     # has a primitive root exactly when r is one

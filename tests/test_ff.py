@@ -551,6 +551,88 @@ def test_pow_mod_array_matches_pow(cases):
     assert pow_mod_array(a, e, p).tolist() == [pow(x, y, m) for x, y, m in cases]
 
 
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_pow_mod_array_across_block_edges(n):
+    # the kernel runs in blocks of 4096: the last element of each block,
+    # the first of the next, and a last block of one
+    rng = np.random.default_rng(n)
+    a = rng.integers(-(2**40), 2**40, n)
+    e = rng.integers(0, 2**rng.integers(0, 63, n), dtype=np.int64)
+    p = rng.integers(1, 2**31, n)
+    e[-1], p[-1] = 2**62 + 3, 2**31 - 1
+    want = [pow(x, y, m) for x, y, m in zip(a.tolist(), e.tolist(), p.tolist())]
+    assert pow_mod_array(a, e, p).tolist() == want
+
+
+def test_pow_mod_array_broadcasts_rows_over_one_exponent_row():
+    # a 2-D a with 1-D e and p, as `_orders` calls it, across a block edge
+    rng = np.random.default_rng(7)
+    p = rng.integers(1, 2**31, 1500)
+    e = rng.integers(0, 2**31, 1500)
+    a = rng.integers(0, 2**31, (3, 1500))
+    got = pow_mod_array(a, e, p)
+    assert got.shape == (3, 1500)
+    assert got.tolist() == [[pow(x, y, m) for x, y, m in zip(row, e.tolist(), p.tolist())] for row in a.tolist()]
+    assert pow_mod_array(np.empty((2, 0), dtype=np.int64), [], []).shape == (2, 0)
+
+
+def test_pow_mod_array_memory_is_bounded():
+    # Past the 8-byte result, a 4096-element block holds its 128 KiB table
+    # and a few 32 KiB digit and product arrays. Exponents near 2^27, as
+    # for the order tests below the sieve cap.
+    n = 20_000
+    rng = np.random.default_rng(3)
+    a, e, p = rng.integers(0, 2**27, n), rng.integers(2**26, 2**27, n), rng.integers(2**26, 2**27, n)
+    tracemalloc.start()
+    try:
+        pow_mod_array(a, e, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + (1 << 19)
+
+
+def test_pow_mod_array_exponent_lengths():
+    # e = 0 and 1; odd and even bit lengths, so the top window holds one
+    # bit or two; every exponent of a block equal or mixed
+    p = np.array([2**31 - 1, 7, 1, 65537, 1000003], dtype=np.int64)
+    a = np.array([3, 10, 5, 2**31 - 2, -9], dtype=np.int64)
+    for e in [0, 1, 2, 3, 4, 5, 7, 8, 2**30, 2**31 - 2, 2**62 - 1, 2**62]:
+        assert pow_mod_array(a, e, p).tolist() == [pow(x, e, m) for x, m in zip(a.tolist(), p.tolist())], e
+    mixed = np.arange(p.size) ** 7
+    assert pow_mod_array(a, mixed, p).tolist() == [pow(*c) for c in zip(a.tolist(), mixed.tolist(), p.tolist())]
+    assert pow_mod_array(0, 0, 5).tolist() == 1 and pow_mod_array(4, 0, 1).tolist() == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 3, 0), "modulus 0 is not positive"),
+    ((2, 3, -7), "modulus -7 is not positive"),
+    ((2, 3, [5, 0, 7]), "modulus 0 is not positive"),
+    ((2.5, 3, 7), "bases must be int64 integers, not float64"),
+    ((2, 3.7, 7), "exponents must be int64 integers, not float64"),
+    ((2, 3, 7.0), "moduli must be int64 integers, not float64"),
+    ((True, 3, 7), "bases must be int64 integers, not bool"),
+    ((2, [True], 7), "exponents must be int64 integers, not bool"),
+    ((2, 3, True), "moduli must be int64 integers, not bool"),
+    ((2**63, 3, 7), "bases must be int64 integers, not uint64"),
+    ((2, -1, 7), "exponents must be nonnegative"),
+])
+def test_pow_mod_array_refuses_bad_input(args, message):
+    with pytest.raises(ValueError) as info:
+        pow_mod_array(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_batched_kernels_refuse_bad_moduli():
+    for p in ([0, 5], [-3], [3.0], [True]):
+        with pytest.raises(ValueError, match="moduli|modulus"):
+            sqrt_small(5, p)
+        with pytest.raises(ValueError, match="moduli|modulus"):
+            ff._order_tests([2], p, 1)
+        with pytest.raises(ValueError, match="moduli|modulus"):
+            ff._orders([2], p)
+
+
 def _sqrt_as_tuple(square: bool, r: int, p: int):
     return tuple(sorted({r, (p - r) % p})) if square else None
 

@@ -112,5 +112,14 @@ def test_bench_smoke(tmp_path, capsys):
     assert by_name["fpr --range 3 30000 --format json"]["stdout_sha256"] == sha(capsys.readouterr().out)
     verifier = by_name["repr(verify_zero_density_claims(10**4, 5))"]["stdout_sha256"]
     assert verifier == sha(repr(verify_zero_density_claims(10**4, 5)) + "\n")
+    layers = doc["layers"]
+    kernels = ("primes_in_range", "sqrt_small(5)", "_factor_pairs", "_order_tests", "pow_mod_array")
+    assert layers["calls"] == 3
+    assert set(layers["q1_s"]) == {f"{k} below 300000" for k in kernels} | {
+        "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
+    assert min(layers["q1_s"].values()) > 0
+    batch = layers["tracemalloc"]["pow_mod_array below 300000"]
+    assert set(layers["tracemalloc"]) == {"pow_mod_array below 300000"} and batch["elements"] > 10_000
+    assert batch["peak_bytes"] > 8 * batch["elements"]
     sources = [*SCRIPTS.parent.glob("src/costaskit/*.py"), *SCRIPTS.glob("*.py")]
     assert doc["source_lines"] == sum(line.strip() != "" for f in sources for line in f.read_text().splitlines())
