@@ -367,82 +367,65 @@ def _fold_stride(coeffs: tuple[tuple[int, int], ...]) -> Optional[int]:
     return g if g <= _I64_MAX and all(k in (0, g, 2 * g) for k, _ in coeffs) else None
 
 
-def _closed_forms(p: np.ndarray, folds: Iterable[tuple[tuple[int, int], ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Roots y mod the odd primes p of G, for each fold G(x^g), and which are y = a^g for a primitive a.
+def _quadratic(coeffs: tuple[tuple[int, int], ...]) -> tuple[int, tuple[int, int, int]]:
+    """(g, (c0, c1, c2)) of a fold G(x^g) with G = c2 y^2 + c1 y + c0; g from `_fold_stride`."""
+    g = _fold_stride(coeffs)
+    return g, tuple(dict(coeffs).get(k * g, 0) for k in range(3))
 
-    Each fold's exponents lie in {0, g, 2g} (`_fold_stride`), so G =
-    c2 y^2 + c1 y + c0. Both results are (F, 2, N), a (2, N) block per
-    fold: the roots, both -c0/c1 where c2 = 0 and (-c1 +- sqrt(d))/(2 c2)
-    otherwise, 0 where there is none and where G vanishes mod p; and per
-    root whether it has order (p - 1)/gcd(g, p - 1). For g = 1 the roots
-    are the fold's own and the mask says which are primitive. The
-    discriminant d is the same integer at every p, so one `sqrt_small`
-    call per distinct d gives where G has roots and the square root of d
-    there; a d of 0 is a square everywhere. The roots depend on G alone,
-    so folds with one G at different strides, such as the verifier's
-    y^2 +- y + 1 at y = a^i, solve it once. A non-constant fold's
-    coefficients lie in [-2, 2], so c2 vanishes mod an odd p only where
-    c2 = 0, and the denominator 2 c2 or c1 is +-1, +-2 or +-4 (1 or 2 for
-    every fold that `_folded_coeffs` makes), inverted by halving: 1/2 is
-    (p + 1)/2.
 
-    The first root's order tests decide both where c2 = 0, since the
-    roots are one, and where c0 = +-c2 = +-1, so the roots multiply to
-    +-1: for product +1 at any g and for product -1 at g = 1 the verdicts
-    agree, except that at p = 3 (mod 4) with product -1 the odd-prime
-    tests pass for both roots or neither, and of a passing pair only the
-    non-residue is primitive (proof in README, "Design notes"). Every
-    other fold tests both roots: in one `_order_tests` call where the batch
-    has one stride (every census), else by each distinct root's `_orders`.
+def _quadratic_roots(p: np.ndarray, quadratics: list[tuple[int, int, int]]) -> np.ndarray:
+    """Roots mod the odd primes p of each G = c2 y^2 + c1 y + c0, given as (c0, c1, c2); (G, 2, N).
+
+    Both are -c0/c1 where c2 = 0, else (-c1 +- sqrt(d))/(2 c2); 0 where
+    there is none and where G vanishes mod p. The discriminant d is the
+    same integer at every p, so one `sqrt_small` call per distinct d gives
+    where G has roots and the square root of d there; a d of 0 is a square
+    everywhere. A fold's G has coefficients in [-2, 2], so c2 vanishes mod
+    an odd p only where c2 = 0, and the denominator 2 c2 or c1 is +-1, +-2
+    or +-4 (1 or 2 for every fold that `_folded_coeffs` makes), inverted
+    by halving: 1/2 is (p + 1)/2.
     """
-    folds = list(folds)
-    roots = np.zeros((len(folds), 2, p.size), dtype=np.int64)
-    # solver: the fold that solved each G; tested: the (fold, root) rows of
-    # the order test, with the fold's g and the row 2 solver + k of `roots`
-    # they hold; shared: (fold, its row, whether product -1) where the first root decides both
-    sqrts, solver, tested, strides, held, shared = {}, {}, [], [], [], []
-    for f, coeffs in enumerate(folds):
-        g = _fold_stride(coeffs)
-        c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
-        if (c0, c1, c2) in solver:
-            roots[f] = roots[solver[c0, c1, c2]]
-        else:
-            solver[c0, c1, c2] = f
-            d = c1 * c1 - 4 * c0 * c2
-            if c2 and d and d not in sqrts:
-                square, root = sqrt_small(d, p)
-                sqrts[d] = np.flatnonzero(square), root[square]
-            # a linear G, or a double root where d = 0, has r = 0; a constant G has no root
-            solve, r = sqrts[d] if c2 and d else (np.arange(p.size if c1 or c2 else 0), 0)
-            ps = p[solve]
-            num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
-            # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
-            inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
-            roots[f][:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
-        if not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1):
-            shared.append((f, len(tested), bool(c2) and c0 != c2))
-            tested.append((f, 0))
-        else:
-            tested += [(f, 0), (f, 1)]
-        strides += [g] * (len(tested) - len(strides))
-        held += [2 * solver[c0, c1, c2] + k for k in range(len(tested) - len(held))]
+    roots = np.zeros((len(quadratics), 2, p.size), dtype=np.int64)
+    sqrts = {}
+    for out, (c0, c1, c2) in zip(roots, quadratics):
+        d = c1 * c1 - 4 * c0 * c2
+        if c2 and d and d not in sqrts:
+            square, root = sqrt_small(d, p)
+            sqrts[d] = np.flatnonzero(square), root[square]
+        # a linear G, or a double root where d = 0, has r = 0; a constant G has no root
+        solve, r = sqrts[d] if c2 and d else (np.arange(p.size if c1 or c2 else 0), 0)
+        ps = p[solve]
+        num, den = (-c1, 2 * c2) if c2 else (-c0, c1)
+        # 1/den for den in {+-1, +-2, +-4} is +-(1/2)^(|den| // 2)
+        inv = np.sign(den) * ((ps + 1) // 2) ** (abs(den) // 2) % ps
+        out[:, solve] = np.stack(((num + r) % ps, (num - r) % ps)) * inv % ps
+    return roots
+
+
+def _closed_forms(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
+
+    The fold's exponents lie in {0, g, 2g}, so G = c2 y^2 + c1 y + c0.
+    Both results are (2, N): the roots from `_quadratic_roots`, and per
+    root whether it has order (p - 1)/gcd(g, p - 1), by one `_order_tests`
+    call at stride g; for g = 1, whether it is primitive. The first root's
+    tests decide both where c2 = 0, since the roots are one, and where
+    c0 = +-c2 = +-1, so the roots multiply to +-1: for product +1 at any g
+    and for product -1 at g = 1 the verdicts agree, except that at
+    p = 3 (mod 4) with product -1 the odd-prime tests pass for both roots
+    or neither, and of a passing pair only the non-residue is primitive
+    (proof in README, "Design notes"). Every other fold tests both roots.
+    """
+    g, (c0, c1, c2) = _quadratic(coeffs)
+    (roots,) = _quadratic_roots(p, [(c0, c1, c2)])
     # the order tests run where some root is nonzero: 0 has no order
-    cols = np.flatnonzero(roots.any(axis=(0, 1)))
-    f, k = np.array(tested).T[:, :, None]  # (rows, 1) columns, to index (rows, cols)
-    if len(set(strides)) == 1:
-        passes, half = _order_tests(roots[f, k, cols], p[cols], strides[0])
-        hit, half_hit = passes & ~half, passes & half
-    else:  # row t hits where its root's order is n
-        rows = list(dict.fromkeys(held))
-        order = _orders(roots.reshape(-1, p.size)[rows][:, cols], p[cols])[[rows.index(h) for h in held]]
-        n = {g: (p[cols] - 1) // np.gcd(g, p[cols] - 1) for g in strides}
-        n = np.stack([n[g] for g in strides])
-        hit, half_hit = order == n, 2 * order == n
+    cols = np.flatnonzero(roots.any(axis=0))
+    shared = not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1)
+    passes, half = _order_tests(roots[: 2 - shared, cols], p[cols], g)
     primitive = np.zeros(roots.shape, dtype=bool)
-    primitive[f, k, cols] = hit
-    for f, t, minus in shared:
-        first = primitive[f, 0, cols]
-        primitive[f, 1, cols] = np.where(p[cols] % 4 == 3, half_hit[t], first) if minus else first
+    primitive[: 2 - shared, cols] = passes & ~half
+    if shared:  # product -1 (c0 = -c2 != 0) at p = 3 (mod 4) takes the non-residue
+        primitive[1, cols] = np.where((c0 == -c2 != 0) & (p[cols] % 4 == 3), passes[0] & half[0], primitive[0, cols])
     return roots, primitive
 
 
@@ -453,7 +436,7 @@ def _fast_exists(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarr
     otherwise one of the at most two roots y of G from `_closed_forms`
     must be the g-th power of a primitive root.
     """
-    hit = _closed_forms(p, (coeffs,))[1].any(axis=(0, 1))
+    hit = _closed_forms(p, coeffs)[1].any(axis=0)
     hit |= math.gcd(*(v for _, v in coeffs)) % p == 0
     return hit
 
@@ -635,11 +618,13 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     condition, which forces p <= 6i + 1, and the bound is attained whenever
     6i + 1 is prime. Witnesses at or below the threshold are recorded as
     exceptions; any beyond it would be a violation of the claim. Per sieve
-    segment, one `_closed_forms` call decides every fold at every odd
-    prime: one square root of their common discriminant -3, one
-    factorisation of p - 1 and one `_orders` call, the orders of the two
-    roots that all 2 i_max folds test (b and c share a fold), computed
-    rather than assumed to be 3 and 6. Each (i, family) pair takes its fold's
+    segment, one `_quadratic_roots` call solves both G at every odd prime,
+    with one square root of their common discriminant -3, and one
+    `_orders` call, over one factorisation of p - 1, gives the order of
+    each G's first root at the primes where G has roots. The roots of
+    each G multiply to c0/c2 = 1, so they share that order, computed
+    rather than assumed to be 3 or 6. The fold of family G at y = a^i hits
+    where it is n/gcd(i, n), n = p - 1. Each (i, family) pair takes its fold's
     hits at the primes where both exponents lie in [1, p - 2] and counts
     the others as skipped; p = 2 is never a hit. Only the hit primes are
     scanned exhaustively, by `_witness_rows`, for the least witness an
@@ -653,20 +638,24 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
         raise ValueError(f"i_max must be in 1..{_I_MAX_CAP}")
 
     families = [(i, *f, _folded_coeffs(*f[1:3])) for i in range(1, i_max + 1) for f in _claim_families(i)]
-    folds = list(dict.fromkeys(fold for *_, fold in families))
+    folds = {fold: _quadratic(fold) for *_, fold in families}
+    quadratics = list(dict.fromkeys(quadratic for _, quadratic in folds.values()))
     entries = []
     skipped = {"a": 0, "b": 0, "c": 0}
     for lo, hi in _segments(limit):
         primes = primes_in_range(lo, hi)
-        odd = primes != 2
-        # every fold's coefficients are +-1, so none vanishes mod p
-        found = dict(zip(folds, _closed_forms(primes[odd], folds)[1].any(axis=1)))
+        odd = np.flatnonzero(primes != 2)
+        first = _quadratic_roots(primes[odd], quadratics)[:, 0]
+        # c0 = 1, so 0 is never a root: the first roots are nonzero where G has roots
+        live = first.any(axis=0)
+        rooted = odd[live]
+        order, n = _orders(first[:, live], primes[rooted]), primes[rooted] - 1
+        found = {fold: rooted[order[quadratics.index(q)] == n // np.gcd(g, n)] for fold, (g, q) in folds.items()}
         for i, name, e1, e2, threshold, fold in families:
             skip = ~(e1.in_range(primes) & e2.in_range(primes))
-            hit = np.zeros(primes.shape, dtype=bool)
-            hit[odd] = found[fold]
             skipped[name] += int(skip.sum())
-            for p in primes[hit & ~skip].tolist():
+            hits = found[fold]
+            for p in primes[hits[~skip[hits]]].tolist():
                 least = _witness_rows(p, e1.evaluate(p), e2.evaluate(p))[0]
                 entries.append((p, i, name, threshold, int(least)))
     entries.sort()

@@ -94,7 +94,7 @@ def fpr_report(p: int) -> FprReport:
 def _segment_reports(p: np.ndarray) -> Iterator[FprReport]:
     """Reports for the odd primes of one sieve segment, from one `_closed_forms`
     table of x^2 - x - 1 whose root pairs are put in ascending order, flags along."""
-    (roots,), (primitive,) = _closed_forms(p, (_FIB_COEFFS,))
+    roots, primitive = _closed_forms(p, _FIB_COEFFS)
     swap = roots[0] > roots[1]
     roots[:, swap], primitive[:, swap] = roots[::-1, swap], primitive[::-1, swap]
     for q, r0, r1, f0, f1 in zip(p.tolist(), *roots.tolist(), *primitive.tolist()):

@@ -561,10 +561,8 @@ def test_witness_rows_match_bruteforce(case):
     assert [trinomial_witnesses(p, a, b) for a, b in pairs] == expected, case
 
 
-def test_zero_density_matches_scalar_loop():
-    # i_max at its cap: the closed form at every prime, and a scan at the hit
-    # primes, against one exhaustive public call per (prime, i, family)
-    limit, i_max = 3000, 10
+def _zero_density_scalar_loop(limit, i_max):
+    """The verifier's answer from one exhaustive public call per (prime, i, family)."""
     violations, exceptions, skipped = [], [], {"a": 0, "b": 0, "c": 0}
     for p in prime_sieve(limit):
         for i in range(1, i_max + 1):
@@ -575,10 +573,25 @@ def test_zero_density_matches_scalar_loop():
                 found = trinomial_witnesses(p, e1, e2)
                 if found:
                     (violations if p > threshold else exceptions).append((name, p, i, found[0]))
-    report = verify_zero_density_claims(limit, i_max)
-    assert report.violations == tuple(violations)
-    assert report.exceptions == tuple(exceptions)
-    assert report.skipped == skipped
+    return tuple(violations), tuple(exceptions), skipped
+
+
+def _zero_density_answer(report):
+    return report.violations, report.exceptions, report.skipped
+
+
+def test_zero_density_matches_scalar_loop():
+    # i_max at its cap: the closed form at every prime, a scan at the hit primes
+    report = verify_zero_density_claims(3000, 10)
+    assert _zero_density_answer(report) == _zero_density_scalar_loop(3000, 10)
+
+
+@pytest.mark.parametrize("i_max", range(1, 11))
+def test_zero_density_at_limit_two(i_max):
+    # the one segment holds no odd prime, so nothing is solved or ordered
+    report = verify_zero_density_claims(2, i_max)
+    assert _zero_density_answer(report) == _zero_density_scalar_loop(2, i_max)
+    assert report.skipped == {"a": i_max, "b": i_max, "c": i_max}
 
 
 def test_fpr_pattern_matches_fpr_set():
@@ -742,16 +755,15 @@ _EXP_EXPRS = st.builds(ExpExpr, st.integers(-10**3, 10**3), st.integers(0, 3))
 @settings(max_examples=300)
 @given(_EXP_EXPRS, _EXP_EXPRS)
 def test_fold_coefficients_and_denominators_are_small(e1, e2):
-    # `_closed_forms` relies on both: c2 vanishes mod an odd p only
+    # `_quadratic_roots` relies on both: c2 vanishes mod an odd p only
     # where c2 = 0, and the denominator 2 c2 or c1 is inverted by halving
     coeffs = _folded_coeffs(e1, e2)
     if all(k == 0 for k, _ in coeffs):
         assert coeffs in (((0, 1),), ((0, 3),)), (e1, e2)
         return
     assert all(-2 <= v <= 2 for _, v in coeffs), (e1, e2)
-    g = density._fold_stride(coeffs)
-    if g is not None:
-        c0, c1, c2 = (dict(coeffs).get(k * g, 0) for k in range(3))
+    if density._fold_stride(coeffs) is not None:
+        _, (c0, c1, c2) = density._quadratic(coeffs)
         assert (2 * c2 if c2 else c1) in (1, 2), (e1, e2)
 
 
@@ -797,7 +809,7 @@ def test_stride_closed_form_matches_bruteforce(case):
     assert _fast_exists(primes, coeffs).tolist() == [bool(witnesses)], case
     if math.gcd(*(v for _, v in coeffs)) % p:
         # the roots of G that pass are the g-th powers of the witnesses
-        (roots,), (ok,) = density._closed_forms(primes, (coeffs,))
+        roots, ok = density._closed_forms(primes, coeffs)
         stride = density._fold_stride(coeffs)
         assert set(roots[ok].tolist()) == {pow(a, stride, p) for a in witnesses}, case
 
@@ -820,7 +832,7 @@ def _unit_product_fold_and_prime(draw):
 
 
 def _assert_root_rows_match_oracle(g, coeffs, p):
-    (roots,), (ok,) = density._closed_forms(np.array([p], dtype=np.int64), (coeffs,))
+    roots, ok = density._closed_forms(np.array([p], dtype=np.int64), coeffs)
     want = oracles.brute_stride_roots(p, g, coeffs)
     assert {r for r in roots[:, 0].tolist() if r} == set(want), (g, coeffs, p)
     # position by position: each row's flag belongs to that row's root
@@ -842,7 +854,7 @@ def test_unit_product_root_flags_match_oracle(case):
 
 
 def test_unit_product_root_flags_pinned():
-    (roots,), (ok,) = density._closed_forms(np.array([5, 11, 29], dtype=np.int64), (density._FIB_COEFFS,))
+    roots, ok = density._closed_forms(np.array([5, 11, 29], dtype=np.int64), density._FIB_COEFFS)
     assert roots.T.tolist() == [[3, 3], [8, 4], [6, 24]]
     assert ok.T.tolist() == [[True, True], [True, False], [False, False]]
     for g in range(1, 11):
@@ -864,7 +876,7 @@ def test_closed_form_tests_each_distinct_root_once(monkeypatch):
     monkeypatch.setattr(density, "_order_tests", recorded)
     p = np.array(oracles.simple_sieve(200)[1:], dtype=np.int64)
     for coeffs in (((0, -1), (1, 2)), density._FIB_COEFFS, ((0, -1), (1, 1), (2, 2))):
-        density._closed_forms(p, (coeffs,))
+        density._closed_forms(p, coeffs)
     assert rows == [1, 1, 2]
 
 
@@ -887,13 +899,10 @@ _STRIDE_FOLDS = st.builds(
 ).filter(bool)
 
 
-@st.composite
-def _folds_and_primes(draw):
-    # 1-6 folds drawn from a pool of at most 6, so some repeat
-    pool = draw(st.lists(_STRIDE_FOLDS, min_size=1, max_size=6))
-    folds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    primes = draw(st.lists(st.sampled_from(_ODD_PRIMES_20000), min_size=1, max_size=3, unique=True))
-    return folds, primes
+_FOLDS_AND_PRIMES = st.tuples(
+    st.lists(_STRIDE_FOLDS, min_size=1, max_size=6),
+    st.lists(st.sampled_from(_ODD_PRIMES_20000), min_size=1, max_size=3, unique=True),
+)
 
 
 @lru_cache(maxsize=None)
@@ -905,29 +914,26 @@ def _fold_oracles(p, coeffs):
 
 
 @settings(max_examples=100)
-@given(_folds_and_primes())
+@given(_FOLDS_AND_PRIMES)
 # the verifier's folds y^2 + y + 1 and y^2 - y + 1 at y = a^i, at p = 3 (a
 # double root), 7 = 6 + 1, 13 = 6 * 2 + 1 and 19997 = 3 (mod 4)
 @example(([_stride_fold(i, (1, s, 1)) for i in (1, 2) for s in (1, -1)] * 3, [3, 7, 13, 19997]))
-# linear, d = 0, both root products and Fibonacci folds in one batch
+# linear, d = 0, both root products and Fibonacci folds
 @example(([((0, -1), (1, 2)), ((0, 1), (3, -2), (6, 1)), density._FIB_COEFFS,
            ((0, -1), (2, 1), (4, 2)), ((0, 1), (4, 1), (8, 1))], [5, 11, 29, 19993]))
-def test_batched_closed_form_matches_one_fold_calls_and_oracles(case):
+def test_closed_form_matches_oracles_fold_by_fold(case):
     folds, primes = case
     p = np.array(primes, dtype=np.int64)
-    roots, primitive = density._closed_forms(p, folds)
-    assert roots.shape == primitive.shape == (len(folds), 2, p.size)
-    for f, coeffs in enumerate(folds):
-        (one_roots,), (one_primitive,) = density._closed_forms(p, (coeffs,))
-        assert roots[f].tolist() == one_roots.tolist(), (coeffs, primes)
-        assert primitive[f].tolist() == one_primitive.tolist(), (coeffs, primes)
+    for coeffs in folds:
+        roots, primitive = density._closed_forms(p, coeffs)
+        assert roots.shape == primitive.shape == (2, p.size)
         for j, q in enumerate(primes):
             want, powers = _fold_oracles(q, coeffs)
-            assert {r for r in roots[f, :, j].tolist() if r} == set(want), (coeffs, q)
-            for r, flag in zip(roots[f, :, j].tolist(), primitive[f, :, j].tolist()):
+            assert {r for r in roots[:, j].tolist() if r} == set(want), (coeffs, q)
+            for r, flag in zip(roots[:, j].tolist(), primitive[:, j].tolist()):
                 assert flag == (bool(r) and want[r]), (coeffs, q, r)
             # the roots that pass are the g-th powers of the primitive witnesses
-            assert set(roots[f, :, j][primitive[f, :, j]].tolist()) == powers, (coeffs, q)
+            assert set(roots[:, j][primitive[:, j]].tolist()) == powers, (coeffs, q)
 
 
 @pytest.mark.parametrize("chunk", [density._CHUNK, 1 << 11])

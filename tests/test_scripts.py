@@ -53,6 +53,14 @@ def test_trinomial_exploration(tmp_path):
         assert (tmp_path / f"trinomial_{name}.csv").read_text() == want, name
 
 
+def test_trinomial_exploration_at_limit_two(tmp_path):
+    # no odd prime: every family is skipped at p = 2, and each census has one row
+    r = _run("trinomial_exploration.py", "--limit", "2", "--workers", "1", "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert "no violations" in r.stdout
+    assert "out-of-range primes skipped: {'a': 5, 'b': 5, 'c': 5}" in r.stdout
+
+
 SCRIPT_NAMES = ["reproduce_theorem_densities.py", "trinomial_exploration.py"]
 
 
@@ -116,7 +124,7 @@ def test_bench_smoke(tmp_path, capsys):
     kernels = ("primes_in_range", "sqrt_small(5)", "_factor_pairs", "_order_tests", "pow_mod_array")
     assert layers["calls"] == 3
     assert set(layers["q1_s"]) == {f"{k} below 300000" for k in kernels} | {
-        "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
+        "_orders verifier below 100000", "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
     assert min(layers["q1_s"].values()) > 0
     batch = layers["tracemalloc"]["pow_mod_array below 300000"]
     assert set(layers["tracemalloc"]) == {"pow_mod_array below 300000"} and batch["elements"] > 10_000
