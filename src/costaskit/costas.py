@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
+import numbers
 import os
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -63,15 +64,15 @@ def _permutation(
     perm: Sequence[int], cap: Optional[int] = None, what: str = "Costas check"
 ) -> np.ndarray:
     """perm as an int64 array. Raises LimitTooLarge above cap (checked first), then
-    NotAPermutation unless perm is a permutation of 1..n made of ints, not bools."""
+    NotAPermutation unless perm is a permutation of 1..n of integers, not bools."""
     seq = list(perm)
     n = len(seq)
     if cap is not None and n > cap:
         raise LimitTooLarge(f"{what} capped at n = {cap}, got n = {n}")
     if not set(map(type, seq)) <= {int}:
-        # Only to name the bad entry; int subclasses except bool are integers.
+        # Integral entries, numpy's among them, are integers, except bool.
         for v in seq:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise NotAPermutation(f"non-integer entry {v!r}")
     try:
         a = np.array(seq, dtype=np.int64)

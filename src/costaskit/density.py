@@ -26,7 +26,6 @@ from .ff import (
     _least_root,
     _monic,
     _order_tests,
-    _orders,
     _poly_gcd,
     _poly_mulmod,
     _poly_powmod,
@@ -70,7 +69,7 @@ class ExpExpr:
     h: int = 0
 
     def __post_init__(self):
-        # the rule of costas._permutation: int subclasses except bool are integers
+        # Python ints, bool refused: the bounds are Python-int arithmetic
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.c, self.h)):
             raise ValueError(f"exponent expression {self} needs int c and h")
 
@@ -380,10 +379,10 @@ def _quadratic_roots(p: np.ndarray, quadratics: list[tuple[int, int, int]]) -> n
     there is none and where G vanishes mod p. The discriminant d is the
     same integer at every p, so one `sqrt_small` call per distinct d gives
     where G has roots and the square root of d there; a d of 0 is a square
-    everywhere. A fold's G has coefficients in [-2, 2], so c2 vanishes mod
-    an odd p only where c2 = 0, and the denominator 2 c2 or c1 is +-1, +-2
-    or +-4 (1 or 2 for every fold that `_folded_coeffs` makes), inverted
-    by halving: 1/2 is (p + 1)/2.
+    everywhere. A non-constant fold's G has coefficients in [-2, 2], so c2
+    vanishes mod an odd p only where c2 = 0, and the denominator 2 c2 or c1
+    is +-1, +-2 or +-4 (1 or 2 for every fold that `_folded_coeffs` makes),
+    inverted by halving: 1/2 is (p + 1)/2.
     """
     roots = np.zeros((len(quadratics), 2, p.size), dtype=np.int64)
     sqrts = {}
@@ -619,13 +618,13 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
     6i + 1 is prime. Witnesses at or below the threshold are recorded as
     exceptions; any beyond it would be a violation of the claim. Per sieve
     segment, one `_quadratic_roots` call solves both G at every odd prime,
-    with one square root of their common discriminant -3, and one
-    `_orders` call, over one factorisation of p - 1, gives the order of
-    each G's first root at the primes where G has roots. The roots of
-    each G multiply to c0/c2 = 1, so they share that order, computed
-    rather than assumed to be 3 or 6. The fold of family G at y = a^i hits
-    where it is n/gcd(i, n), n = p - 1. Each (i, family) pair takes its fold's
-    hits at the primes where both exponents lie in [1, p - 2] and counts
+    with one square root of their common discriminant -3. A root y of
+    y^2 +- y + 1 has y^3 = +-1, so its order is the least d in (1, 2, 3, 6)
+    with y^d = 1, read off y^2, y^3 and y^6 rather than assumed to be 3 or
+    6, and no p - 1 is factored. The roots of each G multiply to c0/c2 = 1,
+    so they share that order. The fold of family G at y = a^i hits where it
+    is n/gcd(i, n), n = p - 1. Each (i, family) pair takes its fold's hits
+    at the primes where both exponents lie in [1, p - 2] and counts
     the others as skipped; p = 2 is never a hit. Only the hit primes are
     scanned exhaustively, by `_witness_rows`, for the least witness an
     entry records. Entries are in (p, i, family) order.
@@ -649,7 +648,12 @@ def verify_zero_density_claims(limit: int, i_max: int = 5) -> ZeroDensityReport:
         # c0 = 1, so 0 is never a root: the first roots are nonzero where G has roots
         live = first.any(axis=0)
         rooted = odd[live]
-        order, n = _orders(first[:, live], primes[rooted]), primes[rooted] - 1
+        y, m = first[:, live], primes[rooted]
+        y2 = y * y % m
+        y3 = y2 * y % m
+        # the least d with y^d = 1, and 0 where there is none
+        order = np.select([y == 1, y2 == 1, y3 == 1, y3 * y3 % m == 1], [1, 2, 3, 6])
+        n = m - 1
         found = {fold: rooted[order[quadratics.index(q)] == n // np.gcd(g, n)] for fold, (g, q) in folds.items()}
         for i, name, e1, e2, threshold, fold in families:
             skip = ~(e1.in_range(primes) & e2.in_range(primes))

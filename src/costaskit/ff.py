@@ -556,8 +556,8 @@ def _exact_division(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, np.uint32(2**32 - 1) // q
 
 
-def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m with each prime q[j] divided out of m[i[j]] as often as it divides it, and those powers.
+def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m with each prime q[j] divided out of m[i[j]] as often as it divides it.
 
     The pairs come sorted by i. The valuations are taken at the pairs only,
     and each entry is divided by the product of its prime powers.
@@ -571,11 +571,11 @@ def _cofactors(m: np.ndarray, i: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
     rem = m.copy()
     first = np.flatnonzero(np.diff(i, prepend=-1))
     rem[i[first]] //= np.multiply.reduceat(power, first)
-    return rem, power
+    return rem
 
 
-def _factor_pairs(n: np.ndarray, powers: bool = False) -> tuple[np.ndarray, ...]:
-    """Every (index, prime factor q) pair of a 1-D int64 array 1 <= n < 2^32, and with `powers` the q^e || n.
+def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (index, prime factor q) pair of a 1-D int64 array 1 <= n < 2^32.
 
     The power of 2 is the lowest set bit. Every odd prime q up to the
     square root of the largest odd part m is tested against every entry at
@@ -598,13 +598,11 @@ def _factor_pairs(n: np.ndarray, powers: bool = False) -> tuple[np.ndarray, ...]
               for s in range(0, n.size, rows))
     i, q = np.divmod(np.concatenate([np.empty(0, dtype=np.int64), *blocks]), k)
     q = odd[q]  # from column to prime
-    rem, power = _cofactors(m, i, q)
+    rem = _cofactors(m, i, q)
     big = np.flatnonzero(rem > 1)
     evens = np.flatnonzero(n & 1 == 0)
     twos = np.broadcast_to(2, evens.shape)
-    # made before the pairs, so that powers not asked for are dropped first
-    power = [np.concatenate([(n & -n)[evens], power, rem[big]])] if powers else []
-    return (np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]]), *power)
+    return np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]])
 
 
 def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
@@ -643,30 +641,6 @@ def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
         row_passes[at[(one == (q > 1)) & (q != 2)]] = False
         row_half[at[one & (q == 2)]] = True
     return passes, half
-
-
-def _orders(a, p) -> np.ndarray:
-    """Multiplicative orders of a[..., i] mod the 1-D primes p[i], and 0 where a = 0 mod p.
-
-    For each q^e || p - 1 the q-part of the order is the least q^f with
-    b^(q^f) = 1, b = a^((p-1)/q^e): b is raised to the q-th power until it
-    is 1 or f = e, where Fermat gives 1. The order is their product.
-    """
-    p = _modulus_array(p)
-    a = np.asarray(a, dtype=np.int64) % p
-    idx, q, power = _factor_pairs(p - 1, True)
-    b = pow_mod_array(a[..., idx], (p[idx] - 1) // power, p[idx]).reshape(-1)
-    part = np.ones_like(b)
-    live = np.flatnonzero(b > 1)
-    while live.size:
-        part[live] *= q[live % idx.size]
-        live = live[part[live] < power[live % idx.size]]
-        j = live % idx.size
-        b[live] = pow_mod_array(b[live], q[j], p[idx[j]])
-        live = live[b[live] != 1]
-    order = (a != 0).astype(np.int64)
-    np.multiply.at(order, (..., idx), part.reshape(*a.shape[:-1], -1))
-    return order
 
 
 # Batched polynomial arithmetic mod p: row i of each (N, w) array holds the

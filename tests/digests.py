@@ -19,9 +19,9 @@ REPEAT times with COSTAS_THREADS=1, and writes OUT.json: per
 command its wall seconds and peak RSS per run, its exit code and the sha256
 of its stdout, stderr and files, and whether every run agreed on them.
 --smoke runs the same commands on small inputs. Its `layers` section
-times the census kernels and the verifier's orders in-process, in a child
-interpreter (--layers prints that section alone). The full run takes
-about 2 minutes on two CPUs:
+times the census kernels in-process, in a child interpreter (--layers
+prints that section alone). The full run takes about 2 minutes on two
+CPUs:
 
     PYTHONPATH=src python3 tests/digests.py --bench BENCH.json
 
@@ -247,9 +247,9 @@ def _source_lines(tree: Path) -> int:
 
 def _layers(smoke: bool) -> dict:
     """Seconds per call of the census kernels on the top segments, the
-    verifier's orders, the fold-root kernel and the Costas check: the first
-    quartile of LAYER_CALLS in-process calls (3 with --smoke), in rounds
-    that call each layer once. Also the tracemalloc peak of one
+    fold-root kernel and the Costas check: the first quartile of
+    LAYER_CALLS in-process calls (3 with --smoke), in rounds that call
+    each layer once. Also the tracemalloc peak of one
     `pow_mod_array` call on each order-test batch."""
     import tracemalloc
     from functools import partial
@@ -274,12 +274,6 @@ def _layers(smoke: bool) -> dict:
         timed[f"_factor_pairs below {x}"] = partial(ff._factor_pairs, p - 1)
         timed[f"_order_tests below {x}"] = partial(ff._order_tests, a, p, 1)
         timed[f"pow_mod_array below {x}"] = partial(ff.pow_mod_array, *batches[x])
-    # the verifier's one segment at (10^5, 10): the first roots of y^2 +- y + 1,
-    # which every i shares, at the primes where they exist
-    odd = ff.primes_in_range(3, 10**5 + 1)
-    first = density._quadratic_roots(odd, [(1, 1, 1), (1, -1, 1)])[:, 0]
-    live = first.any(axis=0)
-    timed["_orders verifier below 100000"] = partial(ff._orders, first[:, live], odd[live])
     coeffs = density._folded_coeffs(density.ExpExpr(16), density.ExpExpr(1))
     primes = ff.primes_in_range(10**6 + 1 - density._CHUNK, 10**6 + 1)
     timed["_fold_roots_exist d=16 below 1000000"] = partial(

@@ -14,6 +14,7 @@ validator that the numpy one replaced, kept as their reference.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
@@ -405,8 +406,9 @@ def reference_find_spec(method: str, field: FieldDescriptor) -> Optional[Constru
 def reference_validated(perm) -> list[int]:
     seq = list(perm)
     for v in seq:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
             raise NotAPermutation(f"non-integer entry {v!r}")
+    seq = [int(v) for v in seq]
     if sorted(seq) != list(range(1, len(seq) + 1)):
         raise NotAPermutation(f"expected a permutation of 1..{len(seq)}")
     return seq

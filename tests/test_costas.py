@@ -69,6 +69,18 @@ def test_not_a_permutation():
             first_collision(bad)
 
 
+@pytest.mark.parametrize("perm", [[2, 1, 3], [1, 2, 3, 4], [2, 1, 5, 8, 3, 9, 7, 4, 6], KNOWN_NOT_COSTAS[0]])
+def test_numpy_integers_are_integers(perm):
+    # numpy integer entries give the plain list's answers, as an int64
+    # array or as a list of np.int32
+    for same in (np.array(perm, dtype=np.int64), [np.int32(v) for v in perm]):
+        assert is_costas(same) == is_costas(perm)
+        assert first_collision(same) == first_collision(perm)
+        assert difference_table(same) == difference_table(perm)
+        for t in range(len(perm) + 1):
+            assert _outcome(remove_leading, same, t) == _outcome(remove_leading, perm, t)
+
+
 permutations_st = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 )
@@ -96,6 +108,7 @@ class _Row(IntEnum):
 
 _ODD_ENTRIES = st.sampled_from([
     True, False, 1.0, 2.5, "1", None, _Row.ONE, _Row.TWO, np.int64(1),
+    np.int32(2), np.bool_(True), np.float64(1.0), np.uint64(2**64 - 1),
     2**63, 2**64 + 1, -(2**63) - 1, 0, -1, -7,
 ])
 

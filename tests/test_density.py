@@ -937,9 +937,9 @@ def test_closed_form_matches_oracles_fold_by_fold(case):
 
 
 @pytest.mark.parametrize("chunk", [density._CHUNK, 1 << 11])
-def test_verifier_takes_one_square_root_and_one_factorisation_per_segment(monkeypatch, chunk):
-    # all 2 i_max folds of a segment share one sqrt_small(-3, p) and one
-    # _factor_pairs(p - 1); at 1 << 11 the limit spans five segments
+def test_verifier_takes_one_square_root_and_no_factorisation_per_segment(monkeypatch, chunk):
+    # all 2 i_max folds of a segment share one sqrt_small(-3, p), and the
+    # orders factor no p - 1; at 1 << 11 the limit spans five segments
     want = verify_zero_density_claims(10**4, 5)
     monkeypatch.setattr(density, "_CHUNK", chunk)
     counts = {"sqrt_small": 0, "_factor_pairs": 0}
@@ -950,7 +950,7 @@ def test_verifier_takes_one_square_root_and_one_factorisation_per_segment(monkey
         monkeypatch.setattr(module, name, counted)
     assert verify_zero_density_claims(10**4, 5) == want
     segments = len(density._segments(10**4))
-    assert counts == {"sqrt_small": segments, "_factor_pairs": segments}
+    assert counts == {"sqrt_small": segments, "_factor_pairs": 0}
 
 
 @settings(max_examples=200)

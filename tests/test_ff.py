@@ -101,20 +101,15 @@ def test_factorize_round_trip(n):
 def _check_factor_pairs(values: list[int]) -> None:
     n = np.array(values, dtype=np.int64)
     idx, q = ff._factor_pairs(n)
-    triples = sorted(zip(*(a.tolist() for a in ff._factor_pairs(n, powers=True))))
-    assert [t[:2] for t in triples] == sorted(zip(idx.tolist(), q.tolist()))
+    pairs = sorted(zip(idx.tolist(), q.tolist()))
     ref_idx, ref_q = oracles.trial_division_pairs(n)
-    assert [t[:2] for t in triples] == sorted(zip(ref_idx.tolist(), ref_q.tolist()))
-    # the primes, each divided out as often as it divides, multiply back to
-    # n, and each pair's power is its prime to that many
+    assert pairs == sorted(zip(ref_idx.tolist(), ref_q.tolist()))
+    # the primes, each divided out as often as it divides, multiply back to n
     left = list(values)
-    for i, p, pe in triples:
+    for i, p in pairs:
         assert is_prime(p) and left[i] % p == 0
-        e = 0
         while left[i] % p == 0:
             left[i] //= p
-            e += 1
-        assert pe == p**e, (values[i], p, pe)
     assert left == [1] * len(values)
 
 
@@ -158,7 +153,6 @@ def test_factor_pairs_edge_cases():
         _check_factor_pairs(values)
     # the odd part, not n, has to lie below 2^32
     assert [a.tolist() for a in ff._factor_pairs(np.array([2**40, 3 << 40]))] == [[0, 1, 1], [2, 2, 3]]
-    assert ff._factor_pairs(np.array([2**40, 3 << 40]), powers=True)[2].tolist() == [2**40, 2**40, 3]
     with pytest.raises(LimitTooLarge):
         ff._factor_pairs(np.array([5, 2**32 + 1]))
 
@@ -565,7 +559,7 @@ def test_pow_mod_array_across_block_edges(n):
 
 
 def test_pow_mod_array_broadcasts_rows_over_one_exponent_row():
-    # a 2-D a with 1-D e and p, as `_orders` calls it, across a block edge
+    # a 2-D a with 1-D e and p, across a block edge
     rng = np.random.default_rng(7)
     p = rng.integers(1, 2**31, 1500)
     e = rng.integers(0, 2**31, 1500)
@@ -629,8 +623,6 @@ def test_batched_kernels_refuse_bad_moduli():
             sqrt_small(5, p)
         with pytest.raises(ValueError, match="moduli|modulus"):
             ff._order_tests([2], p, 1)
-        with pytest.raises(ValueError, match="moduli|modulus"):
-            ff._orders([2], p)
 
 
 def _sqrt_as_tuple(square: bool, r: int, p: int):
@@ -738,26 +730,12 @@ def test_primitive_root_mask_small_primes():
     assert passes.shape == half.shape == (2, 0)
 
 
-@settings(max_examples=100)
-@given(st.lists(st.tuples(st.sampled_from(oracles.simple_sieve(400)), st.integers(0, 2**40)), min_size=1, max_size=12))
-@example([(2, 1), (3, 2), (5, 0), (7, 6), (257, 3), (257, 256)])
-def test_orders_match_brute_order(cases):
-    p = np.array([q for q, _ in cases], dtype=np.int64)
-    x = np.array([v for _, v in cases], dtype=np.int64)
-    # a row of zeros (0 has no order), a repeated row, and one value at every prime
-    a = np.stack((x, x * p, x, np.full_like(x, x[0])))
-    got = ff._orders(a, p)
-    want = [[oracles.brute_order(v, q) if v % q else 0 for v, q in zip(row, p.tolist())] for row in a.tolist()]
-    assert got.tolist() == want, cases
-
-
 def test_orders_agree_with_order_tests():
     # the g-th powers of the primitive roots are the elements of order
     # (p - 1)/gcd(g, p - 1), at one stride or at 2^62, past every p - 1
     p = np.array(oracles.simple_sieve(3000)[1:], dtype=np.int64)
     a = np.stack([(np.arange(p.size) * (r + 2) + r) % p for r in range(4)])
-    order = ff._orders(a, p)
-    assert ff._orders(np.empty((2, 0), dtype=np.int64), []).shape == (2, 0)
+    order = np.array([[oracles.brute_order(v, q) if v else 0 for v, q in zip(row, p.tolist())] for row in a.tolist()])
     for g in (1, 2, 3, 4, 6, 12, 2**62):
         passes, half = ff._order_tests(a, p, g)
         assert (order == (p - 1) // np.gcd(g, p - 1)).tolist() == (passes & ~half).tolist(), g
@@ -773,8 +751,6 @@ def test_batched_kernels_reject_modulus_from_two_to_the_31():
             sqrt_small(1, [5, big])
         with pytest.raises(LimitTooLarge):
             ff._order_tests(2, [5, big], 1)
-        with pytest.raises(LimitTooLarge):
-            ff._orders([2, 3], [5, big])
 
 
 def test_primitive_exponents_match_gcd_definition():

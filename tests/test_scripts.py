@@ -124,7 +124,7 @@ def test_bench_smoke(tmp_path, capsys):
     kernels = ("primes_in_range", "sqrt_small(5)", "_factor_pairs", "_order_tests", "pow_mod_array")
     assert layers["calls"] == 3
     assert set(layers["q1_s"]) == {f"{k} below 300000" for k in kernels} | {
-        "_orders verifier below 100000", "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
+        "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
     assert min(layers["q1_s"].values()) > 0
     batch = layers["tracemalloc"]["pow_mod_array below 300000"]
     assert set(layers["tracemalloc"]) == {"pow_mod_array below 300000"} and batch["elements"] > 10_000
