@@ -64,11 +64,16 @@ def _permutation(
     perm: Sequence[int], cap: Optional[int] = None, what: str = "Costas check"
 ) -> np.ndarray:
     """perm as an int64 array. Raises LimitTooLarge above cap (checked first), then
-    NotAPermutation unless perm is a permutation of 1..n of integers, not bools."""
-    seq = list(perm)
+    NotAPermutation unless perm is a permutation of 1..n of integers, not bools.
+    A 1-D integer ndarray is copied to int64 whole; past int64 a uint64 entry
+    wraps to a negative one, which is no entry of a permutation either."""
+    whole = isinstance(perm, np.ndarray) and perm.ndim == 1 and perm.dtype.kind in "iu"
+    seq = perm if whole else list(perm)
     n = len(seq)
     if cap is not None and n > cap:
         raise LimitTooLarge(f"{what} capped at n = {cap}, got n = {n}")
+    if whole:
+        return _checked_permutation(perm.astype(np.int64))
     if not set(map(type, seq)) <= {int}:
         # Integral entries, numpy's among them, are integers, except bool.
         for v in seq:

@@ -23,9 +23,10 @@ from .ff import (
     FieldDescriptor,
     LimitTooLarge,
     _factor_pairs,
+    _half_test,
     _least_root,
     _monic,
-    _order_tests,
+    _odd_tests,
     _poly_gcd,
     _poly_mulmod,
     _poly_powmod,
@@ -406,25 +407,34 @@ def _closed_forms(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[n
 
     The fold's exponents lie in {0, g, 2g}, so G = c2 y^2 + c1 y + c0.
     Both results are (2, N): the roots from `_quadratic_roots`, and per
-    root whether it has order (p - 1)/gcd(g, p - 1), by one `_order_tests`
-    call at stride g; for g = 1, whether it is primitive. The first root's
-    tests decide both where c2 = 0, since the roots are one, and where
+    root whether it has order N = (p - 1)/gcd(g, p - 1), for g = 1 whether
+    it is primitive. The order tests run in two stages at stride g: first
+    `_half_test`, then `_odd_tests` only at the primes where a tested
+    root is nonzero with y^(N/2) != 1, since a root with y^(N/2) = 1 has
+    no order N, and at the flip primes below. The first root's tests
+    decide both where c2 = 0, since the roots are one, and where
     c0 = +-c2 = +-1, so the roots multiply to +-1: for product +1 at any g
     and for product -1 at g = 1 the verdicts agree, except that at
-    p = 3 (mod 4) with product -1 the odd-prime tests pass for both roots
-    or neither, and of a passing pair only the non-residue is primitive
-    (proof in README, "Design notes"). Every other fold tests both roots.
+    p = 3 (mod 4) with product -1, the flip primes, the odd tests pass for
+    both roots or neither, and of a passing pair only the non-residue is
+    primitive (proof in README, "Design notes"). Every other fold tests
+    both roots.
     """
     g, (c0, c1, c2) = _quadratic(coeffs)
     (roots,) = _quadratic_roots(p, [(c0, c1, c2)])
     # the order tests run where some root is nonzero: 0 has no order
     cols = np.flatnonzero(roots.any(axis=0))
     shared = not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1)
-    passes, half = _order_tests(roots[: 2 - shared, cols], p[cols], g)
+    y, q = roots[: 2 - shared, cols], p[cols]
+    half = _half_test(y, q, g)
+    flips = (q % 4 == 3) & (shared and c0 == -c2 != 0)
+    odd = np.flatnonzero(((y != 0) & ~half).any(axis=0) | flips)
+    passes = np.zeros(y.shape, dtype=bool)
+    passes[:, odd] = _odd_tests(y[:, odd], q[odd], g)
     primitive = np.zeros(roots.shape, dtype=bool)
     primitive[: 2 - shared, cols] = passes & ~half
-    if shared:  # product -1 (c0 = -c2 != 0) at p = 3 (mod 4) takes the non-residue
-        primitive[1, cols] = np.where((c0 == -c2 != 0) & (p[cols] % 4 == 3), passes[0] & half[0], primitive[0, cols])
+    if shared:  # a flip takes the non-residue
+        primitive[1, cols] = np.where(flips, passes[0] & half[0], primitive[0, cols])
     return roots, primitive
 
 

@@ -431,17 +431,23 @@ def pow_mod_array(a, e, p) -> np.ndarray:
     squarings, then one multiply by the entry of the table 1, a, a^2, a^3
     that the window's digit picks, so 1.5 reductions per exponent bit. It
     runs in blocks of 2^12 elements, which keeps each block's table,
-    digits and result in cache.
+    digits and result in cache; a broadcast input is copied one block at
+    a time, never at full size.
     """
     p = _modulus_array(p)
     a, e = _int64_array(a, "bases"), _int64_array(e, "exponents")
     if (e < 0).any():
         raise ValueError("exponents must be nonnegative")
     shape = np.broadcast_shapes(a.shape, e.shape, p.shape)
-    a, e, p = (np.broadcast_to(v, shape).reshape(-1) for v in (a, e, p))
-    out, block = np.empty(a.size, dtype=np.int64), 1 << 12
-    for lo in range(0, a.size, block):
-        x, y, m = (v[lo:lo + block] for v in (a, e, p))
+    # (rows, width) views of the broadcast; a block is whole rows or a run
+    # of one row, copied out of the views one block at a time
+    rows, width = math.prod(shape[:-1]), shape[-1] if shape else 1
+    a, e, p = (np.broadcast_to(v, shape).reshape(rows, width) for v in (a, e, p))
+    out, block = np.empty((rows, width), dtype=np.int64), 1 << 12
+    step, run = max(block // max(width, 1), 1), max(min(width, block), 1)
+    cells = ((slice(i, i + step), slice(j, j + run)) for i in range(0, rows, step) for j in range(0, width, run))
+    for cell in cells:
+        x, y, m = (v[cell].reshape(-1) for v in (a, e, p))
         t = np.empty((x.size, 4), dtype=np.int64)
         t[:, 0] = 1 % m
         t[:, 1] = x % m
@@ -458,7 +464,7 @@ def pow_mod_array(a, e, p) -> np.ndarray:
             r %= m
             r *= t[(y >> s & 3) + row]
             r %= m
-        out[lo:lo + x.size] = r
+        out[cell] = r.reshape(out[cell].shape)
     return out.reshape(shape)
 
 
@@ -605,17 +611,32 @@ def _factor_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([evens, i, big]), np.concatenate([twos, q, rem[big]])
 
 
-def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
-    """Order tests of a[..., i] mod the 1-D primes p[i] at one stride g, with the test at q = 2 kept apart.
+def _half_test(a, p, g) -> np.ndarray:
+    """Whether a[..., i]^(N/2) = 1 mod the 1-D primes p[i], where N = (p - 1)/gcd(g, p - 1).
+
+    The order test at q = 2, kept apart from `_odd_tests`: shaped like a,
+    False where N is odd. A unit a has order N exactly where it passes
+    `_odd_tests` and this is False, so a column where this is True for
+    every nonzero a needs no odd tests.
+    """
+    p = _modulus_array(p)
+    a = np.asarray(a, dtype=np.int64) % p
+    n = (p - 1) // np.gcd(g, p - 1)
+    even = np.flatnonzero(n % 2 == 0)
+    half = np.zeros(a.shape, dtype=bool)
+    half[..., even] = pow_mod_array(a[..., even], n[even] // 2, p[even]) == 1
+    return half
+
+
+def _odd_tests(a, p, g) -> np.ndarray:
+    """Whether a[..., i] != 0 mod the 1-D primes p[i] passes the order tests of the odd primes q | N.
 
     The units mod p are cyclic, so the g-th powers of the primitive roots
-    are exactly the elements of order N = (p-1)/gcd(g, p-1) (Ireland &
-    Rosen, A Classical Introduction to Modern Number Theory, ch. 4); g = 1
-    asks whether a is primitive. a has order N iff a^(N/q) != 1 for every
-    prime q dividing N, and a^N = 1. Returns two masks shaped like a:
-    whether a != 0 mod p and a passes every test but a^(N/2) != 1, and
-    whether a^(N/2) = 1 (False where N is odd); a has order N exactly where
-    `passes & ~half`. One `_factor_pairs(p - 1)` serves every row of a:
+    are exactly the elements of order N (Ireland & Rosen, A Classical
+    Introduction to Modern Number Theory, ch. 4); g = 1 asks whether a is
+    primitive. a has order N iff a^(N/q) != 1 for every prime q dividing
+    N, and a^N = 1: this kernel makes every test but q = 2, which
+    `_half_test` makes. One `_factor_pairs(p - 1)` serves every row of a:
     a prime divides N only if it divides p - 1, so where N < p - 1 only
     the pairs whose q divides N are kept, with a q = 1 test of a^N = 1,
     which Fermat gives elsewhere. One batched power per row runs the
@@ -625,22 +646,21 @@ def _order_tests(a, p, g) -> tuple[np.ndarray, np.ndarray]:
     p = _modulus_array(p)
     a = np.asarray(a, dtype=np.int64) % p
     passes = a != 0
-    half = np.zeros(a.shape, dtype=bool)
     if not p.size:
-        return passes, half
+        return passes
     at, q = _factor_pairs(p - 1)
     n = (p - 1) // np.gcd(g, p - 1)
+    keep = q != 2
     short = np.flatnonzero(n < p - 1)
     if short.size:
-        keep = np.flatnonzero(n[at] % q == 0)
-        at, q = np.r_[at[keep], short], np.r_[q[keep], np.ones(short.size, dtype=np.int64)]
+        keep &= n[at] % q == 0
+    at, q = np.r_[at[keep], short], np.r_[q[keep], np.ones(short.size, dtype=np.int64)]
     exps, mods = n[at] // q, p[at]
-    for row_a, row_passes, row_half in zip(a.reshape(-1, p.size), passes.reshape(-1, p.size), half.reshape(-1, p.size)):
+    for row_a, row_passes in zip(a.reshape(-1, p.size), passes.reshape(-1, p.size)):
         one = pow_mod_array(row_a[at], exps, mods) == 1
         # a test fails where its power is 1 for a factor q > 1, and not 1 for q = 1
-        row_passes[at[(one == (q > 1)) & (q != 2)]] = False
-        row_half[at[one & (q == 2)]] = True
-    return passes, half
+        row_passes[at[one == (q > 1)]] = False
+    return passes
 
 
 # Batched polynomial arithmetic mod p: row i of each (N, w) array holds the

@@ -247,7 +247,8 @@ def _source_lines(tree: Path) -> int:
 
 def _layers(smoke: bool) -> dict:
     """Seconds per call of the census kernels on the top segments, the
-    fold-root kernel and the Costas check: the first quartile of
+    Fibonacci closed form that runs them there, the fold-root kernel and
+    the Costas check: the first quartile of
     LAYER_CALLS in-process calls (3 with --smoke), in rounds that call
     each layer once. Also the tracemalloc peak of one
     `pow_mod_array` call on each order-test batch."""
@@ -272,7 +273,10 @@ def _layers(smoke: bool) -> dict:
         timed[f"primes_in_range below {x}"] = partial(ff.primes_in_range, lo, hi)
         timed[f"sqrt_small(5) below {x}"] = partial(ff.sqrt_small, 5, odd)
         timed[f"_factor_pairs below {x}"] = partial(ff._factor_pairs, p - 1)
-        timed[f"_order_tests below {x}"] = partial(ff._order_tests, a, p, 1)
+        # both stages of the order test at every prime, as the closed form
+        # would run them with no column skipped
+        timed[f"_order_tests below {x}"] = lambda a=a, p=p: (ff._half_test(a, p, 1), ff._odd_tests(a, p, 1))
+        timed[f"_closed_forms fib below {x}"] = partial(density._closed_forms, odd, density._FIB_COEFFS)
         timed[f"pow_mod_array below {x}"] = partial(ff.pow_mod_array, *batches[x])
     coeffs = density._folded_coeffs(density.ExpExpr(16), density.ExpExpr(1))
     primes = ff.primes_in_range(10**6 + 1 - density._CHUNK, 10**6 + 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -69,16 +70,33 @@ def test_not_a_permutation():
             first_collision(bad)
 
 
-@pytest.mark.parametrize("perm", [[2, 1, 3], [1, 2, 3, 4], [2, 1, 5, 8, 3, 9, 7, 4, 6], KNOWN_NOT_COSTAS[0]])
+_API = (is_costas, first_collision, difference_table)
+
+
+@pytest.mark.parametrize("perm", [
+    [2, 1, 3], [1, 2, 3, 4], [2, 1, 5, 8, 3, 9, 7, 4, 6], KNOWN_NOT_COSTAS[0], [], [1, 1], [0, 1], [2, 3],
+])
 def test_numpy_integers_are_integers(perm):
-    # numpy integer entries give the plain list's answers, as an int64
-    # array or as a list of np.int32
-    for same in (np.array(perm, dtype=np.int64), [np.int32(v) for v in perm]):
-        assert is_costas(same) == is_costas(perm)
-        assert first_collision(same) == first_collision(perm)
-        assert difference_table(same) == difference_table(perm)
+    # numpy integer entries give the plain list's answers and exceptions,
+    # as integer arrays of each width and sign or as a list of np.int32,
+    # and the caller's array is left as it was
+    arrays = [np.array(perm, dtype=d) for d in (np.int64, np.int32, np.uint64, np.uint8)]
+    for same in (*arrays, [np.int32(v) for v in perm]):
+        before = list(same)
+        for fn in _API:
+            assert _outcome(fn, same) == _outcome(fn, perm), (fn.__name__, same)
         for t in range(len(perm) + 1):
             assert _outcome(remove_leading, same, t) == _outcome(remove_leading, perm, t)
+        assert list(same) == before
+    # bool and float arrays are refused like their entries; an empty one has none
+    refused = (np.array(perm, dtype=bool), np.array(perm, dtype=np.float64)) if perm else ()
+    for other in refused:
+        for fn in _API:
+            with pytest.raises(NotAPermutation):
+                fn(other)
+    # an integer array above the cap is refused by size before its entries
+    with pytest.raises(LimitTooLarge):
+        is_costas(np.zeros(COSTAS_CAP + 1, dtype=np.int64))
 
 
 permutations_st = st.integers(min_value=1, max_value=7).flatmap(
@@ -151,6 +169,16 @@ def test_validator_matches_list_reference(perm, t):
     for fn, ref in pairs:
         assert _outcome(fn, perm) == _outcome(ref, perm), fn.__name__
     assert _outcome(remove_leading, perm, t) == _outcome(oracles.reference_remove_leading, perm, t)
+    # the same integers as an int64 or a uint64 array, where they fit, take
+    # the array path and give the list's answers and exceptions
+    if all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in perm):
+        values = [int(v) for v in perm]
+        for dtype, lo, hi in ((np.int64, -(2**63), 2**63), (np.uint64, 0, 2**64)):
+            if all(lo <= v < hi for v in values):
+                array = np.array(values, dtype=dtype)
+                for fn, _ in pairs:
+                    assert _outcome(fn, array) == _outcome(fn, perm), (fn.__name__, dtype)
+                assert _outcome(remove_leading, array, t) == _outcome(remove_leading, perm, t), dtype
 
 
 @lru_cache(maxsize=None)

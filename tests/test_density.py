@@ -866,18 +866,54 @@ def test_unit_product_root_flags_pinned():
 def test_closed_form_tests_each_distinct_root_once(monkeypatch):
     # 2y - 1 has one root, and the roots of x^2 - x - 1 multiply to -1, so
     # one row of order tests decides both rows; 2y^2 + y - 1 needs two
-    rows = []
-    kernel = density._order_tests
+    rows = {"_half_test": [], "_odd_tests": []}
+    for name, got in rows.items():
+        def recorded(a, p, g, kernel=getattr(density, name), got=got):
+            got.append(np.reshape(a, (-1, p.size)).shape[0])
+            return kernel(a, p, g)
 
-    def recorded(a, p, g):
-        rows.append(np.reshape(a, (-1, p.size)).shape[0])
-        return kernel(a, p, g)
-
-    monkeypatch.setattr(density, "_order_tests", recorded)
+        monkeypatch.setattr(density, name, recorded)
     p = np.array(oracles.simple_sieve(200)[1:], dtype=np.int64)
     for coeffs in (((0, -1), (1, 2)), density._FIB_COEFFS, ((0, -1), (1, 1), (2, 2))):
         density._closed_forms(p, coeffs)
-    assert rows == [1, 1, 2]
+    assert rows == {"_half_test": [1, 1, 2], "_odd_tests": [1, 1, 2]}
+
+
+# (g, fold, rows tested, product -1 at g = 1): a linear fold, the roots of
+# x^2 - x - 1, y^2 +- y + 1 at y = x^g (product +1), and two folds whose
+# roots are both tested, 2y^2 + y - 1 and y^2 - 2y at y = x^2 (a root 0)
+_STAGED_FOLDS = [
+    (1, ((0, -1), (1, 2)), 1, False),
+    (1, density._FIB_COEFFS, 1, True),
+    *((g, ((0, 1), (g, s), (2 * g, 1)), 1, False) for g in (1, 2, 3, 4) for s in (1, -1)),
+    (1, ((0, -1), (1, 1), (2, 2)), 2, False),
+    (2, ((2, -2), (4, 1)), 2, False),
+]
+
+
+@pytest.mark.parametrize("g, coeffs, tested, flips", _STAGED_FOLDS)
+def test_odd_stage_runs_only_where_a_root_can_have_order_n(monkeypatch, g, coeffs, tested, flips):
+    # The odd-factor powers get exactly the primes where some tested root
+    # y != 0 has y^(N/2) != 1, by Euler's criterion in Python ints, and
+    # for x^2 - x - 1 every p = 3 (mod 4) with roots: there -1/y takes the
+    # other residuosity, and its verdict comes from y's odd tests.
+    got = []
+    kernel = density._odd_tests
+    monkeypatch.setattr(density, "_odd_tests", lambda a, p, g: got.append(p.tolist()) or kernel(a, p, g))
+    p = np.array(oracles.simple_sieve(3000)[1:], dtype=np.int64)
+    roots, _ = density._closed_forms(p, coeffs)
+    want = []
+    for q, ys in zip(p.tolist(), roots[:tested].T.tolist()):
+        n = (q - 1) // math.gcd(g, q - 1)
+        odd = any(y and (n % 2 or pow(y, n // 2, q) != 1) for y in ys)
+        if odd or flips and q % 4 == 3 and any(ys):
+            want.append(q)
+    assert got == [want]
+    # some primes skip the odd stage, and for x^2 - x - 1 some are flips only
+    assert len(want) < np.count_nonzero(roots[:tested].any(axis=0))
+    if flips:
+        residue = [q for q, y in zip(p.tolist(), roots[0].tolist()) if y and pow(y, (q - 1) // 2, q) == 1]
+        assert {q % 4 for q in residue} == {1, 3} and {q for q in residue if q % 4 == 3} <= set(want)
 
 
 _ODD_PRIMES_20000 = oracles.simple_sieve(20000)[1:]

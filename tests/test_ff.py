@@ -586,6 +586,24 @@ def test_pow_mod_array_memory_is_bounded():
     assert peak <= 8 * n + (1 << 19)
 
 
+def test_pow_mod_array_broadcast_memory_is_bounded():
+    # An (8, 20 000) a over one row of exponents and moduli. The broadcast
+    # e and p are copied out a block at a time, so past the 8-byte result
+    # the peak stays within the 1-D bound, below one full-size int64 copy.
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 2**27, (8, 20_000))
+    e, p = rng.integers(2**26, 2**27, 20_000), rng.integers(2**26, 2**27, 20_000)
+    tracemalloc.start()
+    try:
+        got = pow_mod_array(a, e, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * a.size + (1 << 19) < 2 * 8 * a.size
+    # each row a run of blocks, against the 1-D kernel
+    assert all((got[i] == pow_mod_array(a[i], e, p)).all() for i in range(8))
+
+
 def test_pow_mod_array_exponent_lengths():
     # e = 0 and 1; odd and even bit lengths, so the top window holds one
     # bit or two; every exponent of a block equal or mixed
@@ -621,8 +639,9 @@ def test_batched_kernels_refuse_bad_moduli():
     for p in ([0, 5], [-3], [3.0], [True]):
         with pytest.raises(ValueError, match="moduli|modulus"):
             sqrt_small(5, p)
-        with pytest.raises(ValueError, match="moduli|modulus"):
-            ff._order_tests([2], p, 1)
+        for stage in (ff._half_test, ff._odd_tests):
+            with pytest.raises(ValueError, match="moduli|modulus"):
+                stage([2], p, 1)
 
 
 def _sqrt_as_tuple(square: bool, r: int, p: int):
@@ -691,10 +710,15 @@ def test_residue_classes_match_euler():
             assert table[p % (4 * abs(d))] == (pow(d, (p - 1) // 2, p) != p - 1), (d, p)
 
 
+def _order_tests(a, p, g):
+    # both stages of the order test at every column
+    return ff._odd_tests(a, p, g), ff._half_test(a, p, g)
+
+
 def _has_order_n(a, p, g: int = 1) -> list[bool]:
     # a has order N = (p - 1)/gcd(g, p - 1) where it passes every test but
     # q = 2 and fails that one; half must say whether a^(N/2) = 1
-    passes, half = ff._order_tests(a, p, g)
+    passes, half = _order_tests(a, p, g)
     for x, q, h in zip(np.ravel(a).tolist(), np.resize(p, np.size(a)).tolist(), half.ravel().tolist()):
         n = (q - 1) // math.gcd(g, q - 1)
         assert h == (n % 2 == 0 and pow(x, n // 2, q) == 1), (x, q, g)
@@ -726,7 +750,7 @@ def test_primitive_root_mask_small_primes():
             powers = {pow(r, g, p) for r in range(1, p) if oracles.is_primitive(make_field(p), r)}
             want = [int(x) % p in powers for x in a]
             assert _has_order_n(a, np.full(a.size, p), g) == want, (p, g)
-    passes, half = ff._order_tests(np.empty((2, 0), dtype=np.int64), [], 1)
+    passes, half = _order_tests(np.empty((2, 0), dtype=np.int64), [], 1)
     assert passes.shape == half.shape == (2, 0)
 
 
@@ -737,7 +761,7 @@ def test_orders_agree_with_order_tests():
     a = np.stack([(np.arange(p.size) * (r + 2) + r) % p for r in range(4)])
     order = np.array([[oracles.brute_order(v, q) if v else 0 for v, q in zip(row, p.tolist())] for row in a.tolist()])
     for g in (1, 2, 3, 4, 6, 12, 2**62):
-        passes, half = ff._order_tests(a, p, g)
+        passes, half = _order_tests(a, p, g)
         assert (order == (p - 1) // np.gcd(g, p - 1)).tolist() == (passes & ~half).tolist(), g
         assert (passes & ~half).tolist() == [_has_order_n(row, p, g) for row in a], g
 
@@ -749,8 +773,9 @@ def test_batched_kernels_reject_modulus_from_two_to_the_31():
             pow_mod_array(2, 3, [5, big])
         with pytest.raises(LimitTooLarge):
             sqrt_small(1, [5, big])
-        with pytest.raises(LimitTooLarge):
-            ff._order_tests(2, [5, big], 1)
+        for stage in (ff._half_test, ff._odd_tests):
+            with pytest.raises(LimitTooLarge):
+                stage(2, [5, big], 1)
 
 
 def test_primitive_exponents_match_gcd_definition():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import oracles
 from costaskit.constructions import find_spec
-from costaskit.density import _segments
+from costaskit.density import _FIB_COEFFS, _closed_forms, _segments
 from costaskit.ff import _PRIME_CAP, SIEVE_CAP, FieldTooLarge, LimitTooLarge, make_field, prime_power
 from costaskit.fpr import (
     EvenPrime,
@@ -83,6 +84,21 @@ def test_range_reports_match_scalar_at_the_sieve_cap():
         assert r == fpr_report(r.p), r.p
     # both classes mod 4 carry FPRs, so both branches of the one-root rule run
     assert {r.p % 4 for r in reports if r.fprs} == {1, 3}
+
+
+def test_range_flags_where_the_first_root_is_a_residue():
+    # At p = 3 (mod 4) where the closed form's first root y of x^2 - x - 1
+    # is a square, y is not primitive, and -1/y is iff y passes the odd
+    # tests: the one place the odd stage runs for a residue. The flags of
+    # `fpr --range` there, against the exhaustive scan.
+    p = np.array(oracles.simple_sieve(20000)[1:])
+    y = _closed_forms(p, _FIB_COEFFS)[0][0].tolist()
+    flips = [q for q, r in zip(p.tolist(), y) if q % 4 == 3 and r and pow(r, (q - 1) // 2, q) == 1]
+    reports = {r.p: r for r in fpr_reports(3, flips[-1])}
+    for q in flips:
+        assert list(reports[q].fprs) == oracles.brute_fprs(q), q
+    # both outcomes occur: -1/y primitive, and no FPR at all
+    assert len(flips) > 200 and 0 < sum(bool(reports[q].fprs) for q in flips) < len(flips)
 
 
 def test_candidates_exist_iff_residue_class_fits():
