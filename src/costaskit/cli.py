@@ -21,7 +21,7 @@ from .constructions import (
     expected_size,
     find_spec,
 )
-from .costas import _checked_permutation, _first_colliding_row, first_collision
+from .costas import first_collision, is_costas
 from .density import CensusRow, census_g4, census_t4, trinomial_census
 from .ff import DegreeOutOfRange, make_field, prime_power
 from .fpr import fpr_report, fpr_reports
@@ -251,10 +251,9 @@ def run_sweep(qmax: int) -> tuple[dict[str, list[int]], list[str], list[int]]:
             except (ConstructionFailed, ConditionFailed) as e:
                 failures.append(f"{method} q={q}: {e}")
                 continue
-            # is_costas on the array itself, without a list.
             if len(codes) != expected_size(method, q):
                 failures.append(f"{method} q={q}: size {len(codes)}")
-            elif _first_colliding_row(_checked_permutation(codes)):
+            elif not is_costas(codes):
                 failures.append(f"{method} q={q}: not costas")
             else:
                 per_method[method].append(q)

@@ -129,6 +129,16 @@ def _require_sum_one(field: FieldDescriptor, x: int, y: int, error: type, expr: 
         raise error(f"{expr} must equal 1, got element code {got}")
 
 
+def _require_generators(field: FieldDescriptor, logs: np.ndarray, *codes: int) -> None:
+    """The one generator check: each code must be nonzero and generate the
+    unit group, g^i doing so iff gcd(i, q - 1) = 1."""
+    for c in codes:
+        if c == 0:
+            raise ZeroElement("zero is not a unit")
+        if math.gcd(int(logs[c]), field.q - 1) != 1:
+            raise NotPrimitive(f"{field!r}[{c}] does not generate the unit group")
+
+
 def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b: int) -> np.ndarray:
     """f(i) = log_b(1 - a^i) for i = 1..q-2, once a and b are checked primitive.
 
@@ -136,12 +146,7 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
     log_g divided by lb mod n, so one table pair serves every (a, b).
     """
     n = len(exp)
-    for c in (a, b):
-        if c == 0:
-            raise ZeroElement("zero is not a unit")
-        # g^i generates the unit group iff gcd(i, n) = 1.
-        if math.gcd(int(logs[c]), n) != 1:
-            raise NotPrimitive(f"{field!r}[{c}] does not generate the unit group")
+    _require_generators(field, logs, a, b)
     # At q near the 10^6 cap each array is 8 MB. Each step works in place
     # where it can and rebinds `out` as soon as its input is used up.
     out = np.arange(1, n) * int(logs[a])
@@ -154,29 +159,11 @@ def _golomb(field: FieldDescriptor, exp: np.ndarray, logs: np.ndarray, a: int, b
     return out
 
 
-def _welch(method: str, p: int, g: int) -> np.ndarray:
-    """w1, g^i mod p for i = 1..p-1, or w2, g^i - 1 for i = 1..p-2, read
-    from the tables of GF(p)."""
-    least = _METHODS[method].min_q
-    if p < least:
-        name = "exponential" if method == "w1" else "shifted"
-        raise DegenerateSize(f"{name} Welch needs p >= {least}, got {p}")
-    field = make_field(p)
-    exp, logs = field_tables(field)
-    n = p - 1
-    lg = int(logs[_code(field, g)])
-    # g = r^lg for the least primitive root r, so g generates iff gcd(lg, n) = 1.
-    if g == 0 or math.gcd(lg, n) != 1:
-        raise NotPrimitive(f"{g} is not a primitive root mod {p}")
-    i = np.arange(1, p) * lg
-    i %= n
-    return exp[i] if method == "w1" else exp[i[:-1]] - 1
-
-
 def _codes(spec: ConstructionSpec) -> np.ndarray:
-    """The array a ConstructionSpec describes, as int64 codes: each method's
-    rule, written once. `build` and the public builders convert it to a
-    list; the CLI writes and checks the array itself.
+    """The array a ConstructionSpec describes, as int64 codes. Each method
+    checks its field, reads `field_tables` and its codes, then applies its
+    rule, written once; all eight share one generator check, `_require_generators`.
+    `build` and the public builders turn it into a list; the CLI keeps the array.
     """
     method, field, alpha, beta = spec.method, spec.field, spec.alpha, spec.beta
     if method not in _METHODS:
@@ -186,7 +173,9 @@ def _codes(spec: ConstructionSpec) -> np.ndarray:
     if method in ("w1", "w2"):
         if field.k != 1:
             raise WrongCharacteristic("Welch constructions need a prime field")
-        return _welch(method, field.p, alpha)
+        if field.q < _METHODS[method].min_q:
+            name = "exponential" if method == "w1" else "shifted"
+            raise DegenerateSize(f"{name} Welch needs p >= {_METHODS[method].min_q}, got {field.q}")
     if method == "l2" and field.q < 4:
         raise DegenerateSize(f"Lempel needs q >= 4, got {field.q}")
     if method == "g4c2":
@@ -197,6 +186,11 @@ def _codes(spec: ConstructionSpec) -> np.ndarray:
     exp, logs = field_tables(field)
     a = _code(field, alpha)
     b = a if beta is None else _code(field, beta)
+    if method in ("w1", "w2"):
+        _require_generators(field, logs, a)
+        i = np.arange(1, field.q) * int(logs[a])
+        i %= field.q - 1
+        return exp[i] if method == "w1" else exp[i[:-1]] - 1
     if method in ("l2", "g2"):
         return _golomb(field, exp, logs, a, b)
     if method == "t4":
@@ -223,12 +217,12 @@ def _codes(spec: ConstructionSpec) -> np.ndarray:
 
 def welch_w1(p: int, g: int) -> list[int]:
     """Exponential Welch array: f(i) = g^i mod p for i = 1..p-1."""
-    return _welch("w1", p, g).tolist()
+    return _codes(ConstructionSpec("w1", make_field(p), g)).tolist()
 
 
 def welch_w2(p: int, g: int) -> list[int]:
     """Corner-removed Welch array: f(i) = g^i - 1 for i = 1..p-2."""
-    return _welch("w2", p, g).tolist()
+    return _codes(ConstructionSpec("w2", make_field(p), g)).tolist()
 
 
 def lempel_l2(field: FieldDescriptor, alpha: int) -> list[int]:

@@ -468,8 +468,10 @@ def pow_mod_array(a, e, p) -> np.ndarray:
     return out.reshape(shape)
 
 
+@lru_cache(maxsize=64)
 def _residue_classes(d: int) -> np.ndarray:
-    """Whether d is a square mod n, for the odd n below 4|d|, as a table by n.
+    """Whether d is a square mod n, for the odd n below 4|d|, as a read-only
+    table by n, built once per process (README "Caches").
 
     The Jacobi symbol (d/n) depends only on n mod 4|d|, and for a prime p
     it is the Legendre symbol, 0 when p divides d (Cohen, A Course in
@@ -488,6 +490,7 @@ def _residue_classes(d: int) -> np.ndarray:
                 t = -t
             a %= b
         table[n] = b > 1 or t == 1
+    table.flags.writeable = False
     return table
 
 

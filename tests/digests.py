@@ -75,6 +75,8 @@ SMALL_BUILDS = (
     ("w1", "101"), ("w2", "97"), ("l2", "64"), ("g2", "49"), ("g3", "243"), ("g4c2", "32"),
     ("t4", "59"), ("g4", "61"), ("g4", "4"), ("t4", "5"),
 )
+# Welch refusals: alpha = 0, a non-generator, a field too small, an extension field
+WELCH_REFUSALS = (("w1", "7", "0"), ("w1", "7", "2"), ("w2", "3", "2"), ("w1", "4", "2"))
 # GF(11^4), GF(5^6) and GF(7^5), a prime near 3e4, and the two at the log-table cap
 DOCUMENT_QS = ("14641", "15625", "16807", "30539", "923521", "999983")
 # runs of each benchmark command, so the file states its own noise band
@@ -111,6 +113,7 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("make_field(p, k).modulus for p^k < 2^16", [sys.executable, "-c", MODULI]),
     ]
     out += [(f"build {m} {q}", [*cli, "build", m, q]) for m, q in SMALL_BUILDS]
+    out += [(f"build {m} {q} --alpha {a}", [*cli, "build", m, q, "--alpha", a]) for m, q, a in WELCH_REFUSALS]
     out += [
         (f"build {m} {q} --out doc.json", [*cli, "build", m, q, "--out", "doc.json"])
         for q in DOCUMENT_QS for m in METHODS

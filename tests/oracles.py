@@ -128,6 +128,19 @@ def artin_product(bound: int) -> Fraction:
     return prod
 
 
+def jacobi(d: int, n: int) -> int:
+    """Jacobi symbol (d/n) for odd n >= 1: the product of Euler's criterion
+    d^((p-1)/2) mod p, read as -1, 0 or 1, over the prime factors p of n."""
+    assert n % 2 == 1
+    symbol = 1
+    for p in simple_sieve(n + 1)[1:]:
+        while n % p == 0:
+            n //= p
+            e = pow(d, (p - 1) // 2, p)
+            symbol *= -1 if e == p - 1 else e
+    return symbol
+
+
 def brute_order(a: int, p: int) -> int:
     """Multiplicative order of a mod p by repeated multiplication."""
     assert a % p != 0

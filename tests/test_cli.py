@@ -85,6 +85,10 @@ def test_build_condition_failure(capsys):
     assert code == 2
     assert "alpha^2" in err
 
+    # Welch answers through the one generator check of every builder
+    for alpha, msg in (("0", "w1: zero is not a unit\n"), ("2", "w1: GF(7)[2] does not generate the unit group\n")):
+        assert run(capsys, "build", "w1", "7", "--alpha", alpha) == (2, "", msg)
+
 
 def test_build_log_cap_before_parameters(capsys):
     # Above the log-table cap a bad parameter reads like no parameter at all.

@@ -33,6 +33,7 @@ from costaskit.constructions import (
 from costaskit.costas import is_costas
 from costaskit import constructions, costas
 from costaskit.ff import (
+    CompositeCharacteristic,
     FieldTooLarge,
     LimitTooLarge,
     affine_map,
@@ -58,6 +59,9 @@ def test_welch_validation():
         welch_w1(7, 2)
     with pytest.raises(ValueError):
         welch_w1(9, 2)
+    # GF(p) comes from make_field, which refuses p <= 1 before any size check
+    with pytest.raises(CompositeCharacteristic):
+        welch_w2(1, 1)
     # Welch reads codes as every other builder does, not modulo p
     for g in (10, -4):
         with pytest.raises(ValueError, match=rf"^element code {g} outside \[0, 7\)$"):
@@ -80,6 +84,49 @@ def test_condition_failures_share_one_class():
     for cls in (DegenerateSize, CornerConditionFailed, WrongCharacteristic, T4ConditionFailed,
                 G4ConditionFailed, NotPrimitive, ZeroElement):
         assert issubclass(cls, ConditionFailed)
+
+
+# (method, (p, k), zero, non-generator, the code it refuses, generator):
+# each parameter set is (alpha, beta). The first two satisfy the method's
+# equations, if any, so the generator check is what refuses them; t4 and
+# g4 refuse a zero alpha before it, t4 by its equation, g4 by its own test.
+_GENERATOR_CASES = [
+    ("w1", (7, 1), (0, None), (2, None), 2, (3, None)),
+    ("w2", (7, 1), (0, None), (2, None), 2, (3, None)),
+    ("l2", (11, 1), (0, None), (3, None), 3, (2, None)),
+    ("g2", (11, 1), (0, 2), (2, 3), 3, (2, 7)),
+    ("g3", (7, 1), (0, 1), (2, 6), 2, (3, 5)),
+    ("g4c2", (2, 3), (0, 1), (1, 0), 1, (2, 3)),
+    ("t4", (11, 1), (0, None), (3, None), 3, (7, None)),
+    ("g4", (11, 1), (0, 1), (8, 4), 4, (7, 35)),  # GF(11) has no g4 pair, GF(41) has
+]
+_ZERO_REFUSALS = {
+    "t4": (T4ConditionFailed, "alpha^2 + alpha must equal 1, got element code 0"),
+    "g4": (NotPrimitive, "zero does not generate the unit group"),
+}
+
+
+@pytest.mark.parametrize("method, pk, zero, weak, refused, good", _GENERATOR_CASES)
+def test_one_generator_check_for_every_method(method, pk, zero, weak, refused, good):
+    field = make_field(*pk)
+    cls, msg = _ZERO_REFUSALS.get(method, (ZeroElement, "zero is not a unit"))
+    with pytest.raises(cls) as exc:
+        build(ConstructionSpec(method, field, *zero))
+    assert type(exc.value) is cls and str(exc.value) == msg
+    with pytest.raises(NotPrimitive) as exc:
+        build(ConstructionSpec(method, field, *weak))
+    assert str(exc.value) == f"GF({field.q})[{refused}] does not generate the unit group"
+    if method == "g4":
+        field = make_field(41)
+    perm = build(ConstructionSpec(method, field, *good))
+    assert len(perm) == expected_size(method, field.q) and oracles.naive_is_costas(perm)
+    if method in ("w1", "w2"):
+        builder = welch_w1 if method == "w1" else welch_w2
+        assert builder(7, good[0]) == perm
+        with pytest.raises(ZeroElement):
+            builder(7, 0)
+        with pytest.raises(NotPrimitive, match=r"^GF\(7\)\[2\] does not generate the unit group$"):
+            builder(7, 2)
 
 
 def test_welch_all_small_primes():

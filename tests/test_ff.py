@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from costaskit import ff
+from costaskit import density, ff
 from oracles import field_add, field_mul, field_pow, multiplicative_order, primitive_elements
 from costaskit.ff import (
     CompositeCharacteristic,
@@ -699,6 +699,27 @@ def test_sqrt_small_checked_by_squaring():
                 assert r * r % q == d % q and r <= q - r, (d, q)
             else:
                 assert pow(d, (q - 1) // 2, q) == q - 1 or d % q == 0, (d, q)
+
+
+@pytest.mark.parametrize("d", [
+    *range(-16, 0), *range(1, 21), *(q for q in oracles.simple_sieve(68) if q > 20),
+])
+def test_residue_classes_match_jacobi_and_are_read_only(d):
+    # every fold discriminant, and every prime the non-residue search tries below SIEVE_CAP
+    table = ff._residue_classes(d)
+    assert table.tolist() == [n % 2 == 1 and oracles.jacobi(d, n) != -1 for n in range(4 * abs(d))]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = not table[1]
+    assert ff._residue_classes(d) is table
+
+
+def test_residue_classes_built_once_per_key_in_a_census():
+    ff._residue_classes.cache_clear()
+    density.census_t4(3 * 10**5, workers=1)
+    info = ff._residue_classes.cache_info()
+    # each key's table was built once, and later segments read it again
+    assert info.misses == info.currsize > 0 and info.hits > 0
 
 
 def test_residue_classes_match_euler():
