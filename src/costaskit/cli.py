@@ -194,7 +194,7 @@ def _parse_expr(text: str, flag: str) -> tuple[int, int]:
 
 def cmd_census(args: argparse.Namespace) -> int:
     checkpoints = None
-    if args.checkpoints:
+    if args.checkpoints is not None:
         checkpoints = _int_list(args.checkpoints.split(","), "--checkpoints")
     workers = worker_count(args.workers)
     skipped = 0

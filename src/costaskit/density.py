@@ -402,16 +402,10 @@ def _quadratic_roots(p: np.ndarray, quadratics: list[tuple[int, int, int]]) -> n
     return roots
 
 
-def _closed_forms(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
-
-    The fold's exponents lie in {0, g, 2g}, so G = c2 y^2 + c1 y + c0.
-    Both results are (2, N): the roots from `_quadratic_roots`, and per
-    root whether it has order N = (p - 1)/gcd(g, p - 1), for g = 1 whether
-    it is primitive. The order tests run in two stages at stride g: first
-    `_half_test`, then `_odd_tests` only at the primes where a tested
-    root is nonzero with y^(N/2) != 1, since a root with y^(N/2) = 1 has
-    no order N, and at the flip primes below. The first root's tests
+def _root_tests(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]):
+    """g, the (2, N) roots of a fold's G at the odd primes p, the columns
+    where some root is nonzero (0 has no order), the roots to test there,
+    their primes, and which are flip primes. The first root's tests
     decide both where c2 = 0, since the roots are one, and where
     c0 = +-c2 = +-1, so the roots multiply to +-1: for product +1 at any g
     and for product -1 at g = 1 the verdicts agree, except that at
@@ -422,30 +416,53 @@ def _closed_forms(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[n
     """
     g, (c0, c1, c2) = _quadratic(coeffs)
     (roots,) = _quadratic_roots(p, [(c0, c1, c2)])
-    # the order tests run where some root is nonzero: 0 has no order
     cols = np.flatnonzero(roots.any(axis=0))
     shared = not c2 or abs(c0) == abs(c2) == 1 and (c0 == c2 or g == 1)
-    y, q = roots[: 2 - shared, cols], p[cols]
+    q = p[cols]
+    return g, roots, cols, roots[: 2 - shared, cols], q, (q % 4 == 3) & (shared and c0 == -c2 != 0)
+
+
+def _closed_forms(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Roots y mod the odd primes p of G, for a fold G(x^g), and which are y = a^g for a primitive a.
+
+    The fold's exponents lie in {0, g, 2g}, so G = c2 y^2 + c1 y + c0.
+    Both results are (2, N): the roots, and per root whether it has order
+    N = (p - 1)/gcd(g, p - 1), for g = 1 whether it is primitive. The roots
+    of `_root_tests` are tested in two stages at stride g: first
+    `_half_test`, then `_odd_tests` only at the primes where a tested root
+    is nonzero with y^(N/2) != 1, since a root with y^(N/2) = 1 has no
+    order N, and at the flip primes, where the q = 2 test tells which root
+    of a passing pair is primitive.
+    """
+    g, roots, cols, y, q, flips = _root_tests(p, coeffs)
     half = _half_test(y, q, g)
-    flips = (q % 4 == 3) & (shared and c0 == -c2 != 0)
     odd = np.flatnonzero(((y != 0) & ~half).any(axis=0) | flips)
     passes = np.zeros(y.shape, dtype=bool)
     passes[:, odd] = _odd_tests(y[:, odd], q[odd], g)
     primitive = np.zeros(roots.shape, dtype=bool)
-    primitive[: 2 - shared, cols] = passes & ~half
-    if shared:  # a flip takes the non-residue
+    primitive[: y.shape[0], cols] = passes & ~half
+    if y.shape[0] == 1:  # a flip takes the non-residue
         primitive[1, cols] = np.where(flips, passes[0] & half[0], primitive[0, cols])
     return roots, primitive
 
 
 def _fast_exists(p: np.ndarray, coeffs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Mask of the 1-D odd primes p where a fold G(x^g) has a primitive root.
+    """Mask of the 1-D odd primes p where a fold G(x^g) has a primitive root: the census kernel.
 
     A polynomial that vanishes mod p is satisfied by every primitive root;
-    otherwise one of the at most two roots y of G from `_closed_forms`
-    must be the g-th power of a primitive root.
+    otherwise some root of G must be the g-th power of one. The stages are
+    those of `_closed_forms`, but at a flip prime the odd tests alone
+    decide whether a root passes, so the q = 2 test runs only elsewhere.
     """
-    hit = _closed_forms(p, coeffs)[1].any(axis=0)
+    g, _, cols, y, q, flips = _root_tests(p, coeffs)
+    half = np.zeros(y.shape, dtype=bool)
+    rest = np.flatnonzero(~flips)
+    half[:, rest] = _half_test(y[:, rest], q[rest], g)
+    odd = np.flatnonzero(((y != 0) & ~half).any(axis=0) | flips)
+    passes = np.zeros(y.shape, dtype=bool)
+    passes[:, odd] = _odd_tests(y[:, odd], q[odd], g)
+    hit = np.zeros(p.shape, dtype=bool)
+    hit[cols] = (passes & (~half | flips)).any(axis=0)
     hit |= math.gcd(*(v for _, v in coeffs)) % p == 0
     return hit
 

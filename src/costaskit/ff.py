@@ -210,7 +210,7 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
             return tuple(m[ok.argmax()].tolist())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _make_field_cached(p: int, k: int) -> FieldDescriptor:
     q = p**k
     if q > _MAX_ORDER:
@@ -499,10 +499,12 @@ def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
 
     Both results are shaped like the 1-D p; the root is 0 where d is a
     non-residue and where p divides d. `_residue_classes(d)`, a table by
-    p mod 4|d|, says where d is a square, and Tonelli-Shanks runs only at
-    the primes it accepts that do not divide d, in its fixed-length form
-    (Crandall & Pomerance, Prime Numbers: A Computational Perspective,
-    Algorithm 2.3.8): e - 1 steps at a prime with p - 1 = s * 2^e.
+    p mod 4|d|, says where d is a square, and a root is taken only at the
+    primes it accepts that do not divide d. With p - 1 = s * 2^e, s odd, it
+    is a^((s+1)/2) at e = 1, Atkin's formula at e = 2 (S. Mueller, Designs,
+    Codes and Cryptography 31, 2004, section 2), and at e >= 3 fixed-length
+    Tonelli-Shanks (Crandall & Pomerance, Prime Numbers: A Computational
+    Perspective, Algorithm 2.3.8), e - 1 steps.
     """
     p = _modulus_array(p)
     if (p % 2 == 0).any():
@@ -519,24 +521,31 @@ def sqrt_small(d: int, p) -> tuple[np.ndarray, np.ndarray]:
     a = d % p
     e = np.frexp(low)[1].astype(np.int64) - 1  # exact: low is a power of two
     s = (p - 1) // low
-    # x = a^((s+1)/2) and t = a^s from one power; x^2 = a * t at every step
-    x = pow_mod_array(a, s // 2, p)
-    t = x * x % p * a % p
-    x = x * a % p
-
-    # c = z^s for a non-residue z wherever e >= 2. The least non-residue is
-    # a prime below sqrt(p) + 1, which the table finds.
-    z = np.zeros(np.count_nonzero(e > 1), dtype=np.int64)
-    pending = np.arange(z.size)
-    for q in _primes_to(math.isqrt(int(p.max(initial=0))) + 1):
+    # rows [m, n) have e = 2, where one power b = (2a)^((s-1)/2) gives Atkin's
+    # x = a b (i - 1) with i = 2a b^2 = (2a)^((p-1)/4), a square root of -1 as
+    # 2 is a non-residue, so x^2 = -2i a^2 b^2 = -i^2 a. Elsewhere b = a^((s-1)/2).
+    m = np.count_nonzero(e > 2)
+    five = slice(m, np.count_nonzero(e > 1))
+    base = a.copy()
+    base[five] = 2 * a[five] % p[five]
+    b = pow_mod_array(base, s // 2, p)
+    x = b * a % p
+    p5 = p[five]
+    x[five] = x[five] * (b[five] * b[five] % p5 * base[five] % p5 - 1) % p5
+    # Tonelli-Shanks in rows [0, m), e >= 3: t = a^s, x = a^((s+1)/2), x^2 = a t at
+    # every step, c = z^s for the least non-residue z, a prime below sqrt(p) + 1
+    t = b[:m] * b[:m] % p[:m] * a[:m] % p[:m]
+    z = np.zeros(m, dtype=np.int64)
+    pending = np.arange(m)
+    for q in _primes_to(math.isqrt(int(p[:m].max(initial=0))) + 1):
         if not pending.size:
             break
         found = ~_residue_classes(q)[p[pending] % (4 * q)]
         z[pending[found]] = q
         pending = pending[~found]
-    c = pow_mod_array(z, s[: z.size], p[: z.size])
-    for k in range(int(e.max(initial=1)) - 1, 0, -1):
-        n = np.count_nonzero(e > k)
+    c = pow_mod_array(z, s[:m], p[:m])
+    for k in range(int(e[:m].max(initial=1)) - 1, 0, -1):
+        n = np.count_nonzero(e[:m] > k)
         pk, u = p[:n], t[:n]
         for _ in range(k - 1):
             u = u * u % pk

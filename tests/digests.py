@@ -111,6 +111,8 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("repr(verify_zero_density_claims(10**5, 10))", [sys.executable, "-c", VERIFIER]),
         ("repr(verify_zero_density_claims(10**4, 5))", [sys.executable, "-c", VERIFIER_SCAN]),
         ("make_field(p, k).modulus for p^k < 2^16", [sys.executable, "-c", MODULI]),
+        # an empty --checkpoints is refused like any other empty token
+        ('census t4 100 --checkpoints ""', [*cli, "census", "t4", "100", "--checkpoints", ""]),
     ]
     out += [(f"build {m} {q}", [*cli, "build", m, q]) for m, q in SMALL_BUILDS]
     out += [(f"build {m} {q} --alpha {a}", [*cli, "build", m, q, "--alpha", a]) for m, q, a in WELCH_REFUSALS]
@@ -250,7 +252,7 @@ def _source_lines(tree: Path) -> int:
 
 def _layers(smoke: bool) -> dict:
     """Seconds per call of the census kernels on the top segments, the
-    Fibonacci closed form that runs them there, the fold-root kernel and
+    Fibonacci closed form and census mask that run them there, the fold-root kernel and
     the Costas check: the first quartile of
     LAYER_CALLS in-process calls (3 with --smoke), in rounds that call
     each layer once. Also the tracemalloc peak of one
@@ -280,6 +282,7 @@ def _layers(smoke: bool) -> dict:
         # would run them with no column skipped
         timed[f"_order_tests below {x}"] = lambda a=a, p=p: (ff._half_test(a, p, 1), ff._odd_tests(a, p, 1))
         timed[f"_closed_forms fib below {x}"] = partial(density._closed_forms, odd, density._FIB_COEFFS)
+        timed[f"_fast_exists fib below {x}"] = partial(density._fast_exists, odd, density._FIB_COEFFS)
         timed[f"pow_mod_array below {x}"] = partial(ff.pow_mod_array, *batches[x])
     coeffs = density._folded_coeffs(density.ExpExpr(16), density.ExpExpr(1))
     primes = ff.primes_in_range(10**6 + 1 - density._CHUNK, 10**6 + 1)

@@ -163,6 +163,20 @@ def brute_fprs(p: int) -> list[int]:
     return [g for g in roots if brute_order(g, p) == p - 1]
 
 
+def primitive_roots_by_table(p: int) -> np.ndarray:
+    """The primitive roots mod an odd prime p, as an int64 array: h^j for the
+    j in [1, p - 1) coprime to p - 1, where h is the least a with
+    a^((p-1)/r) != 1 by `pow` for every prime r | p - 1, and the table of
+    h^0 .. h^(p-2) doubles by appending itself times h^m, m its length."""
+    factors = _prime_factors(p - 1)
+    h = next(a for a in range(2, p) if all(pow(a, (p - 1) // r, p) != 1 for r in factors))
+    table = np.ones(1, dtype=np.int64)
+    while table.size < p - 1:
+        table = np.concatenate([table, table * pow(h, table.size, p) % p])
+    j = np.arange(1, p - 1)
+    return table[j[np.gcd(j, p - 1) == 1]]
+
+
 def brute_fold_primitive_roots(p: int, coeffs: tuple[tuple[int, int], ...]) -> list[int]:
     """Primitive roots g mod p with sum(v * g^k) = 0 over the (k, v) pairs: the
     roots by exhaustive evaluation, then their order by repeated multiplication."""

@@ -433,6 +433,7 @@ ONE_LINE_ERRORS = [
     (["build", "t4", str(ff._PRIME_CAP)], f"build: {ff._PRIME_CAP} not below the primality cap {ff._PRIME_CAP}"),
     (["verify", "--perm", "1,,2"], "verify: --perm expects comma-separated integers, got ''"),
     (["verify", "--perm", ""], "verify: --perm expects comma-separated integers, got ''"),
+    (["census", "t4", "100", "--checkpoints", ""], "census: --checkpoints expects comma-separated integers, got ''"),
 ]
 
 

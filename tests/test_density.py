@@ -219,13 +219,13 @@ def test_fib_censuses_share_segment_masks(monkeypatch):
     # kernel, the warm memo and the shared counter.
     monkeypatch.setattr(density, "_CHUNK", 1 << 14)
     calls = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    kernel = density._closed_forms
+    kernel = density._fast_exists
 
     def counted(p, folds):
         calls[0] += 1
         return kernel(p, folds)
 
-    monkeypatch.setattr(density, "_closed_forms", counted)
+    monkeypatch.setattr(density, "_fast_exists", counted)
     cold = _fib_censuses(10**5, 1)
     assert calls[0] == len(density._segments(10**5))
     calls[0] = 0
@@ -254,8 +254,8 @@ def test_verifier_leaves_kept_segment_masks_alone(monkeypatch):
     verify_zero_density_claims(2000, 3)
     assert {key: bits.tobytes() for key, bits in density._SEGMENT_MASKS.items()} == kept
     calls = []
-    kernel = density._closed_forms
-    monkeypatch.setattr(density, "_closed_forms", lambda p, folds: calls.append(folds) or kernel(p, folds))
+    kernel = density._fast_exists
+    monkeypatch.setattr(density, "_fast_exists", lambda p, folds: calls.append(folds) or kernel(p, folds))
     census_g4(2000)
     assert calls == []
 
@@ -970,6 +970,52 @@ def test_closed_form_matches_oracles_fold_by_fold(case):
                 assert flag == (bool(r) and want[r]), (coeffs, q, r)
             # the roots that pass are the g-th powers of the primitive witnesses
             assert set(roots[:, j][primitive[:, j]].tolist()) == powers, (coeffs, q)
+
+
+def test_census_kernel_matches_closed_form_and_oracle():
+    # Every fold G(x^g) with coefficients in [-2, 2], g = 1 and 2, at every
+    # odd prime below 2 * 10^4: the census kernel's mask is where some root
+    # passes in `_closed_forms`, or the fold vanishes, and where the table
+    # of the primitive roots a has one with G(a^g) = 0.
+    p = np.array(_ODD_PRIMES_20000, dtype=np.int64)
+    cs = [(c0, c1, c2) for c0 in range(-2, 3) for c1 in range(-2, 3) for c2 in range(-2, 3)]
+    masks = {}
+    for g, c in ((g, c) for g in (1, 2) for c in cs):
+        coeffs = _stride_fold(g, c)
+        masks[g, c] = mask = _fast_exists(p, coeffs)
+        closed = density._closed_forms(p, coeffs)[1].any(axis=0) | (math.gcd(*c) % p == 0)
+        assert mask.tolist() == closed.tolist(), (g, c)
+    pairs = sorted({(c1, c2) for _, c1, c2 in cs})
+    c1, c2 = (np.array(v, dtype=np.int32)[:, None] for v in zip(*pairs))
+    rows = np.arange(len(pairs))[:, None]
+    for j, q in enumerate(_ODD_PRIMES_20000):
+        a = oracles.primitive_roots_by_table(q).astype(np.int32)
+        want = {}
+        for g in (1, 2):
+            y = a if g == 1 else a * a % q
+            # which values c1 y + c2 y^2 take, one row per (c1, c2)
+            taken = np.zeros((len(pairs), q), dtype=bool)
+            taken[rows, (c1 * y + c2 * (y * y % q)) % q] = True
+            want |= {(g, (c0, *pair)): bool(row[-c0 % q]) for pair, row in zip(pairs, taken) for c0 in range(-2, 3)}
+        assert {key: bool(mask[j]) for key, mask in masks.items()} == want, q
+    # the flip primes of y^2 + c1 y - 1 and its negation at g = 1, p = 3
+    # (mod 4) where G has roots, come with both outcomes
+    for c in [(s, c1, -s) for s in (1, -1) for c1 in (-2, -1, 1, 2)]:
+        rooted = density._closed_forms(p, _stride_fold(1, c))[0].any(axis=0)
+        assert set(masks[1, c][rooted & (p % 4 == 3)].tolist()) == {False, True}, c
+
+
+def test_census_kernel_takes_no_half_test_at_flip_primes(monkeypatch):
+    # x^2 - x - 1 at p = 3 (mod 4) is decided by the odd tests alone
+    seen = []
+    kernel = density._half_test
+    monkeypatch.setattr(density, "_half_test", lambda a, p, g: seen.append(p.tolist()) or kernel(a, p, g))
+    p = np.array(_ODD_PRIMES_20000, dtype=np.int64)
+    hit = _fast_exists(p, density._FIB_COEFFS)
+    (tested,) = seen
+    roots = density._closed_forms(p, density._FIB_COEFFS)[0][0]
+    assert tested == [q for q, y in zip(p.tolist(), roots.tolist()) if y and q % 4 == 1]
+    assert hit[p % 4 == 3].any()
 
 
 @pytest.mark.parametrize("chunk", [density._CHUNK, 1 << 11])

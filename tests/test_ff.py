@@ -226,6 +226,13 @@ def test_make_field_moduli_pinned():
     assert make_field(7).modulus is None
 
 
+def test_make_field_cache_is_bounded():
+    # a library loop over many primes keeps at most 4096 descriptors
+    for p in ff.primes_in_range(10**6, 10**6 + 80000)[:5000].tolist():
+        assert make_field(p).p == p
+    assert ff._make_field_cached.cache_info().currsize <= 4096
+
+
 @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
 def test_make_field_modulus_matches_bruteforce(p, k):
     assert make_field(p, k).modulus == oracles.smallest_irreducible_bruteforce(p, k)
@@ -699,6 +706,37 @@ def test_sqrt_small_checked_by_squaring():
                 assert r * r % q == d % q and r <= q - r, (d, q)
             else:
                 assert pow(d, (q - 1) // 2, q) == q - 1 or d % q == 0, (d, q)
+
+
+def _largest_primes_5_mod_8(count):
+    out, q = [], 2**31 - 3  # 2^31 - 3 = 5 (mod 8)
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q -= 8
+    return out
+
+
+def test_sqrt_small_atkin_rows_match_brute_force():
+    # Every odd prime below 2 * 10^4, among them each p = 5 (mod 8), whose
+    # rows Atkin's formula answers, and the 50 largest such primes below
+    # 2^31, in one call per d in [-16, 20]: below 2 * 10^4 against the x
+    # in [0, (p - 1)/2] with x^2 = d by a table of squares (these x square
+    # to distinct residues), above by squaring and Euler's criterion
+    small = oracles.simple_sieve(20000)[1:]
+    large = _largest_primes_5_mod_8(50)
+    assert {q % 8 for q in large} == {5} and {5, 13} <= set(small)
+    ds = [*range(-16, 0), *range(1, 21)]
+    square, root = np.array([sqrt_small(d, np.array(small + large)) for d in ds]).transpose(1, 2, 0).tolist()
+    for q, s, r in zip(small, square, root):
+        x = np.arange((q + 1) // 2)
+        table = np.full(q, -1)
+        table[x * x % q] = x
+        want = table[np.array(ds) % q]
+        assert (s, r) == ((want >= 0).tolist(), np.maximum(want, 0).tolist()), q
+    for q, s, r in zip(large, square[len(small):], root[len(small):]):
+        assert s == [pow(d, (q - 1) // 2, q) == 1 for d in ds], q
+        assert all(not t or (x * x % q == d % q and x <= q - x) for d, t, x in zip(ds, s, r)), q
 
 
 @pytest.mark.parametrize("d", [

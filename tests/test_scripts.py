@@ -121,7 +121,8 @@ def test_bench_smoke(tmp_path, capsys):
     verifier = by_name["repr(verify_zero_density_claims(10**4, 5))"]["stdout_sha256"]
     assert verifier == sha(repr(verify_zero_density_claims(10**4, 5)) + "\n")
     layers = doc["layers"]
-    kernels = ("primes_in_range", "sqrt_small(5)", "_factor_pairs", "_order_tests", "_closed_forms fib", "pow_mod_array")
+    kernels = ("primes_in_range", "sqrt_small(5)", "_factor_pairs", "_order_tests", "_closed_forms fib", "_fast_exists fib",
+               "pow_mod_array")
     assert layers["calls"] == 3
     assert set(layers["q1_s"]) == {f"{k} below 300000" for k in kernels} | {
         "_fold_roots_exist d=16 below 1000000", "is_costas w1 n=4098"}
